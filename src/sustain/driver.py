@@ -253,7 +253,7 @@ def _make_record(
 def _draw_return_index(root: SampleToken, T: int) -> int:
     if T == 1:
         return 1
-    return int(root.child(STREAM_RETURN).rng().integers(1, T + 1))
+    return int(root.draw((STREAM_RETURN,), "integers", 1, T + 1))
 
 
 def run_sustain(

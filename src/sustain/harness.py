@@ -399,7 +399,10 @@ def _median_samples(counts: List[Union[int, NotReached]]) -> Union[int, NotReach
 
 def run_grid(cfg: ExperimentConfig) -> GridResult:
     """Run every (algorithm, seed) cell, write one trajectory CSV per cell
-    and one summary CSV; failures are recorded per-row, never fatal."""
+    and one summary CSV; failures are recorded per-row, never fatal.
+
+    A summary row's ``seeds`` counts the seeds whose run succeeded, and its
+    ``error`` joins every failed seed's error with ``"; "``."""
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle, exact = make_problem(cfg)
@@ -413,7 +416,7 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
         eps_counts: Dict[float, List[Union[int, NotReached]]] = {
             e: [] for e in cfg.epsilon_targets
         }
-        error: Optional[str] = None
+        errors: List[str] = []
         for seed in cfg.seeds:
             run_cfg = make_run_config(cfg, seed)
             try:
@@ -422,7 +425,7 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
                 else:
                     _, records = run_baseline(oracle, exact, run_cfg, _baseline_kind(cfg, algorithm))
             except Exception as exc:  # recorded per-row, grid continues
-                error = f"{type(exc).__name__}: {exc}"
+                errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
                 continue
             path = out_dir / f"{cfg.name}_{algorithm}_seed{seed}.csv"
             write_trajectory_csv(path, records)
@@ -434,8 +437,9 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
             finals["cumulative_samples"].append(float(last.cumulative_samples))
             for e in cfg.epsilon_targets:
                 eps_counts[e].append(samples_to_epsilon(records, e, cfg.epsilon_metric))
-        row: Dict[str, str] = {"algorithm": algorithm, "seeds": str(len(cfg.seeds)),
-                               "error": error or ""}
+        row: Dict[str, str] = {"algorithm": algorithm,
+                               "seeds": str(len(cfg.seeds) - len(errors)),
+                               "error": "; ".join(errors)}
         for name in ("grad_ell_sq", "ell_gap", "upper_loss", "cumulative_samples"):
             mean, std = _mean_std(finals[name])
             row[f"final_{name}_mean"] = _fmt(mean)

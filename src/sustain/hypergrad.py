@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class BiasBound:
 def draw_k(cfg: NeumannConfig, token: SampleToken) -> int:
     """The uniform truncation index; part of the composite sample, so a
     coupled re-evaluation at another iterate sees the same k."""
-    return int(token.child(STREAM_K_DRAW).rng().integers(cfg.K))
+    return int(token.draw((STREAM_K_DRAW,), "integers", cfg.K))
 
 
 def estimate(
@@ -70,19 +71,41 @@ def estimate(
     grad_y f, applied right-to-left as k+1 Hessian-vector products.  The
     empty product (k = 0) is the identity.
     """
-    oracle.check_dims(at)
+    return estimate_coupled(oracle, (at,), cfg, sample)[0]
+
+
+def estimate_coupled(
+    oracle: BilevelOracle,
+    points: Sequence[IteratePair],
+    cfg: NeumannConfig,
+    sample: SampleToken,
+) -> Tuple[HyperGradSample, ...]:
+    """The estimator of ``estimate`` at several iterates, one composite sample.
+
+    k, the xi token and the zeta tokens are drawn once and shared by every
+    point, so each point's result equals ``estimate(oracle, point, cfg,
+    sample)`` bit for bit while the oracle's token draws are made once (the
+    tokens memoize them).  Points are evaluated in order and one at a time;
+    a non-finite value at a point raises before the next is evaluated.
+    """
+    for at in points:
+        oracle.check_dims(at)
     k = draw_k(cfg, sample)
     xi = sample.child(STREAM_XI)
-    p = oracle.grad_y_f_sample(at, xi)
+    zeta = [sample.child(STREAM_ZETA, i) for i in range(k + 1)]
     inv_lg = 1.0 / cfg.L_g
-    for i in range(1, k + 1):
-        hvp = oracle.hess_yy_g_sample(at, sample.child(STREAM_ZETA, i))
-        p = p - inv_lg * hvp(p)
-    cross = oracle.hess_xy_g_sample(at, sample.child(STREAM_ZETA, 0))
-    value = oracle.grad_x_f_sample(at, xi) - (cfg.K * inv_lg) * cross(p)
-    if not np.all(np.isfinite(value)):
-        raise NonfiniteValue("hypergradient sample contains NaN/Inf")
-    return HyperGradSample(value=value, k_drawn=k, hvp_count=k + 1)
+    out = []
+    for at in points:
+        p = oracle.grad_y_f_sample(at, xi)
+        for i in range(1, k + 1):
+            hvp = oracle.hess_yy_g_sample(at, zeta[i])
+            p = p - inv_lg * hvp(p)
+        cross = oracle.hess_xy_g_sample(at, zeta[0])
+        value = oracle.grad_x_f_sample(at, xi) - (cfg.K * inv_lg) * cross(p)
+        if not np.all(np.isfinite(value)):
+            raise NonfiniteValue("hypergradient sample contains NaN/Inf")
+        out.append(HyperGradSample(value=value, k_drawn=k, hvp_count=k + 1))
+    return tuple(out)
 
 
 def exact_neumann_expectation(

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ExactOracleUnavailable, MissingHistory, NonfiniteValue
-from .hypergrad import NeumannConfig, estimate
+from .hypergrad import NeumannConfig, estimate, estimate_coupled
 from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector
 from .sampling import SampleToken
 
@@ -87,8 +87,9 @@ def update_g(
     eta_g: float,
     sample: SampleToken,
 ) -> Vector:
-    """Lower-level tracker update; both gradient evaluations share the
-    sample so the correction telescopes exactly on deterministic oracles."""
+    """Lower-level tracker update; both gradient evaluations take the same
+    token object, so the correction telescopes exactly on deterministic
+    oracles and the sample's draws are made once."""
     eta_g = _clamp_eta(eta_g, "eta_g")
     g_cur = oracle.grad_y_g_sample(cur, sample)
     h = eta_g * g_cur
@@ -110,17 +111,15 @@ def update_f(
 
     Returns the new h_f and the Hessian-vector products consumed.  The two
     hypergradient evaluations share the full composite sample, including the
-    drawn truncation index.
+    drawn truncation index, which is drawn once for both iterates.
     """
     eta_f = _clamp_eta(eta_f, "eta_f")
-    s_cur = estimate(oracle, cur, cfg, sample)
-    h = eta_f * s_cur.value
-    hvps = s_cur.hvp_count
+    points = (cur,) if eta_f >= 1.0 else (cur, state.prev_iterate)
+    s = estimate_coupled(oracle, points, cfg, sample)
+    h = eta_f * s[0].value
     if eta_f < 1.0:
-        s_prev = estimate(oracle, state.prev_iterate, cfg, sample)
-        hvps += s_prev.hvp_count
-        h = h + (1.0 - eta_f) * (state.h_f + s_cur.value - s_prev.value)
-    return _check_finite(h, "h_f"), hvps
+        h = h + (1.0 - eta_f) * (state.h_f + s[0].value - s[1].value)
+    return _check_finite(h, "h_f"), sum(e.hvp_count for e in s)
 
 
 def update_f_single_eval(
@@ -144,16 +143,19 @@ def update_f_single_eval(
     if variant is not state.variant:
         raise ValueError("variant does not match the state's variant")
     eta_f = _clamp_eta(eta_f, "eta_f")
-    s_cur = estimate(oracle, cur, cfg, sample)
-    hvps = s_cur.hvp_count
-    if eta_f >= 1.0 or state.t == 0:
+    first = eta_f >= 1.0 or state.t == 0
+    paired = variant is Variant.OPTION_I and not first
+    s = estimate_coupled(
+        oracle, (cur, state.prev_iterate) if paired else (cur,), cfg, sample
+    )
+    s_cur = s[0]
+    hvps = sum(e.hvp_count for e in s)
+    if first:
         if variant is Variant.OPTION_II and state.t == 0 and state.last_f_sample_value is None and eta_f < 1.0:
             raise MissingHistory("Option II needs a stored sample value at t >= 1")
         return _check_finite(s_cur.value, "h_f"), hvps, s_cur.value
-    if variant is Variant.OPTION_I:
-        s_prev = estimate(oracle, state.prev_iterate, cfg, sample)
-        hvps += s_prev.hvp_count
-        prev_value = s_prev.value
+    if paired:
+        prev_value = s[1].value
     else:
         if state.last_f_sample_value is None:
             raise MissingHistory("Option II needs a stored sample value at t >= 1")

@@ -64,6 +64,12 @@ class BilevelOracle(ABC):
     upper-level gradient capabilities must consume the *same* underlying
     sample when given the same token, and Hessians are exposed as
     matrix-vector actions only.
+
+    Draw contract: a capability draws its randomness only through
+    ``token.draw(ids, method, *args)``, never through ``token.rng()``
+    directly.  The momentum updates evaluate one token object at x_t and
+    x_{t-1}; ``draw`` memoizes on the token, so the second evaluation reuses
+    the first one's draws instead of rebuilding its generator.
     """
 
     d_up: int

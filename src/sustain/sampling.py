@@ -5,15 +5,23 @@ so the recursive momentum corrections can re-evaluate the exact same sample
 at two different iterates bit-identically.  A token is an immutable integer
 path; child tokens extend the path, and ``rng()`` maps the path to an
 independent Philox stream.
+
+Draw contract: oracle capabilities (and the estimator's truncation index)
+draw their randomness only through ``token.draw(ids, method, *args)``, which
+returns ``getattr(token.child(*ids).rng(), method)(*args)`` and computes it
+once per token object.  Evaluating one token object at two iterates therefore
+builds each Philox generator once; the memo lives on the token, so it is
+released with it and needs no size limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MIX_INIT = (0x243F6A8885A308D3, 0x13198A2E03707344)
 
 
 def _splitmix64(x: int) -> int:
@@ -24,32 +32,86 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
-    """Hash an integer path into a 128-bit Philox key."""
-    a, b = 0x243F6A8885A308D3, 0x13198A2E03707344
-    for v in path:
+def _mix_into(state: tuple[int, int], ids: tuple[int, ...]) -> tuple[int, int]:
+    """Extend a 128-bit mixing state by the integers ``ids``."""
+    a, b = state
+    for v in ids:
         v &= _MASK64
         a = _splitmix64(a ^ v)
         b = _splitmix64((b ^ v) + a)
     return a, b
 
 
-@dataclass(frozen=True)
-class SampleToken:
-    """Opaque handle identifying one stochastic sample draw."""
+def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
+    """Hash an integer path into a 128-bit Philox key."""
+    return _mix_into(_MIX_INIT, path)
 
-    path: tuple[int, ...]
+
+class SampleToken:
+    """Opaque handle identifying one stochastic sample draw.
+
+    Equality and hashing go by ``path``.  The Philox key is computed on first
+    use by extending the parent's key, so a token whose stream is never drawn
+    costs one tuple concatenation.
+    """
+
+    __slots__ = ("path", "_parent", "_key", "_memo")
+
+    def __init__(self, path: tuple[int, ...], _parent: Optional["SampleToken"] = None):
+        self.path = path
+        self._parent = _parent
+        self._key: Optional[tuple[int, int]] = None
+        self._memo: Optional[dict] = None
 
     @classmethod
     def root(cls, seed: int) -> "SampleToken":
         return cls((int(seed),))
 
     def child(self, *ids: int) -> "SampleToken":
-        return SampleToken(self.path + ids)
+        return SampleToken(self.path + ids, self)
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """The 128-bit Philox key; always equal to ``_mix_path(self.path)``."""
+        if self._key is None:
+            parent = self._parent
+            if parent is None:
+                self._key = _mix_path(self.path)
+            else:
+                self._key = _mix_into(parent.key, self.path[len(parent.path):])
+        return self._key
 
     def rng(self) -> np.random.Generator:
         """Fresh generator; identical tokens always yield identical streams."""
-        return np.random.Generator(np.random.Philox(key=_mix_path(self.path)))
+        return np.random.Generator(np.random.Philox(key=self.key))
+
+    def draw(self, ids: tuple[int, ...], method: str, *args):
+        """``getattr(self.child(*ids).rng(), method)(*args)``, computed once
+        per token object and per distinct call.  Arrays are returned
+        read-only because every later call with the same arguments shares
+        them."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        call = (ids, method, args)
+        value = memo.get(call)
+        if value is None:
+            value = getattr(self.child(*ids).rng(), method)(*args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            memo[call] = value
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleToken):
+            return NotImplemented
+        return self.path == other.path
+
+    def __hash__(self) -> int:
+        return hash(self.path)
+
+    def __repr__(self) -> str:
+        return f"SampleToken(path={self.path!r})"
 
 
 # Stream tags used when deriving sub-tokens.  Kept in one place so the

@@ -28,24 +28,6 @@ from .sampling import SampleToken
 _NOISE_TAG = 101  # salt stream for testbed gradient noise
 
 
-class _TokenCache:
-    """Tiny memo of per-token draws; the momentum correction re-evaluates
-    the same token immediately, so a handful of slots is enough."""
-
-    def __init__(self, maxsize: int = 16):
-        self._data: dict = {}
-        self._maxsize = maxsize
-
-    def get_or_compute(self, key, fn):
-        if key in self._data:
-            return self._data[key]
-        value = fn()
-        if len(self._data) >= self._maxsize:
-            self._data.pop(next(iter(self._data)))
-        self._data[key] = value
-        return value
-
-
 # ---------------------------------------------------------------------------
 # Stochastic quadratic bilevel family
 # ---------------------------------------------------------------------------
@@ -85,7 +67,6 @@ class QuadraticOracle(BilevelOracle):
         self.spec = spec
         self.d_lo, self.d_up = spec.B.shape
         self.salt = int(rng_seed)
-        self._cache = _TokenCache()
         bnorm = float(np.linalg.norm(spec.B, 2))
         # without the sinusoidal term the outer objective is a convex
         # quadratic, so its strong-convexity modulus is available
@@ -122,29 +103,22 @@ class QuadraticOracle(BilevelOracle):
         return self.spec.A @ pair.y - self.spec.B @ pair.x - self.spec.b
 
     # -- sampled capabilities (additive Gaussian noise on the y-gradients) ----
+    def _noise(self, token: SampleToken) -> Vector:
+        return token.draw((_NOISE_TAG, self.salt), "standard_normal", self.d_lo)
+
     def grad_x_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         return self._grad_x_f(pair)
 
     def grad_y_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         g = self._grad_y_f(pair)
         if self.spec.sigma_f:
-            noise = self._cache.get_or_compute(
-                ("f", token.path),
-                lambda: self.spec.sigma_f
-                * token.child(_NOISE_TAG, self.salt).rng().standard_normal(self.d_lo),
-            )
-            g = g + noise
+            g = g + self.spec.sigma_f * self._noise(token)
         return g
 
     def grad_y_g_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         g = self._grad_y_g(pair)
         if self.spec.sigma_g:
-            noise = self._cache.get_or_compute(
-                ("g", token.path),
-                lambda: self.spec.sigma_g
-                * token.child(_NOISE_TAG, self.salt).rng().standard_normal(self.d_lo),
-            )
-            g = g + noise
+            g = g + self.spec.sigma_g * self._noise(token)
         return g
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
@@ -348,8 +322,7 @@ class HyperCleanOracle(BilevelOracle):
 
     def _batch(self, token: SampleToken, n: int, tag: int) -> np.ndarray:
         m = min(self.spec.batch_size, n)
-        rng = token.child(_NOISE_TAG, self.salt, tag).rng()
-        return rng.integers(0, n, size=m)
+        return token.draw((_NOISE_TAG, self.salt, tag), "integers", 0, n, m)
 
     # Upper-level sample: a validation minibatch shared by both f-gradients.
     def grad_x_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
@@ -519,8 +492,7 @@ class MetaLinearOracle(BilevelOracle):
     def _tasks(self, token: SampleToken, tag: int) -> np.ndarray:
         if self.spec.m == self.spec.M:
             return np.arange(self.spec.M)
-        rng = token.child(_NOISE_TAG, self.salt, tag).rng()
-        return rng.choice(self.spec.M, size=self.spec.m, replace=False)
+        return token.draw((_NOISE_TAG, self.salt, tag), "choice", self.spec.M, self.spec.m, False)
 
     def _blocks(self, y: Vector) -> np.ndarray:
         return y.reshape(self.spec.M, self.spec.p)

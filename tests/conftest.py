@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from sustain.oracle import ProblemConstants
-from sustain.testbed import QuadBilevelSpec, make_quadratic, random_quadratic_spec
+from sustain.testbed import (
+    HyperCleanSpec,
+    MetaLinearSpec,
+    QuadBilevelSpec,
+    generate_corrupted_dataset,
+    make_hyperclean,
+    make_meta_linear,
+    make_quadratic,
+    random_quadratic_spec,
+)
 
 
 @pytest.fixture
@@ -40,3 +49,31 @@ def quad5_noisy():
         sigma_f=0.3, sigma_g=0.3,
     )
     return make_quadratic(spec, rng_seed=1)
+
+
+@pytest.fixture(scope="session")
+def sampled_testbeds():
+    """One small oracle per testbed whose capabilities all draw from their
+    tokens: gradient noise on the quadratic, minibatches on hyper-cleaning,
+    task subsampling (m < M) on meta-learning."""
+    rng = np.random.default_rng(44)
+    quad, _ = make_quadratic(
+        random_quadratic_spec(rng, d_up=3, d_lo=5, sigma_f=0.3, sigma_g=0.3,
+                              sin_amp=0.5),
+        rng_seed=2,
+    )
+    train, val = generate_corrupted_dataset(40, 30, 4, p=0.3, rng_seed=3)
+    hyperclean = make_hyperclean(
+        HyperCleanSpec(train=train, val=val, corruption_rate=0.3, reg=0.5,
+                       batch_size=5),
+        rng_seed=4,
+    )
+    M, p_dim, q = 4, 3, 6
+    designs = [rng.standard_normal((q, p_dim)) for _ in range(2 * M)]
+    meta = make_meta_linear(
+        MetaLinearSpec(Z=designs[:M], v=[rng.standard_normal(q) for _ in range(M)],
+                       D=designs[M:], u=[rng.standard_normal(q) for _ in range(M)],
+                       rho=1.0, m=2),
+        rng_seed=5,
+    )
+    return {"quadratic": quad, "hyperclean": hyperclean, "meta_linear": meta}

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from sustain.driver import (
 from sustain.errors import DimensionMismatch
 from sustain.momentum import Variant
 from sustain.oracle import IteratePair
+from sustain.sampling import SampleToken
 from sustain.testbed import QuadBilevelSpec, make_quadratic
 
 
@@ -198,3 +201,24 @@ def test_return_index_uniform():
     chi2 = float(np.sum((counts[1:] - expected) ** 2 / expected))
     # chi-square with 7 dof: p > 0.01 iff statistic < 18.48
     assert chi2 < 18.48
+
+
+@pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
+def test_each_token_path_drawn_once_per_run(sampled_testbeds, testbed, monkeypatch):
+    # SUSTAIN evaluates every sample at x_t and x_{t-1}; the second evaluation
+    # must reuse the first one's draws instead of rebuilding the generator
+    oracle = sampled_testbeds[testbed]
+    drawn = Counter()
+    rng = SampleToken.rng
+
+    def counting_rng(token):
+        drawn[token.path] += 1
+        return rng(token)
+
+    monkeypatch.setattr(SampleToken, "rng", counting_rng)
+    T = 12
+    cfg = RunConfig(T=T, policy=Policy.PRACTICAL, seed=3, K_override=4,
+                    c_eta=5.0, record_errors=False)
+    run_sustain(oracle, None, cfg)
+    assert sum(drawn.values()) >= T  # every iteration draws at least its k
+    assert [p for p, n in drawn.items() if n > 1] == []

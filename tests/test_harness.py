@@ -175,12 +175,13 @@ class TestRunGrid:
 
     def test_multiple_algorithms_in_summary(self, tmp_path):
         cfg = self._cfg(tmp_path, T=30, algorithms=("sustain", "alternating"),
-                        epsilon_targets=(10.0,))
+                        epsilon_targets=(10.0,), seeds=(0, 1))
         result = run_grid(cfg)
         names = [row["algorithm"] for row in result.summary_rows]
         assert names == ["sustain", "alternating"]
         for row in result.summary_rows:
             assert row["error"] == ""
+            assert row["seeds"] == "2"
             assert "samples_to_10" in row
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
@@ -197,3 +198,21 @@ class TestRunGrid:
         cfg.options["algorithm.ratio"] = "0.5"
         result = run_grid(cfg)
         assert "ratio" in result.summary_rows[0]["error"]
+
+    def test_failed_seeds_are_counted_and_every_error_kept(self, tmp_path, monkeypatch):
+        import sustain.harness as harness
+
+        real = harness.run_sustain
+
+        def failing_for_odd_seeds(oracle, exact, cfg):
+            if cfg.seed % 2:
+                raise RuntimeError(f"forced failure {cfg.seed}")
+            return real(oracle, exact, cfg)
+
+        monkeypatch.setattr(harness, "run_sustain", failing_for_odd_seeds)
+        result = run_grid(self._cfg(tmp_path, seeds=(0, 1, 2, 3)))
+        row = result.summary_rows[0]
+        assert row["seeds"] == "2"
+        assert row["error"] == ("seed 1: RuntimeError: forced failure 1; "
+                                "seed 3: RuntimeError: forced failure 3")
+        assert sorted(result.trajectory_paths) == [("sustain", 0), ("sustain", 2)]

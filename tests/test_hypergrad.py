@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sustain.errors import (
     InvalidConstants,
@@ -15,6 +17,7 @@ from sustain.hypergrad import (
     choose_K_strongly_convex,
     draw_k,
     estimate,
+    estimate_coupled,
     exact_neumann_expectation,
     lipschitz_L_K,
 )
@@ -128,6 +131,34 @@ class TestEstimate:
         with pytest.raises(NonfiniteValue):
             estimate(_NaNOracle(), IteratePair([0.0], [0.0]),
                      NeumannConfig(K=1, L_g=1.0, mu_g=1.0), SampleToken.root(0))
+
+
+@pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    path=st.lists(st.integers(0, 10**6), max_size=3),
+    K=st.integers(1, 6),
+    scale=st.floats(0.01, 10.0),
+)
+def test_coupled_estimate_equals_separate_calls(sampled_testbeds, testbed, seed, path, K, scale):
+    # the paired estimate must reproduce two independent one-point estimates
+    # bit for bit; each one-point call gets its own token object, so nothing
+    # is shared through the draw memo
+    oracle = sampled_testbeds[testbed]
+    rng = np.random.default_rng(seed)
+    points = [
+        IteratePair(scale * rng.standard_normal(oracle.d_up),
+                    scale * rng.standard_normal(oracle.d_lo))
+        for _ in range(2)
+    ]
+    cfg = NeumannConfig.from_constants(oracle.constants, K)
+    full = (seed,) + tuple(path)
+    paired = estimate_coupled(oracle, points, cfg, SampleToken(full))
+    for at, got in zip(points, paired):
+        want = estimate(oracle, at, cfg, SampleToken(full))
+        assert got.value.tobytes() == want.value.tobytes()
+        assert (got.k_drawn, got.hvp_count) == (want.k_drawn, want.hvp_count)
 
 
 def test_draw_k_uniform_range():
