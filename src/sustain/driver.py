@@ -11,26 +11,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, ExactOracleUnavailable, NonfiniteValue
+from .errors import DimensionMismatch, ExactOracleUnavailable
 from .hypergrad import (
     NeumannConfig,
     choose_K_nonconvex,
-    estimate,
+    choose_K_strongly_convex,
     lipschitz_L_K,
 )
-from .momentum import (
-    MomentumState,
-    Variant,
-    estimator_errors,
-    update_f,
-    update_f_single_eval,
-    update_g,
-)
+from .momentum import MomentumState, Variant, estimator_errors, update_f, update_g
 from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector
 from .sampling import STREAM_LOWER, STREAM_RETURN, STREAM_UPPER, SampleToken
 from .schedules import (
@@ -159,33 +152,18 @@ def resolve_schedule(
 ) -> Tuple[Callable[[int], ScheduleParams], int]:
     """Build the per-iteration schedule callable and the truncation level K."""
     c = oracle.constants
-    if cfg.policy is Policy.PRACTICAL:
-        K = cfg.K_override if cfg.K_override is not None else choose_K_nonconvex(c, cfg.T)
-        return (
-            lambda t: practical_params(cfg.base_alpha, t, cfg.c_eta, K, cfg.c_eta_g),
-            K,
+    if cfg.policy is Policy.STRONGLY_CONVEX:
+        K = cfg.K_override if cfg.K_override is not None else choose_K_strongly_convex(c, cfg.T)
+        params = strongly_convex_params(
+            c, lipschitz_L_K(c, K), cfg.T, alpha_override=cfg.alpha_override, K_override=K
         )
+        return lambda t: params, K
+    K = cfg.K_override if cfg.K_override is not None else choose_K_nonconvex(c, cfg.T)
+    if cfg.policy is Policy.PRACTICAL:
+        return lambda t: practical_params(cfg.base_alpha, t, cfg.c_eta, K, cfg.c_eta_g), K
     if cfg.policy is Policy.NONCONVEX:
-        K = cfg.K_override if cfg.K_override is not None else choose_K_nonconvex(c, cfg.T)
         consts = nonconvex_constants(c, lipschitz_L_K(c, K))
         return lambda t: nonconvex_params(consts, t, K), K
-    if cfg.policy is Policy.STRONGLY_CONVEX:
-        params = strongly_convex_params(
-            c,
-            lipschitz_L_K(c, cfg.K_override if cfg.K_override is not None else 1),
-            cfg.T,
-            alpha_override=cfg.alpha_override,
-            K_override=cfg.K_override,
-        )
-        # recompute with the K the policy actually selected
-        params = strongly_convex_params(
-            c,
-            lipschitz_L_K(c, params.K),
-            cfg.T,
-            alpha_override=cfg.alpha_override,
-            K_override=params.K,
-        )
-        return lambda t: params, params.K
     raise ValueError(f"unknown policy {cfg.policy}")
 
 
@@ -212,7 +190,7 @@ def _make_record(
     cur: IteratePair,
     exact: Optional[ExactOracle],
     oracle: BilevelOracle,
-    state: Optional[MomentumState],
+    state: MomentumState,
     ncfg: NeumannConfig,
     samples: int,
     hvps: int,
@@ -226,7 +204,7 @@ def _make_record(
             gap = exact.ell(cur.x) - exact.ell_star
         dy = cur.y - exact.y_star(cur.x)
         track = float(dy @ dy)
-        if state is not None and record_errors:
+        if record_errors:
             try:
                 e_f, e_g = estimator_errors(state, exact, cur, ncfg)
             except (ExactOracleUnavailable, NotImplementedError):
@@ -251,9 +229,69 @@ def _make_record(
 
 
 def _draw_return_index(root: SampleToken, T: int) -> int:
-    if T == 1:
-        return 1
     return int(root.draw((STREAM_RETURN,), "integers", 1, T + 1))
+
+
+def _run(
+    oracle: BilevelOracle,
+    exact: Optional[ExactOracle],
+    cfg: RunConfig,
+    kind: Optional[BaselineKind],
+) -> Tuple[Vector, List[TrajectoryRecord]]:
+    """The loop of ``run_sustain`` (kind None) and ``run_baseline``.
+
+    Any NaN/Inf in a tracker, estimate or inner step reaches x_{t+1} or
+    y_{t+1}, checked once per iteration before the record for t: a failed
+    run's records end at t-1 and the returned iterate is finite.
+    """
+    schedule, K = resolve_schedule(oracle, cfg)
+    ncfg = NeumannConfig.from_constants(oracle.constants, K)
+    pair = _initial_pair(oracle, cfg)
+    state = MomentumState.initial(oracle.d_up, oracle.d_lo, cfg.variant)
+    adam = (AdamState.initial(oracle.d_up)
+            if kind is None and cfg.direction is Direction.ADAM else None)
+    n_inner = kind.n_inner if isinstance(kind, DoubleLoop) else 1
+    root = SampleToken.root(cfg.seed)
+
+    xs: List[Vector] = [pair.x]
+    records: List[TrajectoryRecord] = []
+    samples = hvps = 0
+    per_iter_samples = n_inner + (K + 3)
+
+    for t in range(cfg.T):
+        params = schedule(t)
+        if isinstance(kind, TwoTimescale):
+            params = dataclasses.replace(params, beta=kind.ratio * params.alpha ** (2.0 / 3.0))
+        momentum = kind is None and t > 0
+        eta_f = params.eta_f if momentum else 1.0
+        eta_g = params.eta_g if momentum else 1.0
+        it = root.child(t)
+        h_g = update_g(state, oracle, pair, eta_g, it.child(STREAM_LOWER))
+        h_f, n_hvp, s_f = update_f(state, oracle, pair, eta_f, ncfg, it.child(STREAM_UPPER))
+
+        y_next = pair.y - params.beta * h_g
+        for j in range(1, n_inner):
+            g = oracle.grad_y_g_sample(IteratePair(pair.x, y_next), it.child(STREAM_LOWER, j))
+            y_next = y_next - params.beta * g
+        step = h_f if adam is None else adam_direction(adam, h_f)
+        x_next = pair.x - params.alpha * step
+        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(y_next))):
+            logger.warning("non-finite iterate at t=%d; aborting run", t)
+            break
+        state.commit(pair, h_f, h_g, s_f)
+        samples += per_iter_samples
+        hvps += n_hvp
+
+        if t % cfg.metric_stride == 0 or t == cfg.T - 1:
+            records.append(
+                _make_record(t, params, eta_f, eta_g, pair, exact, oracle, state,
+                             ncfg, samples, hvps, kind is None and cfg.record_errors)
+            )
+        pair = IteratePair(x_next, y_next)
+        xs.append(pair.x)
+
+    a = min(_draw_return_index(root, cfg.T), len(xs) - 1)
+    return xs[a], records
 
 
 def run_sustain(
@@ -267,56 +305,7 @@ def run_sustain(
     eta = 1 so the zero-initialized trackers never leak into the updates.
     Returns the uniformly drawn iterate x_{a(T)} and the metric records.
     """
-    schedule, K = resolve_schedule(oracle, cfg)
-    ncfg = NeumannConfig.from_constants(oracle.constants, K)
-    pair = _initial_pair(oracle, cfg)
-    state = MomentumState.initial(oracle.d_up, oracle.d_lo, cfg.variant)
-    adam = AdamState.initial(oracle.d_up) if cfg.direction is Direction.ADAM else None
-    root = SampleToken.root(cfg.seed)
-
-    xs: List[Vector] = [pair.x]
-    records: List[TrajectoryRecord] = []
-    samples = hvps = 0
-    per_iter_samples = 1 + (K + 3)
-
-    for t in range(cfg.T):
-        params = schedule(t)
-        eta_f = 1.0 if t == 0 else params.eta_f
-        eta_g = 1.0 if t == 0 else params.eta_g
-        it = root.child(t)
-        try:
-            h_g = update_g(state, oracle, pair, eta_g, it.child(STREAM_LOWER))
-            if cfg.variant is Variant.TWO_EVAL:
-                h_f, n_hvp = update_f(state, oracle, pair, eta_f, ncfg, it.child(STREAM_UPPER))
-                fresh = None
-            else:
-                h_f, n_hvp, fresh = update_f_single_eval(
-                    state, oracle, pair, eta_f, ncfg, it.child(STREAM_UPPER), cfg.variant
-                )
-        except NonfiniteValue:
-            logger.warning("non-finite estimate at t=%d; aborting run", t)
-            break
-        state.commit(pair, h_f, h_g, fresh)
-        samples += per_iter_samples
-        hvps += n_hvp
-
-        if t % cfg.metric_stride == 0 or t == cfg.T - 1:
-            records.append(
-                _make_record(t, params, eta_f, eta_g, pair, exact, oracle, state,
-                             ncfg, samples, hvps, cfg.record_errors)
-            )
-
-        y_next = pair.y - params.beta * h_g
-        step = h_f if adam is None else adam_direction(adam, h_f)
-        x_next = pair.x - params.alpha * step
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(y_next))):
-            logger.warning("non-finite iterate at t=%d; aborting run", t)
-            break
-        pair = IteratePair(x_next, y_next)
-        xs.append(pair.x)
-
-    a = min(_draw_return_index(root, cfg.T), len(xs) - 1)
-    return xs[a], records
+    return _run(oracle, exact, cfg, None)
 
 
 def run_baseline(
@@ -325,61 +314,13 @@ def run_baseline(
     cfg: RunConfig,
     kind: BaselineKind,
 ) -> Tuple[Vector, List[TrajectoryRecord]]:
-    """Momentum-free baselines sharing the sample streams and hypergradient
-    machinery of run_sustain.
+    """Momentum-free baselines: the run_sustain loop with both momentum
+    weights pinned to 1, plain steps and no tracker errors recorded.
 
-    All kinds evaluate the hypergradient estimate at (x_t, y_t), matching the
-    main loop's evaluation point, so AlternatingSGD reproduces run_sustain
-    with both momentum weights pinned to 1 and DoubleLoop(1) reproduces
-    AlternatingSGD; the extra inner steps of DoubleLoop refine the inner
-    iterate seen by every subsequent outer step.
+    AlternatingSGD is therefore run_sustain at eta = 1 by construction, and
+    an Adam ``cfg.direction`` gives the same run as a plain one.
+    TwoTimescale sets beta; DoubleLoop adds lower steps j >= 1 on tokens
+    (t, STREAM_LOWER, j), refining the inner iterate seen by every later
+    outer step, so DoubleLoop(1) is AlternatingSGD.
     """
-    schedule, K = resolve_schedule(oracle, cfg)
-    ncfg = NeumannConfig.from_constants(oracle.constants, K)
-    pair = _initial_pair(oracle, cfg)
-    root = SampleToken.root(cfg.seed)
-    n_inner = kind.n_inner if isinstance(kind, DoubleLoop) else 1
-
-    xs: List[Vector] = [pair.x]
-    records: List[TrajectoryRecord] = []
-    samples = hvps = 0
-    per_iter_samples = n_inner + (K + 3)
-
-    for t in range(cfg.T):
-        params = schedule(t)
-        if isinstance(kind, TwoTimescale):
-            params = dataclasses.replace(
-                params, beta=kind.ratio * params.alpha ** (2.0 / 3.0)
-            )
-        beta = params.beta
-        it = root.child(t)
-        try:
-            s = estimate(oracle, pair, ncfg, it.child(STREAM_UPPER))
-            y_next = pair.y
-            for j in range(n_inner):
-                tok = it.child(STREAM_LOWER) if j == 0 else it.child(STREAM_LOWER, j)
-                g = oracle.grad_y_g_sample(IteratePair(pair.x, y_next), tok)
-                if not np.all(np.isfinite(g)):
-                    raise NonfiniteValue("lower gradient")
-                y_next = y_next - beta * g
-        except NonfiniteValue:
-            logger.warning("non-finite estimate at t=%d; aborting run", t)
-            break
-        samples += per_iter_samples
-        hvps += s.hvp_count
-
-        if t % cfg.metric_stride == 0 or t == cfg.T - 1:
-            records.append(
-                _make_record(t, params, 1.0, 1.0, pair, exact, oracle, None,
-                             ncfg, samples, hvps, False)
-            )
-
-        x_next = pair.x - params.alpha * s.value
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(y_next))):
-            logger.warning("non-finite iterate at t=%d; aborting run", t)
-            break
-        pair = IteratePair(x_next, y_next)
-        xs.append(pair.x)
-
-    a = min(_draw_return_index(root, cfg.T), len(xs) - 1)
-    return xs[a], records
+    return _run(oracle, exact, cfg, kind)

@@ -62,7 +62,6 @@ _POLICIES = {
 }
 _VARIANTS = {
     "two_eval": Variant.TWO_EVAL,
-    "option_i": Variant.OPTION_I,
     "option_ii": Variant.OPTION_II,
 }
 _DIRECTIONS = {"plain": Direction.PLAIN, "adam": Direction.ADAM}

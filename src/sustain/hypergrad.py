@@ -69,9 +69,13 @@ def estimate(
 
     Computes grad_x f - (K/L_g) * H_xy * prod_{i=1..k}(I - H_yy^(i)/L_g) *
     grad_y f, applied right-to-left as k+1 Hessian-vector products.  The
-    empty product (k = 0) is the identity.
+    empty product (k = 0) is the identity.  Raises ``NonfiniteValue`` if
+    the draw contains NaN/Inf.
     """
-    return estimate_coupled(oracle, (at,), cfg, sample)[0]
+    out = estimate_coupled(oracle, (at,), cfg, sample)[0]
+    if not np.all(np.isfinite(out.value)):
+        raise NonfiniteValue("hypergradient sample contains NaN/Inf")
+    return out
 
 
 def estimate_coupled(
@@ -85,8 +89,9 @@ def estimate_coupled(
     k, the xi token and the zeta tokens are drawn once and shared by every
     point, so each point's result equals ``estimate(oracle, point, cfg,
     sample)`` bit for bit while the oracle's token draws are made once (the
-    tokens memoize them).  Points are evaluated in order and one at a time;
-    a non-finite value at a point raises before the next is evaluated.
+    tokens memoize them).  Points are evaluated in order and one at a time.
+    Values are not checked for NaN/Inf: the run loop checks the iterates
+    they feed into.
     """
     for at in points:
         oracle.check_dims(at)
@@ -102,8 +107,6 @@ def estimate_coupled(
             p = p - inv_lg * hvp(p)
         cross = oracle.hess_xy_g_sample(at, zeta[0])
         value = oracle.grad_x_f_sample(at, xi) - (cfg.K * inv_lg) * cross(p)
-        if not np.all(np.isfinite(value)):
-            raise NonfiniteValue("hypergradient sample contains NaN/Inf")
         out.append(HyperGradSample(value=value, k_drawn=k, hvp_count=k + 1))
     return tuple(out)
 

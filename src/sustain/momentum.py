@@ -1,8 +1,9 @@
 """Recursive momentum gradient trackers for both optimization levels.
 
-The two-evaluation updates re-evaluate the current sample at the previous
-iterate to form the correction term; the Option I/II variants trade that
-second evaluation for a stored value.
+Both trackers follow one recursion, h = eta s_cur + (1 - eta)(h_prev + s_cur
+- s_prev), where s_prev re-evaluates the current sample at the previous
+iterate; at eta = 1 it is the plain sample.  The Option II upper tracker
+trades that second evaluation for the stored previous sample value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ExactOracleUnavailable, MissingHistory, NonfiniteValue
+from .errors import ExactOracleUnavailable, MissingHistory
 from .hypergrad import NeumannConfig, estimate, estimate_coupled
 from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector
 from .sampling import SampleToken
@@ -24,7 +25,6 @@ logger = logging.getLogger(__name__)
 
 class Variant(enum.Enum):
     TWO_EVAL = "two_eval"
-    OPTION_I = "option_i"
     OPTION_II = "option_ii"
 
 
@@ -39,7 +39,6 @@ class MomentumState:
     h_f: Vector
     h_g: Vector
     prev_iterate: IteratePair
-    t: int = 0
     variant: Variant = Variant.TWO_EVAL
     last_f_sample_value: Optional[Vector] = None
 
@@ -49,20 +48,18 @@ class MomentumState:
             h_f=np.zeros(d_up),
             h_g=np.zeros(d_lo),
             prev_iterate=IteratePair(np.zeros(d_up), np.zeros(d_lo)),
-            t=0,
             variant=variant,
         )
 
     def commit(self, cur: IteratePair, h_f: Vector, h_g: Vector,
                f_sample_value: Optional[Vector] = None) -> None:
         """Record the updates for iteration t; both trackers were evaluated
-        at ``cur`` so it becomes the previous iterate of the next step."""
+        at ``cur`` so it becomes the previous iterate of the next step, and
+        ``f_sample_value`` the stored value of Option II's next update."""
         self.h_f = h_f
         self.h_g = h_g
         self.prev_iterate = cur
-        if f_sample_value is not None:
-            self.last_f_sample_value = f_sample_value
-        self.t += 1
+        self.last_f_sample_value = f_sample_value
 
 
 def _clamp_eta(eta: float, which: str) -> float:
@@ -74,10 +71,14 @@ def _clamp_eta(eta: float, which: str) -> float:
     return eta
 
 
-def _check_finite(v: Vector, what: str) -> Vector:
-    if not np.all(np.isfinite(v)):
-        raise NonfiniteValue(f"{what} contains NaN/Inf")
-    return v
+def _recursion(eta: float, h_prev: Vector, s_cur: Vector,
+               s_prev: Optional[Vector]) -> Vector:
+    """h = eta s_cur + (1 - eta)(h_prev + s_cur - s_prev); ``s_prev`` is
+    only read (and only evaluated by the caller) when eta < 1."""
+    h = eta * s_cur
+    if eta < 1.0:
+        h = h + (1.0 - eta) * (h_prev + s_cur - s_prev)
+    return h
 
 
 def update_g(
@@ -92,11 +93,8 @@ def update_g(
     oracles and the sample's draws are made once."""
     eta_g = _clamp_eta(eta_g, "eta_g")
     g_cur = oracle.grad_y_g_sample(cur, sample)
-    h = eta_g * g_cur
-    if eta_g < 1.0:
-        g_prev = oracle.grad_y_g_sample(state.prev_iterate, sample)
-        h = h + (1.0 - eta_g) * (state.h_g + g_cur - g_prev)
-    return _check_finite(h, "h_g")
+    g_prev = oracle.grad_y_g_sample(state.prev_iterate, sample) if eta_g < 1.0 else None
+    return _recursion(eta_g, state.h_g, g_cur, g_prev)
 
 
 def update_f(
@@ -106,62 +104,28 @@ def update_f(
     eta_f: float,
     cfg: NeumannConfig,
     sample: SampleToken,
-) -> Tuple[Vector, int]:
-    """Upper-level tracker update (two-evaluation form).
-
-    Returns the new h_f and the Hessian-vector products consumed.  The two
-    hypergradient evaluations share the full composite sample, including the
-    drawn truncation index, which is drawn once for both iterates.
-    """
-    eta_f = _clamp_eta(eta_f, "eta_f")
-    points = (cur,) if eta_f >= 1.0 else (cur, state.prev_iterate)
-    s = estimate_coupled(oracle, points, cfg, sample)
-    h = eta_f * s[0].value
-    if eta_f < 1.0:
-        h = h + (1.0 - eta_f) * (state.h_f + s[0].value - s[1].value)
-    return _check_finite(h, "h_f"), sum(e.hvp_count for e in s)
-
-
-def update_f_single_eval(
-    state: MomentumState,
-    oracle: BilevelOracle,
-    cur: IteratePair,
-    eta_f: float,
-    cfg: NeumannConfig,
-    sample: SampleToken,
-    variant: Variant,
 ) -> Tuple[Vector, int, Vector]:
-    """Single fresh hypergradient evaluation per call.
+    """Upper-level tracker update in the state's variant.
 
-    Option I re-evaluates the current sample at the previous iterate only
-    implicitly through the stored tracker; Option II replaces the previous
-    evaluation by the stored previous sample value.  Returns (h_f, hvps,
-    fresh sample value).
+    Returns the new h_f, the Hessian-vector products consumed and the fresh
+    hypergradient sample at ``cur`` (stored by ``commit`` for Option II).
+    TWO_EVAL re-evaluates the composite sample, including its drawn
+    truncation index, at the previous iterate; Option II replaces that
+    evaluation by the stored previous sample value.
     """
-    if variant not in (Variant.OPTION_I, Variant.OPTION_II):
-        raise ValueError("variant must be OPTION_I or OPTION_II")
-    if variant is not state.variant:
-        raise ValueError("variant does not match the state's variant")
     eta_f = _clamp_eta(eta_f, "eta_f")
-    first = eta_f >= 1.0 or state.t == 0
-    paired = variant is Variant.OPTION_I and not first
-    s = estimate_coupled(
-        oracle, (cur, state.prev_iterate) if paired else (cur,), cfg, sample
-    )
-    s_cur = s[0]
+    paired = eta_f < 1.0 and state.variant is Variant.TWO_EVAL
+    points = (cur, state.prev_iterate) if paired else (cur,)
+    s = estimate_coupled(oracle, points, cfg, sample)
+    s_cur = s[0].value
     hvps = sum(e.hvp_count for e in s)
-    if first:
-        if variant is Variant.OPTION_II and state.t == 0 and state.last_f_sample_value is None and eta_f < 1.0:
-            raise MissingHistory("Option II needs a stored sample value at t >= 1")
-        return _check_finite(s_cur.value, "h_f"), hvps, s_cur.value
-    if paired:
-        prev_value = s[1].value
-    else:
+    if state.variant is Variant.OPTION_II and eta_f < 1.0:
         if state.last_f_sample_value is None:
             raise MissingHistory("Option II needs a stored sample value at t >= 1")
-        prev_value = state.last_f_sample_value
-    h = s_cur.value + (1.0 - eta_f) * (state.h_f - prev_value)
-    return _check_finite(h, "h_f"), hvps, s_cur.value
+        h = s_cur + (1.0 - eta_f) * (state.h_f - state.last_f_sample_value)
+    else:
+        h = _recursion(eta_f, state.h_f, s_cur, s[1].value if paired else None)
+    return h, hvps, s_cur
 
 
 def estimator_errors(

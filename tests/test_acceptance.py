@@ -43,6 +43,8 @@ from sustain.testbed import (
     random_quadratic_spec,
 )
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     status = "pass" if ok else "FAIL"

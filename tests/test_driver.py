@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import sustain.driver
 from sustain.driver import (
     AdamState,
     AlternatingSGD,
@@ -12,13 +13,16 @@ from sustain.driver import (
     RunConfig,
     TwoTimescale,
     adam_direction,
+    resolve_schedule,
     run_baseline,
     run_sustain,
 )
 from sustain.errors import DimensionMismatch
+from sustain.hypergrad import lipschitz_L_K
 from sustain.momentum import Variant
 from sustain.oracle import IteratePair
-from sustain.sampling import SampleToken
+from sustain.sampling import STREAM_LOWER, SampleToken
+from sustain.schedules import strongly_convex_params
 from sustain.testbed import QuadBilevelSpec, make_quadratic
 
 
@@ -122,7 +126,7 @@ class TestRunSustain:
 
     def test_variants_run(self, quad5_noisy):
         oracle, exact = quad5_noisy
-        for variant in (Variant.OPTION_I, Variant.OPTION_II):
+        for variant in (Variant.TWO_EVAL, Variant.OPTION_II):
             cfg = RunConfig(T=25, policy=Policy.PRACTICAL, seed=1,
                             metric_stride=5, variant=variant)
             x, records = run_sustain(oracle, exact, cfg)
@@ -181,6 +185,18 @@ class TestBaselines:
         assert min(gaps[-20:]) < 0.05 * gaps[0]
         assert max(gaps[-20:]) < 2.0 * min(gaps[-20:]) + 1e-9
 
+    @pytest.mark.parametrize("kind", [AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
+    def test_adam_direction_ignored(self, quad5_noisy, kind):
+        # baselines take plain steps whatever the config's direction
+        oracle, exact = quad5_noisy
+        plain = RunConfig(T=30, policy=Policy.PRACTICAL, seed=2, metric_stride=3)
+        adam = RunConfig(T=30, policy=Policy.PRACTICAL, seed=2, metric_stride=3,
+                         direction=Direction.ADAM)
+        x_p, r_p = run_baseline(oracle, exact, plain, kind)
+        x_a, r_a = run_baseline(oracle, exact, adam, kind)
+        assert np.array_equal(x_p, x_a)
+        assert r_p == r_a
+
     def test_invalid_kind_params(self):
         with pytest.raises(ValueError):
             TwoTimescale(ratio=0.5)
@@ -222,3 +238,57 @@ def test_each_token_path_drawn_once_per_run(sampled_testbeds, testbed, monkeypat
     run_sustain(oracle, None, cfg)
     assert sum(drawn.values()) >= T  # every iteration draws at least its k
     assert [p for p, n in drawn.items() if n > 1] == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, 1e308])
+@pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
+def test_nonfinite_stops_before_record(quad5_noisy, kind, bad):
+    # a bad sample at iteration t_bad: from the upper gradient, or for
+    # DoubleLoop from the inner lower step j = 2.  NaN makes the tracker
+    # non-finite, 1e308 only the step it scales; every kind stops the same way
+    seed, T, t_bad = 5, 20, 7
+    oracle, exact = quad5_noisy
+    if isinstance(kind, DoubleLoop):
+        name, bad_path = "grad_y_g_sample", (seed, t_bad, STREAM_LOWER, 2)
+    else:
+        name, bad_path = "grad_x_f_sample", None
+    clean = getattr(oracle, name)
+
+    def poisoned(pair, token):
+        out = clean(pair, token)
+        hit = token.path == bad_path if bad_path else token.path[1] == t_bad
+        return np.full_like(out, bad) if hit else out
+
+    cfg = RunConfig(T=T, policy=Policy.PRACTICAL, seed=seed, metric_stride=1, base_alpha=10.0)
+    run = run_sustain if kind is None else lambda o, e, c: run_baseline(o, e, c, kind)
+    _, ref = run(oracle, exact, cfg)
+    setattr(oracle, name, poisoned)
+    x, records = run(oracle, exact, cfg)
+    assert [r.t for r in records] == list(range(t_bad))
+    assert records == ref[:t_bad]
+    assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("K_override,alpha_override", [(None, None), (4, None), (None, 0.01)])
+def test_strongly_convex_schedule_resolved_once(quad5, monkeypatch, K_override, alpha_override):
+    oracle, _ = quad5
+    c, T = oracle.constants, 500
+    # the former two-call resolution: a provisional L_K, then the selected K
+    first = strongly_convex_params(c, lipschitz_L_K(c, K_override or 1), T,
+                                   alpha_override=alpha_override, K_override=K_override)
+    expected = strongly_convex_params(c, lipschitz_L_K(c, first.K), T,
+                                      alpha_override=alpha_override, K_override=first.K)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return strongly_convex_params(*args, **kwargs)
+
+    monkeypatch.setattr(sustain.driver, "strongly_convex_params", counting)
+    cfg = RunConfig(T=T, policy=Policy.STRONGLY_CONVEX, K_override=K_override,
+                    alpha_override=alpha_override)
+    schedule, K = resolve_schedule(oracle, cfg)
+    assert len(calls) == 1
+    assert K == expected.K
+    assert schedule(0) == expected and schedule(T - 1) == expected

@@ -67,6 +67,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("nope",))
 
+    def test_option_i_rejected(self):
+        # Option I was TWO_EVAL's recursion reordered; the key is gone, not aliased
+        with pytest.raises(ValueError, match="unknown variant 'option_i'"):
+            ExperimentConfig(variant="option_i")
+
 
 class TestRateFit:
     def test_exact_power_law(self):

@@ -8,7 +8,6 @@ from sustain.momentum import (
     Variant,
     estimator_errors,
     update_f,
-    update_f_single_eval,
     update_g,
 )
 from sustain.oracle import IteratePair
@@ -25,10 +24,10 @@ def _identity_quad(lam=0.0, B=1.0):
     return make_quadratic(spec, rng_seed=0)
 
 
-def _state(h_f, h_g, prev_x, prev_y, t=1, variant=Variant.TWO_EVAL):
+def _state(h_f, h_g, prev_x, prev_y, variant=Variant.TWO_EVAL):
     return MomentumState(
         h_f=np.array([h_f]), h_g=np.array([h_g]),
-        prev_iterate=IteratePair([prev_x], [prev_y]), t=t, variant=variant,
+        prev_iterate=IteratePair([prev_x], [prev_y]), variant=variant,
     )
 
 
@@ -80,8 +79,9 @@ class TestUpdateF:
         cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
         state = _state(h_f=50.0, h_g=0.0, prev_x=0.0, prev_y=0.0)
         cur = IteratePair([0.0], [2.0])
-        h, hvps = update_f(state, oracle, cur, 1.0, cfg, TOK)
+        h, hvps, fresh = update_f(state, oracle, cur, 1.0, cfg, TOK)
         assert h == pytest.approx(estimate(oracle, cur, cfg, TOK).value)
+        assert np.array_equal(fresh, h)
         assert hvps == 1
 
     def test_hand_value(self):
@@ -89,7 +89,7 @@ class TestUpdateF:
         oracle, _ = _identity_quad()
         cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
         state = _state(h_f=1.0, h_g=0.0, prev_x=0.0, prev_y=1.5)
-        h, hvps = update_f(state, oracle, IteratePair([0.0], [2.0]), 0.25, cfg, TOK)
+        h, hvps, _ = update_f(state, oracle, IteratePair([0.0], [2.0]), 0.25, cfg, TOK)
         assert h[0] == pytest.approx(1.625)
         assert hvps == 2
 
@@ -102,7 +102,7 @@ class TestUpdateF:
         root = SampleToken.root(9)
         for t in range(5):
             eta = 1.0 if t == 0 else 0.4
-            h, _ = update_f(state, oracle, pair, eta, cfg, root.child(t))
+            h, _, _ = update_f(state, oracle, pair, eta, cfg, root.child(t))
             h_g = update_g(state, oracle, pair, eta, root.child(t, 1))
             state.commit(pair, h, h_g)
             assert h == pytest.approx(exact.surrogate_grad(pair.x, pair.y))
@@ -110,11 +110,14 @@ class TestUpdateF:
 
 
 class TestSingleEval:
-    def _setup(self, variant, h_f=1.0, last=None, t=1, prev_y=1.5):
+    """Option II: one fresh evaluation, the stored previous sample value in
+    place of the re-evaluation at the previous iterate."""
+
+    def _setup(self, variant, h_f=1.0, last=None, prev_y=1.5):
         oracle, _ = _identity_quad()
         cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
         state = _state(h_f=h_f, h_g=0.0, prev_x=0.0, prev_y=prev_y,
-                       t=t, variant=variant)
+                       variant=variant)
         if last is not None:
             state.last_f_sample_value = np.array([last])
         return oracle, cfg, state
@@ -122,41 +125,32 @@ class TestSingleEval:
     def test_option_ii_hand_value(self):
         # fresh 2.0, stored 1.5, h_prev=1.0, eta=0.5 -> 2 + 0.5*(1 - 1.5) = 1.75
         oracle, cfg, state = self._setup(Variant.OPTION_II, last=1.5)
-        h, _, fresh = update_f_single_eval(
-            state, oracle, IteratePair([0.0], [2.0]), 0.5, cfg, TOK, Variant.OPTION_II
-        )
+        h, hvps, fresh = update_f(state, oracle, IteratePair([0.0], [2.0]), 0.5, cfg, TOK)
         assert h[0] == pytest.approx(1.75)
         assert fresh[0] == pytest.approx(2.0)
+        assert hvps == 1  # no re-evaluation at the previous iterate
 
     def test_options_agree_on_deterministic_oracle(self):
-        oracle, cfg, s1 = self._setup(Variant.OPTION_I)
+        # the stored value 1.5 is the sample at the previous iterate (y = 1.5)
+        oracle, cfg, s1 = self._setup(Variant.TWO_EVAL)
         _, _, s2 = self._setup(Variant.OPTION_II, last=1.5)
         cur = IteratePair([0.0], [2.0])
-        h1, _, _ = update_f_single_eval(s1, oracle, cur, 0.5, cfg, TOK, Variant.OPTION_I)
-        h2, _, _ = update_f_single_eval(s2, oracle, cur, 0.5, cfg, TOK, Variant.OPTION_II)
+        h1, hvps1, _ = update_f(s1, oracle, cur, 0.5, cfg, TOK)
+        h2, hvps2, _ = update_f(s2, oracle, cur, 0.5, cfg, TOK)
         assert h1 == pytest.approx(h2)
+        assert (hvps1, hvps2) == (2, 1)
 
     def test_eta_one_gives_fresh_value(self):
-        for variant in (Variant.OPTION_I, Variant.OPTION_II):
+        for variant in (Variant.TWO_EVAL, Variant.OPTION_II):
             oracle, cfg, state = self._setup(variant, last=0.0)
-            h, _, _ = update_f_single_eval(
-                state, oracle, IteratePair([0.0], [2.0]), 1.0, cfg, TOK, variant
-            )
+            h, _, fresh = update_f(state, oracle, IteratePair([0.0], [2.0]), 1.0, cfg, TOK)
             assert h[0] == pytest.approx(2.0)
+            assert np.array_equal(h, fresh)
 
     def test_option_ii_missing_history(self):
-        oracle, cfg, state = self._setup(Variant.OPTION_II, t=0)
+        oracle, cfg, state = self._setup(Variant.OPTION_II)
         with pytest.raises(MissingHistory):
-            update_f_single_eval(
-                state, oracle, IteratePair([0.0], [2.0]), 0.5, cfg, TOK, Variant.OPTION_II
-            )
-
-    def test_variant_mismatch(self):
-        oracle, cfg, state = self._setup(Variant.OPTION_I)
-        with pytest.raises(ValueError):
-            update_f_single_eval(
-                state, oracle, IteratePair([0.0], [2.0]), 0.5, cfg, TOK, Variant.TWO_EVAL
-            )
+            update_f(state, oracle, IteratePair([0.0], [2.0]), 0.5, cfg, TOK)
 
 
 class TestEstimatorErrors:
@@ -169,7 +163,7 @@ class TestEstimatorErrors:
         for t in range(4):
             eta = 1.0 if t == 0 else 0.5
             h_g = update_g(state, oracle, pair, eta, root.child(t, 0))
-            h_f, _ = update_f(state, oracle, pair, eta, cfg, root.child(t, 1))
+            h_f, _, _ = update_f(state, oracle, pair, eta, cfg, root.child(t, 1))
             state.commit(pair, h_f, h_g)
             e_f, e_g = estimator_errors(state, exact, pair, cfg)
             assert e_f == pytest.approx(0.0, abs=1e-12)
@@ -183,7 +177,7 @@ class TestEstimatorErrors:
         pair = IteratePair(np.zeros(2), np.zeros(5))
         tok = SampleToken.root(12).child(0)
         h_g = update_g(state, oracle, pair, 1.0, tok.child(0))
-        h_f, _ = update_f(state, oracle, pair, 1.0, cfg, tok.child(1))
+        h_f, _, _ = update_f(state, oracle, pair, 1.0, cfg, tok.child(1))
         state.commit(pair, h_f, h_g)
         _, e_g = estimator_errors(state, exact, pair, cfg)
         noise = h_g - exact.grad_y_g_mean(pair)
