@@ -67,9 +67,12 @@ class BilevelOracle(ABC):
 
     Draw contract: a capability draws its randomness only through
     ``token.draw(ids, method, *args)``, never through ``token.rng()``
-    directly.  The momentum updates evaluate one token object at x_t and
-    x_{t-1}; ``draw`` memoizes on the token, so the second evaluation reuses
-    the first one's draws instead of rebuilding its generator.
+    directly.  ``draw`` takes its values, equal to those of
+    ``token.child(*ids).rng()``, from one shared generator reset to the child
+    token's key, so draws are not re-entrant.  The momentum updates evaluate
+    one token object at x_t and x_{t-1}; ``draw`` memoizes on the token, so
+    the second evaluation reuses the first one's draws instead of drawing
+    them again.
     """
 
     d_up: int

@@ -8,14 +8,26 @@ independent Philox stream.
 
 Draw contract: oracle capabilities (and the estimator's truncation index)
 draw their randomness only through ``token.draw(ids, method, *args)``, which
-returns ``getattr(token.child(*ids).rng(), method)(*args)`` and computes it
-once per token object.  Evaluating one token object at two iterates therefore
-builds each Philox generator once; the memo lives on the token, so it is
-released with it and needs no size limit.
+returns the values of ``getattr(token.child(*ids).rng(), method)(*args)`` and
+computes them once per token object.  The memo lives on the token, so it is
+released with it and needs no size limit.  A draw builds no generator: it
+resets one module-wide Philox to the child's key (counter 0, empty buffer)
+and calls ``method`` on it.  Draws are therefore not re-entrant; a lock
+serialises them across threads.  ``rng()`` still returns a fresh generator
+for callers that hold one.
+
+Key quirk, kept on purpose: a path hashes to two 64-bit halves ``(a, b)``,
+and ``Philox(key=(a, b))`` converts the pair through ``np.asarray``.  When
+exactly one half is >= 2**63 that array is float64, so both halves are
+rounded to 53 significant bits before they become the key; path ``(1,)``,
+for example, is keyed by ``[17135239835083094016, 7589107670886370304]``,
+not by ``_mix_path((1,))``.  ``draw`` applies the same conversion, because
+changing it would change every stored stream.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 import numpy as np
@@ -24,27 +36,50 @@ _MASK64 = (1 << 64) - 1
 _MIX_INIT = (0x243F6A8885A308D3, 0x13198A2E03707344)
 
 
-def _splitmix64(x: int) -> int:
-    # Steele et al. splitmix64 finalizer; good avalanche, cheap in pure python.
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _mix_into(state: tuple[int, int], ids: tuple[int, ...]) -> tuple[int, int]:
-    """Extend a 128-bit mixing state by the integers ``ids``."""
+    """Extend a 128-bit mixing state by the integers ``ids``.
+
+    Each half goes through the splitmix64 finalizer (Steele et al.), inlined
+    because this runs once per drawn stream."""
     a, b = state
     for v in ids:
         v &= _MASK64
-        a = _splitmix64(a ^ v)
-        b = _splitmix64((b ^ v) + a)
+        x = ((a ^ v) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        a = x ^ (x >> 31)
+        x = (((b ^ v) + a) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        b = x ^ (x >> 31)
     return a, b
 
 
 def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
     """Hash an integer path into a 128-bit Philox key."""
     return _mix_into(_MIX_INIT, path)
+
+
+_BITGEN = np.random.Philox(0)  # seeded so that import pulls no OS entropy
+_GEN = np.random.Generator(_BITGEN)
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+_STREAM_LOCK = threading.Lock()
+
+
+def _stream(key: tuple[int, int]) -> np.random.Generator:
+    """The shared generator, reset to the state ``Philox(key=key)`` starts in.
+
+    The key goes through the conversion ``Philox`` applies (see the module
+    docstring); the buffer contents are never read at ``buffer_pos`` 4."""
+    _BITGEN.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": np.asarray(key).astype(np.uint64)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _GEN
 
 
 class SampleToken:
@@ -72,7 +107,9 @@ class SampleToken:
 
     @property
     def key(self) -> tuple[int, int]:
-        """The 128-bit Philox key; always equal to ``_mix_path(self.path)``."""
+        """The 128-bit path hash; always equal to ``_mix_path(self.path)``.
+        Philox takes it through ``np.asarray``, which may round it (see the
+        module docstring)."""
         if self._key is None:
             parent = self._parent
             if parent is None:
@@ -86,17 +123,19 @@ class SampleToken:
         return np.random.Generator(np.random.Philox(key=self.key))
 
     def draw(self, ids: tuple[int, ...], method: str, *args):
-        """``getattr(self.child(*ids).rng(), method)(*args)``, computed once
-        per token object and per distinct call.  Arrays are returned
-        read-only because every later call with the same arguments shares
-        them."""
+        """The values of ``getattr(self.child(*ids).rng(), method)(*args)``,
+        computed once per token object and per distinct call from the shared
+        generator reset to the child's key.  Arrays are returned read-only
+        because every later call with the same arguments shares them."""
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
         call = (ids, method, args)
         value = memo.get(call)
         if value is None:
-            value = getattr(self.child(*ids).rng(), method)(*args)
+            key = _mix_into(self.key, ids)
+            with _STREAM_LOCK:
+                value = getattr(_stream(key), method)(*args)
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             memo[call] = value

@@ -82,8 +82,11 @@ def nonconvex_constants(c: ProblemConstants, L_K: float) -> NonconvexScheduleCon
 
 
 def _clamped(eta: float, which: str) -> float:
+    # c * alpha^2 can land a few ulp above 1 where it is 1 in exact
+    # arithmetic (w = c^1.5 at t = 0); clamp that silently
     if eta > 1.0:
-        logger.warning("%s = %.4g clamped to 1", which, eta)
+        if eta > 1.0 + 1e-12:
+            logger.warning("%s = %.17g clamped to 1", which, eta)
         return 1.0
     return eta
 

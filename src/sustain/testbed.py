@@ -274,12 +274,9 @@ class HyperCleanSpec:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below; e^-|z| never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _bce_sum(logits: np.ndarray, labels: np.ndarray) -> float:

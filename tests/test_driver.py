@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sustain.driver
+import sustain.sampling
 from sustain.driver import (
     AdamState,
     AlternatingSGD,
@@ -21,7 +22,7 @@ from sustain.errors import DimensionMismatch
 from sustain.hypergrad import lipschitz_L_K
 from sustain.momentum import Variant
 from sustain.oracle import IteratePair
-from sustain.sampling import STREAM_LOWER, SampleToken
+from sustain.sampling import STREAM_LOWER
 from sustain.schedules import strongly_convex_params
 from sustain.testbed import QuadBilevelSpec, make_quadratic
 
@@ -222,16 +223,17 @@ def test_return_index_uniform():
 @pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
 def test_each_token_path_drawn_once_per_run(sampled_testbeds, testbed, monkeypatch):
     # SUSTAIN evaluates every sample at x_t and x_{t-1}; the second evaluation
-    # must reuse the first one's draws instead of rebuilding the generator
+    # must reuse the first one's draws instead of resetting the generator to
+    # the same stream again.  Streams are counted by key, one key per path
     oracle = sampled_testbeds[testbed]
     drawn = Counter()
-    rng = SampleToken.rng
+    stream = sustain.sampling._stream
 
-    def counting_rng(token):
-        drawn[token.path] += 1
-        return rng(token)
+    def counting_stream(key):
+        drawn[key] += 1
+        return stream(key)
 
-    monkeypatch.setattr(SampleToken, "rng", counting_rng)
+    monkeypatch.setattr(sustain.sampling, "_stream", counting_stream)
     T = 12
     cfg = RunConfig(T=T, policy=Policy.PRACTICAL, seed=3, K_override=4,
                     c_eta=5.0, record_errors=False)

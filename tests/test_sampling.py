@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sustain.sampling import SampleToken, _mix_path
+import sustain.sampling
+from sustain.sampling import SampleToken, _mix_path, _stream
 
 
 def test_same_token_same_stream():
@@ -102,3 +106,91 @@ def test_draw_is_memoized_and_read_only():
     # an equal token object starts with an empty memo but draws the same values
     other = SampleToken((8, 4)).draw((101, 2), "standard_normal", 5)
     assert other is not first and np.array_equal(other, first)
+
+
+def test_philox_key_rounding_is_pinned():
+    # one half >= 2**63 and one below: np.asarray makes the pair float64, so
+    # Philox keys the stream with both halves rounded.  Kept on purpose
+    key = _mix_path((1,))
+    assert key == (17135239835083093536, 7589107670886370289)
+    rounded = [17135239835083094016, 7589107670886370304]
+    assert SampleToken((1,)).rng().bit_generator.state["state"]["key"].tolist() == rounded
+    assert _stream(key).bit_generator.state["state"]["key"].tolist() == rounded
+
+
+_HALF = 2**63
+_DRAWS = [
+    ("standard_normal", (5,)),
+    ("integers", (7,)),
+    ("integers", (0, 1000, 9)),
+    ("choice", (12, 4, False)),
+]
+
+
+def _same_bits(a, b):
+    return (type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@st.composite
+def _paths_by_half_order(draw):
+    # a random path extended by the first index that gives its key the drawn
+    # order around 2**63: both halves below, one on each side, or both above
+    path = tuple(draw(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=6)))
+    highs = draw(st.sampled_from([0, 1, 2]))
+    j = next(j for j in range(10_000)
+             if sum(h >= _HALF for h in _mix_path(path + (j,))) == highs)
+    return path + (j,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=_paths_by_half_order(), split=st.integers(1, 7), which=st.sampled_from(range(len(_DRAWS))))
+def test_draw_equals_fresh_child_generator(path, split, which):
+    split = min(split, len(path) - 1)
+    method, args = _DRAWS[which]
+    tok = SampleToken(path[:-split])
+    ids = path[-split:]
+    fresh = getattr(tok.child(*ids).rng(), method)(*args)
+    assert _same_bits(tok.draw(ids, method, *args), fresh)
+
+
+def test_interleaved_draws_leave_no_buffered_state():
+    # B's 32-bit integers leave half a 64-bit word buffered in the shared
+    # generator; the next draw must start from its own key's fresh state
+    a, b = SampleToken.root(11).child(2), SampleToken.root(12).child(2)
+    first = a.draw((1,), "integers", 0, 10, 3)
+    assert _same_bits(first, a.child(1).rng().integers(0, 10, 3))
+    mid = b.draw((1,), "integers", 0, 10, 3)
+    assert _same_bits(mid, b.child(1).rng().integers(0, 10, 3))
+    assert sustain.sampling._BITGEN.state["has_uint32"] == 1
+    again = SampleToken((11, 2)).draw((1,), "integers", 0, 10, 3)
+    assert again is not first and _same_bits(again, first)
+    normal = a.draw((1,), "standard_normal", 4)
+    assert _same_bits(normal, a.child(1).rng().standard_normal(4))
+
+
+def test_threads_draw_their_own_streams():
+    # four threads share the one generator; a reset from another thread
+    # between a draw's reset and its values would give a wrong stream
+    n_threads, n_draws = 4, 1000
+    results = {}
+
+    def work(i):
+        root = SampleToken.root(100 + i)
+        results[i] = [root.draw((j,), "standard_normal", 4) for j in range(n_draws)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i in range(n_threads):
+        root = SampleToken.root(100 + i)
+        assert all(np.array_equal(v, root.child(j).rng().standard_normal(4))
+                   for j, v in enumerate(results[i]))

@@ -1,4 +1,6 @@
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from sustain.errors import DivisionByZero
 from sustain.hypergrad import lipschitz_L_K
 from sustain.oracle import ProblemConstants, derive_constants
 from sustain.schedules import (
+    NonconvexScheduleConstants,
     nonconvex_constants,
     nonconvex_params,
     practical_params,
@@ -171,3 +174,22 @@ class TestPracticalParams:
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
             practical_params(0.0, 0, 1.0)
+
+
+def test_clamp_warns_only_beyond_rounding(caplog):
+    # w = c_eta^1.5 makes c_eta * alpha_0^2 exactly 1 on paper and
+    # 1.0000000000000002 in floats; that is clamped without a warning
+    c_eta = 7.0
+    consts = NonconvexScheduleConstants(w=c_eta**1.5, c_beta=1.0, c_eta_f=c_eta,
+                                        c_eta_g=c_eta, c_bar_eta_f=1.0,
+                                        c_bar_eta_g=1.0, L_mu_g=1.0)
+    assert c_eta * (consts.w ** (-1.0 / 3.0)) ** 2 > 1.0
+    with caplog.at_level(logging.WARNING, logger="sustain.schedules"):
+        p = nonconvex_params(consts, 0, 3)
+    assert (p.eta_f, p.eta_g) == (1.0, 1.0)
+    assert caplog.records == []
+    with caplog.at_level(logging.WARNING, logger="sustain.schedules"):
+        p = nonconvex_params(replace(consts, c_eta_g=1.5 * c_eta), 0, 3)
+    assert p.eta_g == 1.0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"eta_g = {1.5 * c_eta * (consts.w ** (-1.0 / 3.0)) ** 2:.17g} clamped to 1"]

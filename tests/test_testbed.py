@@ -16,6 +16,7 @@ from sustain.testbed import (
     make_quadratic,
     random_quadratic_spec,
 )
+from sustain.testbed import _sigmoid
 
 TOK = SampleToken.root(0).child(0)
 
@@ -264,3 +265,22 @@ def test_csv_missing_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(EmptyDataset):
         load_dataset_csv(str(path))
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 32, 500])
+@pytest.mark.parametrize("scale", [1.0, 40.0, 800.0])
+def test_sigmoid_matches_masked_formula(n, scale):
+    # the stable two-branch sigmoid, bit for bit, without boolean indexing
+    z = np.random.default_rng(n).uniform(-scale, scale, n)
+    assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+    edges = np.array([800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0])
+    assert _sigmoid(edges).tobytes() == _masked_sigmoid(edges).tobytes()
