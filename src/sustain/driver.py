@@ -228,8 +228,14 @@ def _make_record(
     )
 
 
-def _draw_return_index(root: SampleToken, T: int) -> int:
-    return int(root.draw((STREAM_RETURN,), "integers", 1, T + 1))
+# Iteration tokens are taken from blocks of this many siblings, whose keys are
+# derived together (``SampleToken.children``).
+_BLOCK = 256
+
+
+def _draw_return_index(root: SampleToken, n: int) -> int:
+    """a uniform on 1..n, the same draw for every run of one seed and n."""
+    return int(root.draw((STREAM_RETURN,), "integers", 1, n + 1))
 
 
 def _run(
@@ -242,7 +248,8 @@ def _run(
 
     Any NaN/Inf in a tracker, estimate or inner step reaches x_{t+1} or
     y_{t+1}, checked once per iteration before the record for t: a failed
-    run's records end at t-1 and the returned iterate is finite.
+    run's records end at t-1, and the returned iterate x_a is drawn with a
+    uniform on 1..t, over the completed iterates only (x_0 when t = 0).
     """
     schedule, K = resolve_schedule(oracle, cfg)
     ncfg = NeumannConfig.from_constants(oracle.constants, K)
@@ -265,7 +272,9 @@ def _run(
         momentum = kind is None and t > 0
         eta_f = params.eta_f if momentum else 1.0
         eta_g = params.eta_g if momentum else 1.0
-        it = root.child(t)
+        if t % _BLOCK == 0:
+            block = root.children(t, min(t + _BLOCK, cfg.T))
+        it = block[t % _BLOCK]
         h_g = update_g(state, oracle, pair, eta_g, it.child(STREAM_LOWER))
         h_f, n_hvp, s_f = update_f(state, oracle, pair, eta_f, ncfg, it.child(STREAM_UPPER))
 
@@ -290,7 +299,8 @@ def _run(
         pair = IteratePair(x_next, y_next)
         xs.append(pair.x)
 
-    a = min(_draw_return_index(root, cfg.T), len(xs) - 1)
+    n = len(xs) - 1  # completed iterations: T, or t for a run stopped at t
+    a = _draw_return_index(root, n) if n else 0
     return xs[a], records
 
 

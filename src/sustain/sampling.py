@@ -10,19 +10,29 @@ Draw contract: oracle capabilities (and the estimator's truncation index)
 draw their randomness only through ``token.draw(ids, method, *args)``, which
 returns the values of ``getattr(token.child(*ids).rng(), method)(*args)`` and
 computes them once per token object.  The memo lives on the token, so it is
-released with it and needs no size limit.  A draw builds no generator: it
-resets one module-wide Philox to the child's key (counter 0, empty buffer)
-and calls ``method`` on it.  Draws are therefore not re-entrant; a lock
-serialises them across threads.  ``rng()`` still returns a fresh generator
-for callers that hold one.
+released with it and needs no size limit.  A draw builds no generator: under
+one lock it writes the child's key into a prebuilt Philox state (counter 0,
+empty buffer), assigns that state to one module-wide Philox and calls
+``method`` on it.  Draws are therefore not re-entrant; the lock serialises
+them across threads.  ``rng()`` still returns a fresh generator for callers
+that hold one.
+
+Keys: ``_mix_into`` (splitmix64 on each half, one step per path id) is the
+definition, and tokens made with ``child`` compute their keys with it,
+extending the parent's key.  ``children(start, stop)`` instead derives the
+keys of a block of sibling tokens at once, as two uint64 arrays (NumPy's
+uint64 arithmetic wraps mod 2**64, so the steps are the same).  A token of
+the block, and every token made from it with ``child``, looks its key up in
+the block's table; the first time any of them needs the key of a path
+suffix, that suffix is keyed for the whole block and kept for the siblings.
 
 Key quirk, kept on purpose: a path hashes to two 64-bit halves ``(a, b)``,
 and ``Philox(key=(a, b))`` converts the pair through ``np.asarray``.  When
 exactly one half is >= 2**63 that array is float64, so both halves are
 rounded to 53 significant bits before they become the key; path ``(1,)``,
 for example, is keyed by ``[17135239835083094016, 7589107670886370304]``,
-not by ``_mix_path((1,))``.  ``draw`` applies the same conversion, because
-changing it would change every stored stream.
+not by ``_mix_path((1,))``.  ``draw`` applies the same rounding, in Python,
+because changing it would change every stored stream.
 """
 
 from __future__ import annotations
@@ -34,23 +44,24 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _MIX_INIT = (0x243F6A8885A308D3, 0x13198A2E03707344)
+_GOLDEN, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix_into(state: tuple[int, int], ids: tuple[int, ...]) -> tuple[int, int]:
     """Extend a 128-bit mixing state by the integers ``ids``.
 
     Each half goes through the splitmix64 finalizer (Steele et al.), inlined
-    because this runs once per drawn stream."""
+    because this runs once per key of a token made with ``child``."""
     a, b = state
     for v in ids:
         v &= _MASK64
-        x = ((a ^ v) + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        x = ((a ^ v) + _GOLDEN) & _MASK64
+        x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
+        x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
         a = x ^ (x >> 31)
-        x = (((b ^ v) + a) + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        x = (((b ^ v) + a) + _GOLDEN) & _MASK64
+        x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
+        x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
         b = x ^ (x >> 31)
     return a, b
 
@@ -60,25 +71,76 @@ def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
     return _mix_into(_MIX_INIT, path)
 
 
+_GOLDEN_U64, _MUL1_U64, _MUL2_U64 = np.uint64(_GOLDEN), np.uint64(_MUL1), np.uint64(_MUL2)
+
+
+def _mix_step(a, b, v):
+    """One step of ``_mix_into`` on uint64 arrays (scalars broadcast); the
+    arithmetic wraps mod 2**64 as the masked Python ints do."""
+    x = (a ^ v) + _GOLDEN_U64
+    x = (x ^ (x >> 30)) * _MUL1_U64
+    x = (x ^ (x >> 27)) * _MUL2_U64
+    a = x ^ (x >> 31)
+    x = ((b ^ v) + a) + _GOLDEN_U64
+    x = (x ^ (x >> 30)) * _MUL1_U64
+    x = (x ^ (x >> 27)) * _MUL2_U64
+    return a, x ^ (x >> 31)
+
+
+class _KeyBlock:
+    """Keys of sibling tokens ``parent.path + (t,)``, one row per token.
+
+    ``halves(suffix)`` holds the two key halves of ``row path + suffix`` for
+    every row, derived from the shorter suffix the first time it is asked for.
+    """
+
+    __slots__ = ("depth", "_halves")
+
+    def __init__(self, depth: int, a: np.ndarray, b: np.ndarray):
+        self.depth = depth  # path length of the block's rows
+        self._halves = {(): (a, b)}
+
+    def halves(self, suffix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        found = self._halves.get(suffix)
+        if found is None:
+            a, b = self.halves(suffix[:-1])
+            found = self._halves[suffix] = _mix_step(a, b, np.uint64(suffix[-1] & _MASK64))
+        return found
+
+    def key(self, suffix: tuple[int, ...], row: int) -> tuple[int, int]:
+        a, b = self.halves(suffix)
+        return a.item(row), b.item(row)
+
+
 _BITGEN = np.random.Philox(0)  # seeded so that import pulls no OS entropy
 _GEN = np.random.Generator(_BITGEN)
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 _STREAM_LOCK = threading.Lock()
+_KEY = [0, 0]
+_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": (0, 0, 0, 0), "key": _KEY},
+    "buffer": (0, 0, 0, 0),  # never read at buffer_pos 4
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
 
 def _stream(key: tuple[int, int]) -> np.random.Generator:
     """The shared generator, reset to the state ``Philox(key=key)`` starts in.
 
-    The key goes through the conversion ``Philox`` applies (see the module
-    docstring); the buffer contents are never read at ``buffer_pos`` 4."""
-    _BITGEN.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": np.asarray(key).astype(np.uint64)},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    Call it holding ``_STREAM_LOCK``.  The key goes through the conversion
+    ``Philox`` applies (see the module docstring): with mixed top bits both
+    halves are rounded as ``np.asarray`` rounds them to float64, unless a
+    half rounds to 2**64, where NumPy's own cast is kept."""
+    a, b = key
+    if a >> 63 != b >> 63:
+        a, b = int(float(a)), int(float(b))
+        if a > _MASK64 or b > _MASK64:
+            a, b = (int(h) for h in np.asarray(key).astype(np.uint64))
+    _KEY[0] = a
+    _KEY[1] = b
+    _BITGEN.state = _STATE
     return _GEN
 
 
@@ -86,24 +148,45 @@ class SampleToken:
     """Opaque handle identifying one stochastic sample draw.
 
     Equality and hashing go by ``path``.  The Philox key is computed on first
-    use by extending the parent's key, so a token whose stream is never drawn
-    costs one tuple concatenation.
+    use, by extending the parent's key or from the key table of the block the
+    token descends from, so a token whose stream is never drawn costs one
+    tuple concatenation.
     """
 
-    __slots__ = ("path", "_parent", "_key", "_memo")
+    __slots__ = ("path", "_parent", "_key", "_memo", "_block", "_row")
 
-    def __init__(self, path: tuple[int, ...], _parent: Optional["SampleToken"] = None):
+    def __init__(self, path: tuple[int, ...], _parent: Optional["SampleToken"] = None,
+                 _block: Optional[_KeyBlock] = None, _row: int = 0):
         self.path = path
         self._parent = _parent
         self._key: Optional[tuple[int, int]] = None
         self._memo: Optional[dict] = None
+        self._block = _block
+        self._row = _row
 
     @classmethod
     def root(cls, seed: int) -> "SampleToken":
         return cls((int(seed),))
 
     def child(self, *ids: int) -> "SampleToken":
-        return SampleToken(self.path + ids, self)
+        if self._block is None:
+            return SampleToken(self.path + ids, self)
+        return SampleToken(self.path + ids, None, self._block, self._row)
+
+    def children(self, start: int, stop: int) -> list["SampleToken"]:
+        """The tokens ``self.child(t)`` for t in ``range(start, stop)``, keyed
+        from one table of the block (see the module docstring)."""
+        a, b = self.key
+        ts = range(start, stop)
+        v = np.array([t & _MASK64 for t in ts], dtype=np.uint64)
+        block = _KeyBlock(len(self.path) + 1, *_mix_step(np.uint64(a), np.uint64(b), v))
+        return [SampleToken(self.path + (t,), None, block, row) for row, t in enumerate(ts)]
+
+    def _key_of(self, ids: tuple[int, ...]) -> tuple[int, int]:
+        block = self._block
+        if block is None:
+            return _mix_into(self.key, ids)
+        return block.key(self.path[block.depth:] + ids, self._row)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -112,7 +195,9 @@ class SampleToken:
         module docstring)."""
         if self._key is None:
             parent = self._parent
-            if parent is None:
+            if self._block is not None:
+                self._key = self._key_of(())
+            elif parent is None:
                 self._key = _mix_path(self.path)
             else:
                 self._key = _mix_into(parent.key, self.path[len(parent.path):])
@@ -133,7 +218,7 @@ class SampleToken:
         call = (ids, method, args)
         value = memo.get(call)
         if value is None:
-            key = _mix_into(self.key, ids)
+            key = self._key_of(ids)
             with _STREAM_LOCK:
                 value = getattr(_stream(key), method)(*args)
             if isinstance(value, np.ndarray):

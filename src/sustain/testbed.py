@@ -276,7 +276,7 @@ class HyperCleanSpec:
 def _sigmoid(z):
     # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below; e^-|z| never overflows
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _bce_sum(logits: np.ndarray, labels: np.ndarray) -> float:

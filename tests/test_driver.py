@@ -22,7 +22,7 @@ from sustain.errors import DimensionMismatch
 from sustain.hypergrad import lipschitz_L_K
 from sustain.momentum import Variant
 from sustain.oracle import IteratePair
-from sustain.sampling import STREAM_LOWER
+from sustain.sampling import STREAM_LOWER, SampleToken
 from sustain.schedules import strongly_convex_params
 from sustain.testbed import QuadBilevelSpec, make_quadratic
 
@@ -245,7 +245,7 @@ def test_each_token_path_drawn_once_per_run(sampled_testbeds, testbed, monkeypat
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, 1e308])
 @pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
-def test_nonfinite_stops_before_record(quad5_noisy, kind, bad):
+def test_nonfinite_stops_before_record(quad5_noisy, kind, bad, monkeypatch):
     # a bad sample at iteration t_bad: from the upper gradient, or for
     # DoubleLoop from the inner lower step j = 2.  NaN makes the tracker
     # non-finite, 1e308 only the step it scales; every kind stops the same way
@@ -270,6 +270,100 @@ def test_nonfinite_stops_before_record(quad5_noisy, kind, bad):
     assert [r.t for r in records] == list(range(t_bad))
     assert records == ref[:t_bad]
     assert np.all(np.isfinite(x))
+    # the returned index is drawn over the completed iterates x_1..x_{t_bad}
+    # only, x_{t_bad} being the last one the check let through
+    draws, seen = _watch_return_index(monkeypatch), _watch_iterates(oracle, name)
+    x, _ = run(oracle, exact, cfg)
+    [(n, a)] = draws
+    assert n == t_bad and 1 <= a <= t_bad
+    assert x is seen[a]
+
+
+def _watch_return_index(monkeypatch):
+    """Record (number of completed iterates, drawn index) of every run."""
+    draws = []
+    draw = sustain.driver._draw_return_index
+
+    def watched(root, n):
+        draws.append((n, draw(root, n)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(sustain.driver, "_draw_return_index", watched)
+    return draws
+
+
+def _watch_iterates(oracle, name):
+    """x_t by t, from the first ``name`` call of iteration t (made at x_t)."""
+    seen = {}
+    sample = getattr(oracle, name)
+
+    def watched(pair, token):
+        seen.setdefault(token.path[1], pair.x)
+        return sample(pair, token)
+
+    setattr(oracle, name, watched)
+    return seen
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_failed_run_return_index_uniform(onedim_quad, monkeypatch):
+    # a run that fails at t_bad returns x_a with a uniform on 1..t_bad
+    oracle, _ = onedim_quad
+    T, t_bad, n_seeds = 30, 4, 2000
+    clean = oracle.grad_x_f_sample
+
+    def poisoned(pair, token):
+        out = clean(pair, token)
+        return np.full_like(out, np.nan) if token.path[1] == t_bad else out
+
+    oracle.grad_x_f_sample = poisoned
+    draws, seen = _watch_return_index(monkeypatch), _watch_iterates(oracle, "grad_x_f_sample")
+    counts = np.zeros(t_bad + 1)
+    for seed in range(n_seeds):
+        seen.clear()
+        cfg = RunConfig(T=T, policy=Policy.PRACTICAL, seed=seed, K_override=1,
+                        record_errors=False)
+        x, _ = run_sustain(oracle, None, cfg)
+        n, a = draws[-1]
+        assert n == t_bad and x is seen[a]
+        counts[a] += 1
+    assert counts[0] == 0
+    expected = n_seeds / t_bad
+    chi2 = float(np.sum((counts[1:] - expected) ** 2 / expected))
+    # chi-square with 3 dof: p > 0.01 iff statistic < 11.34
+    assert chi2 < 11.34
+
+
+@pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
+def test_block_tokens_match_scalar_tokens(sampled_testbeds, testbed, monkeypatch):
+    # iteration tokens come from blocks whose keys are derived together; the
+    # runs must equal runs on tokens made one by one with child(t)
+    oracle = sampled_testbeds[testbed]
+    T = 2 * sustain.driver._BLOCK + 3
+    cfg = RunConfig(T=T, policy=Policy.PRACTICAL, seed=6, K_override=4, c_eta=5.0,
+                    record_errors=False)
+    kinds = [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)]
+
+    def run(kind):
+        return (run_sustain(oracle, None, cfg) if kind is None
+                else run_baseline(oracle, None, cfg, kind))
+
+    blocks = []
+    children = SampleToken.children
+
+    def counting(self, start, stop):
+        blocks.append((start, stop))
+        return children(self, start, stop)
+
+    monkeypatch.setattr(SampleToken, "children", counting)
+    blocked = [run(kind) for kind in kinds]
+    assert blocks == [(0, 256), (256, 512), (512, 515)] * len(kinds)
+    monkeypatch.setattr(SampleToken, "children",
+                        lambda self, start, stop: [self.child(t) for t in range(start, stop)])
+    for kind, (x, records) in zip(kinds, blocked):
+        x_scalar, records_scalar = run(kind)
+        assert x.tobytes() == x_scalar.tobytes()
+        assert records == records_scalar
 
 
 @pytest.mark.parametrize("K_override,alpha_override", [(None, None), (4, None), (None, 0.01)])

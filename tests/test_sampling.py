@@ -1,13 +1,16 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sustain.sampling
 from sustain.sampling import SampleToken, _mix_path, _stream
+
+_ID = st.integers(-(2**70), 2**70)
 
 
 def test_same_token_same_stream():
@@ -194,3 +197,65 @@ def test_threads_draw_their_own_streams():
         root = SampleToken.root(100 + i)
         assert all(np.array_equal(v, root.child(j).rng().standard_normal(4))
                    for j, v in enumerate(results[i]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.lists(_ID, min_size=1, max_size=4),
+    start=_ID,
+    size=st.integers(0, 40),
+    suffixes=st.lists(st.lists(_ID, max_size=3), max_size=4),
+    rows=st.lists(st.integers(0, 39), max_size=4),
+)
+@example(base=[0], start=0, size=256, suffixes=[[1], [4, 3], [101, 7]], rows=[0, 255])
+def test_block_keys_equal_path_hash(base, start, size, suffixes, rows):
+    # keys of block tokens and of every child and draw below them, looked up
+    # in the block's tables, equal the scalar definition of the full path
+    parent = SampleToken(tuple(base))
+    block = parent.children(start, start + size)
+    assert [tok.path for tok in block] == [tuple(base) + (t,) for t in range(start, start + size)]
+    for row in rows if size else []:
+        tok = block[row % size]
+        assert tok.key == _mix_path(tok.path)
+        for ids in suffixes:
+            tok = tok.child(*ids)
+            assert tok.key == _mix_path(tok.path)
+        ids = (101, start)
+        assert _same_bits(tok.draw(ids, "integers", 0, 2**62, 2),
+                          SampleToken(tok.path).draw(ids, "integers", 0, 2**62, 2))
+    # every sibling reads the tables its first sibling filled
+    for tok in block:
+        for ids in suffixes:
+            tok = tok.child(*ids)
+        assert tok.key == _mix_path(tok.path)
+
+
+_LOW = st.integers(0, 2**63 - 1)
+_HIGH = st.one_of(st.integers(2**63, 2**64 - 1), st.integers(2**64 - 1024, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.one_of(st.tuples(_LOW, _LOW), st.tuples(_LOW, _HIGH),
+                     st.tuples(_HIGH, _LOW), st.tuples(_HIGH, _HIGH)))
+@example(key=(2**64 - 1, 5))
+@example(key=(5, 2**64 - 1024))
+def test_stream_rounds_keys_like_numpy(key):
+    # both halves below 2**63, mixed, or both above; with mixed halves a half
+    # from 2**64 - 1024 up rounds to 2**64, and NumPy's cast (with its
+    # RuntimeWarning) is kept
+    with warnings.catch_warnings(record=True) as numpy_warned:
+        warnings.simplefilter("always")
+        expected = np.asarray(key).astype(np.uint64).tolist()
+    with warnings.catch_warnings(record=True) as stream_warned:
+        warnings.simplefilter("always")
+        got = _stream(key).bit_generator.state["state"]["key"].tolist()
+    assert got == expected
+    assert [w.category for w in stream_warned] == [w.category for w in numpy_warned]
+
+
+def test_stream_keeps_numpy_cast_when_a_half_rounds_to_2_64():
+    key = (2**64 - 1, 5)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        expected = np.asarray(key).astype(np.uint64).tolist()
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert _stream(key).bit_generator.state["state"]["key"].tolist() == expected
