@@ -1,4 +1,5 @@
-"""Per-layer timings of the sample-token layer and the hyper-cleaning sigmoid.
+"""Per-layer timings of the sample-token layer, the hypergradient estimator
+and the hyper-cleaning oracle.
 
     PYTHONPATH=src python -m pytest benches -q --benchmark-only
 
@@ -11,8 +12,18 @@ call derives the child key, resets the shared generator and draws.
 import numpy as np
 import pytest
 
+from sustain.hypergrad import NeumannConfig, estimate_coupled
+from sustain.oracle import IteratePair
 from sustain.sampling import STREAM_UPPER, SampleToken, _mix_into, _mix_path, _stream
-from sustain.testbed import _NOISE_TAG, _sigmoid
+from sustain.testbed import (
+    _NOISE_TAG,
+    HyperCleanSpec,
+    _sigmoid,
+    generate_corrupted_dataset,
+    make_hyperclean,
+    make_quadratic,
+    random_quadratic_spec,
+)
 
 BLOCK = 256
 DRAW = ((_NOISE_TAG, 7), "standard_normal", 6)  # the quadratic's noise draw
@@ -74,3 +85,43 @@ def test_block_plus_one_suffix(benchmark):
 def test_sigmoid_32(benchmark):
     z = 3.0 * np.random.default_rng(0).standard_normal(32)
     benchmark(_sigmoid, z)
+
+
+@pytest.mark.parametrize("n_points", [1, 2])
+@pytest.mark.parametrize("K", [1, 12, 21])
+def test_estimate_coupled(benchmark, K, n_points):
+    # the quad-rate shape; each round takes a fresh composite sample from a
+    # block, as the run loop does, and evaluates it at one point or at the
+    # pair (x_t, x_{t-1}), so k varies over 0..K-1 from round to round
+    spec = random_quadratic_spec(np.random.default_rng(0), d_up=3, d_lo=6, lam=0.2,
+                                 sigma_f=0.4, sigma_g=0.4, sin_amp=0.5)
+    oracle, _ = make_quadratic(spec, rng_seed=0)
+    cfg = NeumannConfig.from_constants(oracle.constants, K)
+    rng = np.random.default_rng(1)
+    points = tuple(IteratePair(rng.standard_normal(3), rng.standard_normal(6))
+                   for _ in range(n_points))
+    tokens = _fresh_tokens(lambda root, a, b: root.children(a, b))
+    benchmark.pedantic(
+        estimate_coupled,
+        setup=lambda: ((oracle, points, cfg, next(tokens).child(STREAM_UPPER)), {}),
+        rounds=ROUNDS, warmup_rounds=100)
+
+
+@pytest.mark.parametrize("capability", ["grad_y_g_sample", "hess_yy_g_sample", "hess_xy_g_sample"])
+def test_hyperclean_training_capability(benchmark, capability):
+    # the hyperclean-compare shape (500 training and 500 validation points,
+    # d = 20, batch 32); after the first round the batch draw is a memo hit,
+    # so a round times the capability's arithmetic, and one action for the
+    # Hessian operators
+    train, val = generate_corrupted_dataset(500, 500, 20, p=0.3, rng_seed=0)
+    oracle = make_hyperclean(HyperCleanSpec(train, val, 0.3, reg=1.0, batch_size=32),
+                             rng_seed=0)
+    rng = np.random.default_rng(2)
+    pair = IteratePair(rng.standard_normal(500), rng.standard_normal(20))
+    v = rng.standard_normal(20)
+    tok = SampleToken.root(0).children(0, BLOCK)[3]
+    method = getattr(oracle, capability)
+    if capability == "grad_y_g_sample":
+        benchmark(method, pair, tok)
+    else:
+        benchmark(lambda: method(pair, tok)(v))

@@ -266,11 +266,11 @@ def make_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
         metric_stride=cfg.metric_stride,
         initial_x=None if init_x is None else [float(s) for s in init_x.split(",")],
         initial_y=None if init_y is None else [float(s) for s in init_y.split(",")],
-        K_override=_opt(o, "schedule.K", None, int) if "schedule.K" in o else None,
+        K_override=_opt(o, "schedule.K", None, int),
         base_alpha=_opt(o, "schedule.base_alpha", 0.1),
         c_eta=_opt(o, "schedule.c_eta", 1.0),
-        c_eta_g=_opt(o, "schedule.c_eta_g", None) if "schedule.c_eta_g" in o else None,
-        alpha_override=_opt(o, "schedule.alpha", None) if "schedule.alpha" in o else None,
+        c_eta_g=_opt(o, "schedule.c_eta_g", None),
+        alpha_override=_opt(o, "schedule.alpha", None),
         record_errors=_opt(o, "run.record_errors", "1", str) != "0",
     )
 
@@ -401,7 +401,8 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     and one summary CSV; failures are recorded per-row, never fatal.
 
     A summary row's ``seeds`` counts the seeds whose run succeeded, and its
-    ``error`` joins every failed seed's error with ``"; "``."""
+    ``error`` joins every failed seed's error with ``"; "``.  A run that stops
+    before t = T - 1 has failed: it gets no trajectory CSV."""
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle, exact = make_problem(cfg)
@@ -425,6 +426,10 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
                     _, records = run_baseline(oracle, exact, run_cfg, _baseline_kind(cfg, algorithm))
             except Exception as exc:  # recorded per-row, grid continues
                 errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+                continue
+            if not records or records[-1].t != run_cfg.T - 1:  # stopped on a non-finite value
+                last = f"last record t = {records[-1].t}" if records else "no records"
+                errors.append(f"seed {seed}: run stopped before t = {run_cfg.T - 1} ({last})")
                 continue
             path = out_dir / f"{cfg.name}_{algorithm}_seed{seed}.csv"
             write_trajectory_csv(path, records)

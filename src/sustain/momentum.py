@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ExactOracleUnavailable, MissingHistory
-from .hypergrad import NeumannConfig, estimate, estimate_coupled
+from .hypergrad import NeumannConfig, estimate_coupled
 from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector
 from .sampling import SampleToken
 
@@ -133,32 +133,18 @@ def estimator_errors(
     exact: ExactOracle,
     cur: IteratePair,
     cfg: NeumannConfig,
-    num_bias_samples: int = 0,
-    oracle: Optional[BilevelOracle] = None,
-    mc_seed: int = 0,
 ) -> Tuple[float, float]:
     """Tracker errors (||e_f||, ||e_g||) against the exact gradients.
 
     e_f is measured against the estimator's expectation (surrogate plus
-    bias); on deterministic-Hessian testbeds the expectation is exact,
-    otherwise it is Monte-Carlo approximated when an oracle is supplied.
+    bias), which the exact oracle must give in closed form.
     """
     if exact is None:
         raise ExactOracleUnavailable("estimator errors need an exact oracle")
     try:
         mean_est = exact.neumann_expectation(cur, cfg.K)
     except NotImplementedError:
-        if num_bias_samples <= 0 or oracle is None:
-            raise ExactOracleUnavailable(
-                "no closed-form estimator expectation; pass num_bias_samples "
-                "and the sampled oracle for a Monte-Carlo approximation"
-            )
-        logger.debug("approximating estimator expectation with %d samples", num_bias_samples)
-        root = SampleToken.root(mc_seed)
-        acc = np.zeros(cur.d_up)
-        for i in range(num_bias_samples):
-            acc += estimate(oracle, cur, cfg, root.child(i)).value
-        mean_est = acc / num_bias_samples
+        raise ExactOracleUnavailable("no closed-form estimator expectation") from None
     e_f = float(np.linalg.norm(state.h_f - mean_est))
     e_g = float(np.linalg.norm(state.h_g - exact.grad_y_g_mean(cur)))
     return e_f, e_g

@@ -17,14 +17,15 @@ empty buffer), assigns that state to one module-wide Philox and calls
 them across threads.  ``rng()`` still returns a fresh generator for callers
 that hold one.
 
-Keys: ``_mix_into`` (splitmix64 on each half, one step per path id) is the
-definition, and tokens made with ``child`` compute their keys with it,
-extending the parent's key.  ``children(start, stop)`` instead derives the
-keys of a block of sibling tokens at once, as two uint64 arrays (NumPy's
-uint64 arithmetic wraps mod 2**64, so the steps are the same).  A token of
-the block, and every token made from it with ``child``, looks its key up in
-the block's table; the first time any of them needs the key of a path
-suffix, that suffix is keyed for the whole block and kept for the siblings.
+Keys: ``_mix_step`` is the one splitmix64 step (one per path id, masked to
+64 bits after every add and multiply, so it gives the same bits on Python
+ints and on uint64 arrays), and ``_mix_into`` loops it over a path as the
+scalar definition.  ``children(start, stop)`` keys a block of sibling tokens
+at once, as two uint64 arrays.  A token of the block, and every token made
+from it with ``child``, reads its key from the block's table; the first time
+any of them needs the key of a path suffix, that suffix is keyed for the
+whole block and kept for the siblings.  Any other token hashes its own path
+the first time its key is needed.
 
 Key quirk, kept on purpose: a path hashes to two 64-bit halves ``(a, b)``,
 and ``Philox(key=(a, b))`` converts the pair through ``np.asarray``.  When
@@ -47,44 +48,32 @@ _MIX_INIT = (0x243F6A8885A308D3, 0x13198A2E03707344)
 _GOLDEN, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def _mix_into(state: tuple[int, int], ids: tuple[int, ...]) -> tuple[int, int]:
-    """Extend a 128-bit mixing state by the integers ``ids``.
+def _mix_step(a, b, v):
+    """One step of the 128-bit mixing state ``(a, b)`` by the id ``v``: the
+    splitmix64 finalizer (Steele et al.) on each half.  The masks make the
+    arithmetic wrap mod 2**64 on Python ints as uint64 arrays (scalars
+    broadcast) do by themselves."""
+    x = ((a ^ v) + _GOLDEN) & _MASK64
+    x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
+    a = x ^ (x >> 31)
+    x = (((b ^ v) + a) + _GOLDEN) & _MASK64
+    x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
+    return a, x ^ (x >> 31)
 
-    Each half goes through the splitmix64 finalizer (Steele et al.), inlined
-    because this runs once per key of a token made with ``child``."""
+
+def _mix_into(state: tuple[int, int], ids: tuple[int, ...]) -> tuple[int, int]:
+    """Extend a 128-bit mixing state by the integers ``ids``."""
     a, b = state
     for v in ids:
-        v &= _MASK64
-        x = ((a ^ v) + _GOLDEN) & _MASK64
-        x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
-        x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
-        a = x ^ (x >> 31)
-        x = (((b ^ v) + a) + _GOLDEN) & _MASK64
-        x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
-        x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
-        b = x ^ (x >> 31)
+        a, b = _mix_step(a, b, v & _MASK64)
     return a, b
 
 
 def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
     """Hash an integer path into a 128-bit Philox key."""
     return _mix_into(_MIX_INIT, path)
-
-
-_GOLDEN_U64, _MUL1_U64, _MUL2_U64 = np.uint64(_GOLDEN), np.uint64(_MUL1), np.uint64(_MUL2)
-
-
-def _mix_step(a, b, v):
-    """One step of ``_mix_into`` on uint64 arrays (scalars broadcast); the
-    arithmetic wraps mod 2**64 as the masked Python ints do."""
-    x = (a ^ v) + _GOLDEN_U64
-    x = (x ^ (x >> 30)) * _MUL1_U64
-    x = (x ^ (x >> 27)) * _MUL2_U64
-    a = x ^ (x >> 31)
-    x = ((b ^ v) + a) + _GOLDEN_U64
-    x = (x ^ (x >> 30)) * _MUL1_U64
-    x = (x ^ (x >> 27)) * _MUL2_U64
-    return a, x ^ (x >> 31)
 
 
 class _KeyBlock:
@@ -104,7 +93,7 @@ class _KeyBlock:
         found = self._halves.get(suffix)
         if found is None:
             a, b = self.halves(suffix[:-1])
-            found = self._halves[suffix] = _mix_step(a, b, np.uint64(suffix[-1] & _MASK64))
+            found = self._halves[suffix] = _mix_step(a, b, suffix[-1] & _MASK64)
         return found
 
     def key(self, suffix: tuple[int, ...], row: int) -> tuple[int, int]:
@@ -148,17 +137,16 @@ class SampleToken:
     """Opaque handle identifying one stochastic sample draw.
 
     Equality and hashing go by ``path``.  The Philox key is computed on first
-    use, by extending the parent's key or from the key table of the block the
-    token descends from, so a token whose stream is never drawn costs one
-    tuple concatenation.
+    use, from the key table of the block the token descends from or else by
+    hashing the path, so a token whose stream is never drawn costs one tuple
+    concatenation.
     """
 
-    __slots__ = ("path", "_parent", "_key", "_memo", "_block", "_row")
+    __slots__ = ("path", "_key", "_memo", "_block", "_row")
 
-    def __init__(self, path: tuple[int, ...], _parent: Optional["SampleToken"] = None,
-                 _block: Optional[_KeyBlock] = None, _row: int = 0):
+    def __init__(self, path: tuple[int, ...], _block: Optional[_KeyBlock] = None,
+                 _row: int = 0):
         self.path = path
-        self._parent = _parent
         self._key: Optional[tuple[int, int]] = None
         self._memo: Optional[dict] = None
         self._block = _block
@@ -169,9 +157,7 @@ class SampleToken:
         return cls((int(seed),))
 
     def child(self, *ids: int) -> "SampleToken":
-        if self._block is None:
-            return SampleToken(self.path + ids, self)
-        return SampleToken(self.path + ids, None, self._block, self._row)
+        return SampleToken(self.path + ids, self._block, self._row)
 
     def children(self, start: int, stop: int) -> list["SampleToken"]:
         """The tokens ``self.child(t)`` for t in ``range(start, stop)``, keyed
@@ -179,8 +165,8 @@ class SampleToken:
         a, b = self.key
         ts = range(start, stop)
         v = np.array([t & _MASK64 for t in ts], dtype=np.uint64)
-        block = _KeyBlock(len(self.path) + 1, *_mix_step(np.uint64(a), np.uint64(b), v))
-        return [SampleToken(self.path + (t,), None, block, row) for row, t in enumerate(ts)]
+        block = _KeyBlock(len(self.path) + 1, *_mix_step(a, b, v))
+        return [SampleToken(self.path + (t,), block, row) for row, t in enumerate(ts)]
 
     def _key_of(self, ids: tuple[int, ...]) -> tuple[int, int]:
         block = self._block
@@ -194,13 +180,10 @@ class SampleToken:
         Philox takes it through ``np.asarray``, which may round it (see the
         module docstring)."""
         if self._key is None:
-            parent = self._parent
-            if self._block is not None:
-                self._key = self._key_of(())
-            elif parent is None:
+            if self._block is None:
                 self._key = _mix_path(self.path)
             else:
-                self._key = _mix_into(parent.key, self.path[len(parent.path):])
+                self._key = self._key_of(())
         return self._key
 
     def rng(self) -> np.random.Generator:

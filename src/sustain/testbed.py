@@ -180,14 +180,6 @@ class QuadraticExact(ExactOracle):
     def ell_star(self) -> Optional[float]:
         return self._ell_star
 
-    @property
-    def outer_hessian(self) -> np.ndarray:
-        return self._H_ell
-
-    @property
-    def mu_f(self) -> float:
-        return float(np.linalg.eigvalsh(self._H_ell)[0])
-
     def grad_y_g_mean(self, pair: IteratePair) -> Vector:
         return self._o._grad_y_g(pair)
 
@@ -297,12 +289,17 @@ class HyperCleanOracle(BilevelOracle):
             raise EmptyDataset("train and validation sets must be nonempty")
         if spec.reg <= 0:
             raise ValueError("reg must be positive")
+        m = spec.batch_size
+        if m < 1:
+            raise InvalidBatch(f"batch_size = {m} must be at least 1")
         self.spec = spec
         self.d_up = len(spec.train)
         self.d_lo = spec.train.features.shape[1]
         self.salt = int(rng_seed)
-        m = spec.batch_size
         n_tr, n_val = len(spec.train), len(spec.val)
+        self._n_tr, self._n_val = n_tr, n_val
+        # minibatch sums scaled up to the full-set sums
+        self._tr_scale, self._val_scale = n_tr / min(m, n_tr), n_val / min(m, n_val)
         a_sq = float(np.max(np.sum(spec.train.features**2, axis=1)))
         a_nm = float(np.sqrt(a_sq))
         av_sq = float(np.max(np.sum(spec.val.features**2, axis=1)))
@@ -321,33 +318,32 @@ class HyperCleanOracle(BilevelOracle):
         m = min(self.spec.batch_size, n)
         return token.draw((_NOISE_TAG, self.salt, tag), "integers", 0, n, m)
 
+    def _train_batch(self, pair: IteratePair, token: SampleToken, tag: int):
+        """The training minibatch drawn for ``tag``: indices ``idx``, features
+        ``a``, weights ``w = sigmoid(x[idx])`` and ``s = sigmoid(a y)``."""
+        idx = self._batch(token, self._n_tr, tag)
+        a = self.spec.train.features[idx]
+        return idx, a, _sigmoid(pair.x[idx]), _sigmoid(a @ pair.y)
+
     # Upper-level sample: a validation minibatch shared by both f-gradients.
     def grad_x_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         return np.zeros(self.d_up)
 
     def grad_y_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         val = self.spec.val
-        idx = self._batch(token, len(val), 0)
+        idx = self._batch(token, self._n_val, 0)
         a = val.features[idx]
         resid = _sigmoid(a @ pair.y) - val.labels[idx]
-        return (len(val) / len(idx)) * (resid @ a)
+        return self._val_scale * (resid @ a)
 
     def grad_y_g_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
-        tr = self.spec.train
-        idx = self._batch(token, len(tr), 1)
-        a = tr.features[idx]
-        w = _sigmoid(pair.x[idx])
-        resid = _sigmoid(a @ pair.y) - tr.labels[idx]
-        scale = len(tr) / len(idx)
-        return 2.0 * self.spec.reg * pair.y + scale * ((w * resid) @ a)
+        idx, a, w, s = self._train_batch(pair, token, 1)
+        resid = s - self.spec.train.labels[idx]
+        return 2.0 * self.spec.reg * pair.y + self._tr_scale * ((w * resid) @ a)
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
-        tr = self.spec.train
-        idx = self._batch(token, len(tr), 2)
-        a = tr.features[idx]
-        w = _sigmoid(pair.x[idx])
-        s = _sigmoid(a @ pair.y)
-        coef = w * s * (1.0 - s) * (len(tr) / len(idx))
+        _, a, w, s = self._train_batch(pair, token, 2)
+        coef = w * s * (1.0 - s) * self._tr_scale
 
         def action(v: Vector) -> Vector:
             return 2.0 * self.spec.reg * v + (coef * (a @ v)) @ a
@@ -355,18 +351,14 @@ class HyperCleanOracle(BilevelOracle):
         return action
 
     def hess_xy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
-        tr = self.spec.train
-        idx = self._batch(token, len(tr), 3)
-        a = tr.features[idx]
-        w = _sigmoid(pair.x[idx])
+        idx, a, w, s = self._train_batch(pair, token, 3)
         dw = w * (1.0 - w)  # derivative of the sigmoid weight
-        resid = _sigmoid(a @ pair.y) - tr.labels[idx]
-        scale = len(tr) / len(idx)
+        resid = s - self.spec.train.labels[idx]
 
         def action(v: Vector) -> Vector:
             out = np.zeros(self.d_up)
             # rows are nonzero only for the sampled training points
-            np.add.at(out, idx, scale * dw * resid * (a @ v))
+            np.add.at(out, idx, self._tr_scale * dw * resid * (a @ v))
             return out
 
         return action
@@ -464,6 +456,8 @@ class MetaLinearOracle(BilevelOracle):
     def __init__(self, spec: MetaLinearSpec, rng_seed: int):
         if spec.m > spec.M:
             raise InvalidBatch(f"m = {spec.m} exceeds the task count M = {spec.M}")
+        if spec.m < 1:
+            raise InvalidBatch(f"m = {spec.m} must be at least 1")
         if spec.rho <= 0:
             raise ValueError("rho must be positive")
         self.spec = spec

@@ -221,3 +221,43 @@ class TestRunGrid:
         assert row["error"] == ("seed 1: RuntimeError: forced failure 1; "
                                 "seed 3: RuntimeError: forced failure 3")
         assert sorted(result.trajectory_paths) == [("sustain", 0), ("sustain", 2)]
+
+    def test_run_stopped_at_t0_is_a_failed_seed(self, tmp_path):
+        # an infinite initial x stops every run at t = 0, before any record
+        cfg = self._cfg(tmp_path, seeds=(0, 1))
+        cfg.options["run.initial_x"] = "inf,0"
+        result = run_grid(cfg)
+        row = result.summary_rows[0]
+        assert row["seeds"] == "0"
+        assert row["error"] == ("seed 0: run stopped before t = 4 (no records); "
+                                "seed 1: run stopped before t = 4 (no records)")
+        assert result.trajectory_paths == {}
+        assert list(tmp_path.glob("*_seed*.csv")) == []
+
+    def test_run_stopped_after_t0_is_a_failed_seed(self, tmp_path, monkeypatch):
+        import sustain.harness as harness
+
+        complete = run_grid(self._cfg(tmp_path / "complete", seeds=(0, 1)))
+        real = harness.make_problem
+
+        def nan_lower_gradient_for_seed_1_from_t_2(cfg):
+            oracle, exact = real(cfg)
+            grad = oracle.grad_y_g_sample
+
+            def patched(pair, token):
+                g = grad(pair, token)
+                return g * np.nan if token.path[0] == 1 and token.path[1] >= 2 else g
+
+            monkeypatch.setattr(oracle, "grad_y_g_sample", patched)
+            return oracle, exact
+
+        monkeypatch.setattr(harness, "make_problem", nan_lower_gradient_for_seed_1_from_t_2)
+        result = run_grid(self._cfg(tmp_path / "stopped", seeds=(0, 1)))
+        row = result.summary_rows[0]
+        assert row["seeds"] == "1"
+        assert row["error"] == "seed 1: run stopped before t = 4 (last record t = 1)"
+        assert list(result.trajectory_paths) == [("sustain", 0)]
+        assert not (tmp_path / "stopped" / "experiment_sustain_seed1.csv").exists()
+        # the completed run keeps its bytes
+        assert (result.trajectory_paths[("sustain", 0)].read_bytes()
+                == complete.trajectory_paths[("sustain", 0)].read_bytes())

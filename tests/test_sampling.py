@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 import warnings
@@ -87,6 +88,16 @@ def test_incremental_key_equals_path_hash(path, cuts):
         start = max(start, cut)
     assert tok.path == tuple(path)
     assert tok.key == _mix_path(tuple(path))
+
+
+def test_child_holds_no_reference_to_its_parent():
+    # a token outside a block keys itself from its own path, so a child does
+    # not keep its parent, or the arrays the parent drew, alive
+    parent = SampleToken.root(5).child(1)
+    parent.draw((101, 2), "standard_normal", 3)
+    child = parent.child(2, 3)
+    assert child.key == _mix_path(child.path)
+    assert parent not in gc.get_referents(child)
 
 
 def test_equality_and_hash_by_path():
@@ -206,28 +217,34 @@ def test_threads_draw_their_own_streams():
     size=st.integers(0, 40),
     suffixes=st.lists(st.lists(_ID, max_size=3), max_size=4),
     rows=st.lists(st.integers(0, 39), max_size=4),
+    warning_action=st.sampled_from(["default", "error"]),
 )
-@example(base=[0], start=0, size=256, suffixes=[[1], [4, 3], [101, 7]], rows=[0, 255])
-def test_block_keys_equal_path_hash(base, start, size, suffixes, rows):
+@example(base=[0], start=0, size=256, suffixes=[[1], [4, 3], [101, 7]], rows=[0, 255],
+         warning_action="error")
+def test_block_keys_equal_path_hash(base, start, size, suffixes, rows, warning_action):
     # keys of block tokens and of every child and draw below them, looked up
-    # in the block's tables, equal the scalar definition of the full path
-    parent = SampleToken(tuple(base))
-    block = parent.children(start, start + size)
-    assert [tok.path for tok in block] == [tuple(base) + (t,) for t in range(start, start + size)]
-    for row in rows if size else []:
-        tok = block[row % size]
-        assert tok.key == _mix_path(tok.path)
-        for ids in suffixes:
-            tok = tok.child(*ids)
+    # in the block's tables, equal the scalar definition of the full path;
+    # under "error" the wrapping uint64 steps are shown not to warn
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_action)
+        parent = SampleToken(tuple(base))
+        block = parent.children(start, start + size)
+        assert [tok.path for tok in block] == [tuple(base) + (t,)
+                                               for t in range(start, start + size)]
+        for row in rows if size else []:
+            tok = block[row % size]
             assert tok.key == _mix_path(tok.path)
-        ids = (101, start)
-        assert _same_bits(tok.draw(ids, "integers", 0, 2**62, 2),
-                          SampleToken(tok.path).draw(ids, "integers", 0, 2**62, 2))
-    # every sibling reads the tables its first sibling filled
-    for tok in block:
-        for ids in suffixes:
-            tok = tok.child(*ids)
-        assert tok.key == _mix_path(tok.path)
+            for ids in suffixes:
+                tok = tok.child(*ids)
+                assert tok.key == _mix_path(tok.path)
+            ids = (101, start)
+            assert _same_bits(tok.draw(ids, "integers", 0, 2**62, 2),
+                              SampleToken(tok.path).draw(ids, "integers", 0, 2**62, 2))
+        # every sibling reads the tables its first sibling filled
+        for tok in block:
+            for ids in suffixes:
+                tok = tok.child(*ids)
+            assert tok.key == _mix_path(tok.path)
 
 
 _LOW = st.integers(0, 2**63 - 1)

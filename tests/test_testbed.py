@@ -16,7 +16,7 @@ from sustain.testbed import (
     make_quadratic,
     random_quadratic_spec,
 )
-from sustain.testbed import _sigmoid
+from sustain.testbed import _NOISE_TAG, _sigmoid
 
 TOK = SampleToken.root(0).child(0)
 
@@ -202,6 +202,59 @@ class TestHyperClean:
                 rng_seed=0,
             )
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_below_one_rejected(self, batch_size):
+        # 0 divided by zero in the constants, -1 gave NaN constants
+        with pytest.raises(InvalidBatch):
+            self._oracle(batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 30, 50])
+    def test_sampled_capabilities_match_per_capability_formulas(self, batch_size):
+        # the shared training batch and the scales precomputed from the set
+        # sizes give the bits of the formulas each capability spelled out;
+        # 30 is the training set size and 50 exceeds both sets
+        oracle = self._oracle(batch_size=batch_size)
+        tr, val, reg = oracle.spec.train, oracle.spec.val, oracle.spec.reg
+        rng = np.random.default_rng(batch_size)
+        pair = IteratePair(rng.standard_normal(30), rng.standard_normal(6))
+        v = rng.standard_normal(6)
+        for i in range(4):
+            tok = SampleToken.root(13).child(i)
+
+            def batch(n, tag):
+                m = min(batch_size, n)
+                return tok.draw((_NOISE_TAG, oracle.salt, tag), "integers", 0, n, m)
+
+            idx = batch(len(val), 0)
+            a = val.features[idx]
+            resid = _sigmoid(a @ pair.y) - val.labels[idx]
+            want = (len(val) / len(idx)) * (resid @ a)
+            assert oracle.grad_y_f_sample(pair, tok).tobytes() == want.tobytes()
+
+            idx = batch(len(tr), 1)
+            a = tr.features[idx]
+            w = _sigmoid(pair.x[idx])
+            resid = _sigmoid(a @ pair.y) - tr.labels[idx]
+            want = 2.0 * reg * pair.y + (len(tr) / len(idx)) * ((w * resid) @ a)
+            assert oracle.grad_y_g_sample(pair, tok).tobytes() == want.tobytes()
+
+            idx = batch(len(tr), 2)
+            a = tr.features[idx]
+            w = _sigmoid(pair.x[idx])
+            s = _sigmoid(a @ pair.y)
+            coef = w * s * (1.0 - s) * (len(tr) / len(idx))
+            want = 2.0 * reg * v + (coef * (a @ v)) @ a
+            assert oracle.hess_yy_g_sample(pair, tok)(v).tobytes() == want.tobytes()
+
+            idx = batch(len(tr), 3)
+            a = tr.features[idx]
+            w = _sigmoid(pair.x[idx])
+            dw = w * (1.0 - w)
+            resid = _sigmoid(a @ pair.y) - tr.labels[idx]
+            want = np.zeros(30)
+            np.add.at(want, idx, (len(tr) / len(idx)) * dw * resid * (a @ v))
+            assert oracle.hess_xy_g_sample(pair, tok)(v).tobytes() == want.tobytes()
+
 
 class TestMetaLinear:
     def test_single_task_closed_form(self):
@@ -248,6 +301,13 @@ class TestMetaLinear:
     def test_batch_exceeding_tasks_rejected(self):
         spec = MetaLinearSpec(Z=[np.eye(2)], v=[np.zeros(2)],
                               D=[np.eye(2)], u=[np.zeros(2)], rho=1.0, m=2)
+        with pytest.raises(InvalidBatch):
+            make_meta_linear(spec, rng_seed=0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_batch_below_one_rejected(self, m):
+        spec = MetaLinearSpec(Z=[np.eye(2)], v=[np.zeros(2)],
+                              D=[np.eye(2)], u=[np.zeros(2)], rho=1.0, m=m)
         with pytest.raises(InvalidBatch):
             make_meta_linear(spec, rng_seed=0)
 
