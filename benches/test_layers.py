@@ -1,5 +1,5 @@
-"""Per-layer timings of the sample-token layer, the hypergradient estimator
-and the hyper-cleaning oracle.
+"""Per-layer timings of the sample-token layer, the hypergradient estimator,
+the hyper-cleaning oracle, the metric records and the trajectory CSV.
 
     PYTHONPATH=src python -m pytest benches -q --benchmark-only
 
@@ -12,6 +12,8 @@ call derives the child key, resets the shared generator and draws.
 import numpy as np
 import pytest
 
+from sustain.driver import _records
+from sustain.harness import write_trajectory_csv
 from sustain.hypergrad import NeumannConfig, estimate_coupled
 from sustain.oracle import IteratePair
 from sustain.sampling import STREAM_UPPER, SampleToken, _mix_into, _mix_path, _stream
@@ -125,3 +127,31 @@ def test_hyperclean_training_capability(benchmark, capability):
         benchmark(method, pair, tok)
     else:
         benchmark(lambda: method(pair, tok)(v))
+
+
+def _grid_records_rows(n):
+    """The grid-records shape (d_up 3, d_lo 6, K 20) and ``n`` record inputs
+    (t, alpha, beta, eta_f, eta_g, x, y, h_f, h_g, samples, hvps)."""
+    spec = random_quadratic_spec(np.random.default_rng(3), d_up=3, d_lo=6,
+                                 sigma_f=0.3, sigma_g=0.3)
+    oracle, exact = make_quadratic(spec, rng_seed=0)
+    rng = np.random.default_rng(4)
+    rows = [(t, 0.1, 0.1, 0.5, 0.5, rng.standard_normal(3), rng.standard_normal(6),
+             rng.standard_normal(3), rng.standard_normal(6), 24 * (t + 1), 11 * (t + 1))
+            for t in range(n)]
+    return oracle, exact, rows
+
+
+@pytest.mark.parametrize("record_errors", [True, False], ids=["errors", "no_errors"])
+def test_records_block(benchmark, record_errors):
+    # one token block of records at metric_stride 1: SUSTAIN's with the
+    # tracker errors, a baseline's without
+    oracle, exact, rows = _grid_records_rows(BLOCK)
+    records = benchmark(_records, rows, exact, oracle, 20, record_errors)
+    assert len(records) == BLOCK
+
+
+def test_write_trajectory_csv_1000(benchmark, tmp_path):
+    oracle, exact, rows = _grid_records_rows(1000)
+    records = _records(rows, exact, oracle, 20, True)
+    benchmark(write_trajectory_csv, tmp_path / "trajectory.csv", records)

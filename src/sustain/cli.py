@@ -24,9 +24,12 @@ from .testbed import make_quadratic, random_quadratic_spec
 
 
 def _cmd_run(args) -> int:
-    mapping = parse_config_file(args.config) if args.config else {}
-    mapping = apply_overrides(mapping, args.overrides)
-    cfg = ExperimentConfig.from_mapping(mapping)
+    try:  # a malformed line, override or value, reported before any run
+        mapping = parse_config_file(args.config) if args.config else {}
+        cfg = ExperimentConfig.from_mapping(apply_overrides(mapping, args.overrides))
+    except ValueError as exc:
+        print(f"sustain run: {exc}", file=sys.stderr)
+        return 2
     result = run_grid(cfg)
     for (algorithm, seed), path in sorted(result.trajectory_paths.items()):
         print(f"trajectory {algorithm} seed={seed}: {path}")

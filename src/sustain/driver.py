@@ -23,8 +23,8 @@ from .hypergrad import (
     choose_K_strongly_convex,
     lipschitz_L_K,
 )
-from .momentum import MomentumState, Variant, estimator_errors, update_f, update_g
-from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector
+from .momentum import MomentumState, Variant, tracker_errors, update_f, update_g
+from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot
 from .sampling import STREAM_LOWER, STREAM_RETURN, STREAM_UPPER, SampleToken
 from .schedules import (
     ScheduleParams,
@@ -182,50 +182,42 @@ def _initial_pair(oracle: BilevelOracle, cfg: RunConfig) -> IteratePair:
     return pair
 
 
-def _make_record(
-    t: int,
-    params: ScheduleParams,
-    eta_f: float,
-    eta_g: float,
-    cur: IteratePair,
+def _records(
+    rows: List[tuple],
     exact: Optional[ExactOracle],
     oracle: BilevelOracle,
-    state: MomentumState,
-    ncfg: NeumannConfig,
-    samples: int,
-    hvps: int,
+    K: int,
     record_errors: bool,
-) -> TrajectoryRecord:
-    grad_sq = gap = track = e_f = e_g = upper = None
+) -> List[TrajectoryRecord]:
+    """The records of ``rows``, one per recorded iteration, each row holding
+    (t, alpha, beta, eta_f, eta_g, x_t, y_t, h_f, h_g, samples, hvps).
+
+    Each exact-oracle closed form is called once on the stacked rows; its row
+    i equals the one-point value at row i bit for bit (``ExactOracle``).
+    """
+    if not rows:
+        return []
+    t, alpha, beta, eta_f, eta_g, x, y, h_f, h_g, samples, hvps = zip(*rows)
+    grad_sq = gap = track = e_f = e_g = upper = (None,) * len(rows)
     if exact is not None:
+        cur = IteratePair(np.array(x), np.array(y))
         g = exact.grad_ell(cur.x)
-        grad_sq = float(g @ g)
+        grad_sq = rowdot(g, g).tolist()
         if exact.ell_star is not None:
-            gap = exact.ell(cur.x) - exact.ell_star
+            gap = (exact.ell(cur.x) - exact.ell_star).tolist()
         dy = cur.y - exact.y_star(cur.x)
-        track = float(dy @ dy)
+        track = rowdot(dy, dy).tolist()
         if record_errors:
             try:
-                e_f, e_g = estimator_errors(state, exact, cur, ncfg)
+                e_f, e_g = (e.tolist() for e in
+                            tracker_errors(np.array(h_f), np.array(h_g), exact, cur, K))
             except (ExactOracleUnavailable, NotImplementedError):
                 pass
     if hasattr(oracle, "upper_loss"):
-        upper = float(oracle.upper_loss(cur))
-    return TrajectoryRecord(
-        t=t,
-        alpha=params.alpha,
-        beta=params.beta,
-        eta_f=eta_f,
-        eta_g=eta_g,
-        grad_ell_sq=grad_sq,
-        ell_gap=gap,
-        tracking_sq=track,
-        e_f_norm=e_f,
-        e_g_norm=e_g,
-        cumulative_samples=samples,
-        cumulative_hvps=hvps,
-        upper_loss=upper,
-    )
+        upper = [float(oracle.upper_loss(IteratePair(xi, yi))) for xi, yi in zip(x, y)]
+    return [TrajectoryRecord(*fields) for fields in
+            zip(t, alpha, beta, eta_f, eta_g, grad_sq, gap, track, e_f, e_g,
+                samples, hvps, upper)]
 
 
 # Iteration tokens are taken from blocks of this many siblings, whose keys are
@@ -250,6 +242,9 @@ def _run(
     y_{t+1}, checked once per iteration before the record for t: a failed
     run's records end at t-1, and the returned iterate x_a is drawn with a
     uniform on 1..t, over the completed iterates only (x_0 when t = 0).
+    The loop keeps the inputs of each record and turns them into records at
+    every token-block boundary and once after the loop, so it holds at most
+    ``_BLOCK`` of them.
     """
     schedule, K = resolve_schedule(oracle, cfg)
     ncfg = NeumannConfig.from_constants(oracle.constants, K)
@@ -262,6 +257,8 @@ def _run(
 
     xs: List[Vector] = [pair.x]
     records: List[TrajectoryRecord] = []
+    rows: List[tuple] = []  # record inputs of the current block
+    tracker_errs = kind is None and cfg.record_errors
     samples = hvps = 0
     per_iter_samples = n_inner + (K + 3)
 
@@ -273,6 +270,8 @@ def _run(
         eta_f = params.eta_f if momentum else 1.0
         eta_g = params.eta_g if momentum else 1.0
         if t % _BLOCK == 0:
+            records += _records(rows, exact, oracle, K, tracker_errs)
+            rows = []
             block = root.children(t, min(t + _BLOCK, cfg.T))
         it = block[t % _BLOCK]
         h_g = update_g(state, oracle, pair, eta_g, it.child(STREAM_LOWER))
@@ -292,12 +291,11 @@ def _run(
         hvps += n_hvp
 
         if t % cfg.metric_stride == 0 or t == cfg.T - 1:
-            records.append(
-                _make_record(t, params, eta_f, eta_g, pair, exact, oracle, state,
-                             ncfg, samples, hvps, kind is None and cfg.record_errors)
-            )
+            rows.append((t, params.alpha, params.beta, eta_f, eta_g, pair.x, pair.y,
+                         h_f, h_g, samples, hvps))
         pair = IteratePair(x_next, y_next)
         xs.append(pair.x)
+    records += _records(rows, exact, oracle, K, tracker_errs)
 
     n = len(xs) - 1  # completed iterations: T, or t for a run stopped at t
     a = _draw_return_index(root, n) if n else 0

@@ -54,6 +54,9 @@ TRAJECTORY_COLUMNS = (
     "tracking_sq", "e_f_norm", "e_g_norm", "cumulative_samples",
     "cumulative_hvps", "upper_loss",
 )
+# the columns a threshold can be compared with: every one that holds a float
+METRIC_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS
+                       if c not in ("t", "cumulative_samples", "cumulative_hvps"))
 
 _POLICIES = {
     "nonconvex": Policy.NONCONVEX,
@@ -135,8 +138,13 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if self.T < 1:
             raise ValueError("T must be >= 1")
+        if self.metric_stride < 1:
+            raise ValueError("metric_stride must be >= 1")
         if any(e <= 0 for e in self.epsilon_targets):
             raise ValueError("epsilon targets must be positive")
+        if self.epsilon_metric not in METRIC_COLUMNS:
+            raise ValueError(f"epsilon metric {self.epsilon_metric!r} is not one of "
+                             f"the float record columns {', '.join(METRIC_COLUMNS)}")
         for a in self.algorithms:
             if a not in _ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
@@ -402,7 +410,8 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
 
     A summary row's ``seeds`` counts the seeds whose run succeeded, and its
     ``error`` joins every failed seed's error with ``"; "``.  A run that stops
-    before t = T - 1 has failed: it gets no trajectory CSV."""
+    before t = T - 1, or whose records lack the epsilon metric, has failed:
+    it gets no trajectory CSV."""
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle, exact = make_problem(cfg)
@@ -431,6 +440,12 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
                 last = f"last record t = {records[-1].t}" if records else "no records"
                 errors.append(f"seed {seed}: run stopped before t = {run_cfg.T - 1} ({last})")
                 continue
+            try:  # the metric is absent on a problem without its exact oracle
+                reached = [samples_to_epsilon(records, e, cfg.epsilon_metric)
+                           for e in cfg.epsilon_targets]
+            except MissingMetric as exc:
+                errors.append(f"seed {seed}: MissingMetric: {exc}")
+                continue
             path = out_dir / f"{cfg.name}_{algorithm}_seed{seed}.csv"
             write_trajectory_csv(path, records)
             paths[(algorithm, seed)] = path
@@ -439,8 +454,8 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
             finals["ell_gap"].append(last.ell_gap)
             finals["upper_loss"].append(last.upper_loss)
             finals["cumulative_samples"].append(float(last.cumulative_samples))
-            for e in cfg.epsilon_targets:
-                eps_counts[e].append(samples_to_epsilon(records, e, cfg.epsilon_metric))
+            for e, count in zip(cfg.epsilon_targets, reached):
+                eps_counts[e].append(count)
         row: Dict[str, str] = {"algorithm": algorithm,
                                "seeds": str(len(cfg.seeds) - len(errors)),
                                "error": "; ".join(errors)}

@@ -16,7 +16,7 @@ from .errors import (
     NonfiniteValue,
     SingularDenominator,
 )
-from .oracle import BilevelOracle, IteratePair, ProblemConstants, Vector
+from .oracle import BilevelOracle, IteratePair, ProblemConstants, Vector, matvec
 from .sampling import STREAM_K_DRAW, STREAM_XI, STREAM_ZETA, SampleToken
 
 logger = logging.getLogger(__name__)
@@ -123,15 +123,16 @@ def exact_neumann_expectation(
 
     Averaging the randomized product over k gives (1/L_g) * sum_{k=0}^{K-1}
     (I - A/L_g)^k applied to grad_y f, then the cross Hessian and grad_x f.
+    The gradients may be stacks of rows, (n, d_up) and (n, d_lo); each row of
+    the result equals the one-point value bit for bit.
     """
-    d = hess_yy.shape[0]
-    M = np.eye(d) - hess_yy / L_g
-    acc = np.zeros(d)
+    M = np.eye(hess_yy.shape[0]) - hess_yy / L_g
     p = np.asarray(grad_y_f, dtype=float)
+    acc = np.zeros_like(p)
     for _ in range(K):
         acc += p
-        p = M @ p
-    return np.asarray(grad_x_f, dtype=float) - hess_xy @ (acc / L_g)
+        p = matvec(M, p)
+    return np.asarray(grad_x_f, dtype=float) - matvec(hess_xy, acc / L_g)
 
 
 def bias_bound(c: ProblemConstants, K: int) -> BiasBound:

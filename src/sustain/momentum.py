@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ExactOracleUnavailable, MissingHistory
 from .hypergrad import NeumannConfig, estimate_coupled
-from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector
+from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot
 from .sampling import SampleToken
 
 logger = logging.getLogger(__name__)
@@ -134,17 +134,29 @@ def estimator_errors(
     cur: IteratePair,
     cfg: NeumannConfig,
 ) -> Tuple[float, float]:
-    """Tracker errors (||e_f||, ||e_g||) against the exact gradients.
+    """Tracker errors (||e_f||, ||e_g||) of the state's trackers at ``cur``."""
+    if exact is None:
+        raise ExactOracleUnavailable("estimator errors need an exact oracle")
+    e_f, e_g = tracker_errors(state.h_f, state.h_g, exact, cur, cfg.K)
+    return float(e_f), float(e_g)
+
+
+def tracker_errors(
+    h_f: Vector,
+    h_g: Vector,
+    exact: ExactOracle,
+    cur: IteratePair,
+    K: int,
+) -> Tuple[Vector, Vector]:
+    """Tracker errors ||e_f|| and ||e_g|| against the exact gradients, row by
+    row when the trackers and ``cur`` are stacks of n rows.
 
     e_f is measured against the estimator's expectation (surrogate plus
     bias), which the exact oracle must give in closed form.
     """
-    if exact is None:
-        raise ExactOracleUnavailable("estimator errors need an exact oracle")
     try:
-        mean_est = exact.neumann_expectation(cur, cfg.K)
+        e_f = h_f - exact.neumann_expectation(cur, K)
     except NotImplementedError:
         raise ExactOracleUnavailable("no closed-form estimator expectation") from None
-    e_f = float(np.linalg.norm(state.h_f - mean_est))
-    e_g = float(np.linalg.norm(state.h_g - exact.grad_y_g_mean(cur)))
-    return e_f, e_g
+    e_g = h_g - exact.grad_y_g_mean(cur)
+    return np.sqrt(rowdot(e_f, e_f)), np.sqrt(rowdot(e_g, e_g))

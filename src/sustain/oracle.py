@@ -15,6 +15,22 @@ Vector = np.ndarray
 LinearOperator = Callable[[Vector], Vector]
 
 
+def matvec(M: np.ndarray, V: Vector) -> Vector:
+    """M v for a vector, or for each row of a stack of vectors ``V[..., :]``.
+
+    Stacks are taken as ``np.matmul(M, V[..., None])[..., 0]``, which hands
+    each row to the same matrix-vector kernel as ``M @ v``: every row equals
+    its one-vector product bit for bit, where ``M @ V.T`` would not.
+    """
+    return M @ V if V.ndim == 1 else np.matmul(M, V[..., None])[..., 0]
+
+
+def rowdot(U: Vector, V: Vector) -> Vector:
+    """u . v for a pair of vectors, or row by row for stacks; each row equals
+    the one-pair ``u @ v`` bit for bit, for the reason ``matvec`` gives."""
+    return U @ V if U.ndim == 1 else np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class ProblemConstants:
     """Regularity constants of a bilevel instance.
@@ -39,7 +55,8 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class IteratePair:
-    """One point (x, y) of the product space."""
+    """One point (x, y) of the product space, or, for the closed forms of an
+    ``ExactOracle``, a stack of points with one point per row of x and y."""
 
     x: Vector
     y: Vector
@@ -50,11 +67,11 @@ class IteratePair:
 
     @property
     def d_up(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     @property
     def d_lo(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
 
 class BilevelOracle(ABC):
@@ -105,7 +122,17 @@ class BilevelOracle(ABC):
 
 
 class ExactOracle(ABC):
-    """Deterministic closed forms available on analytic test problems."""
+    """Deterministic closed forms available on analytic test problems.
+
+    Stacked contract: every closed form acts row by row on a leading axis.
+    Given ``x`` of shape (n, d_up), or an ``IteratePair`` whose x and y are
+    (n, d_up) and (n, d_lo), a vector-valued form returns an (n, d) array and
+    a scalar-valued one an (n,) array; the one-point call is the one-row
+    case.  Row i must equal the one-point call at row i bit for bit, so the
+    run loop can compute a block of records in one call per form: write
+    matrix-vector products with ``matvec``, dot products and norms with
+    ``rowdot`` (and ``np.sqrt``), and sums along ``axis=-1``.
+    """
 
     @abstractmethod
     def y_star(self, x: Vector) -> Vector: ...

@@ -22,6 +22,7 @@ from .oracle import (
     LinearOperator,
     ProblemConstants,
     Vector,
+    matvec,
 )
 from .sampling import SampleToken
 
@@ -100,7 +101,7 @@ class QuadraticOracle(BilevelOracle):
         return pair.y - self.spec.y_target
 
     def _grad_y_g(self, pair: IteratePair) -> Vector:
-        return self.spec.A @ pair.y - self.spec.B @ pair.x - self.spec.b
+        return matvec(self.spec.A, pair.y) - matvec(self.spec.B, pair.x) - self.spec.b
 
     # -- sampled capabilities (additive Gaussian noise on the y-gradients) ----
     def _noise(self, token: SampleToken) -> Vector:
@@ -138,7 +139,7 @@ class QuadraticOracle(BilevelOracle):
 
 
 class QuadraticExact(ExactOracle):
-    """Closed forms for the quadratic family."""
+    """Closed forms for the quadratic family, stacked as ``ExactOracle`` says."""
 
     def __init__(self, oracle: QuadraticOracle):
         self._o = oracle
@@ -154,19 +155,20 @@ class QuadraticExact(ExactOracle):
 
     def y_star(self, x: Vector) -> Vector:
         s = self._o.spec
-        return self._A_inv @ (s.B @ x + s.b)
+        return matvec(self._A_inv, matvec(s.B, x) + s.b)
 
     def ell(self, x: Vector) -> float:
         s = self._o.spec
         ys = self.y_star(x)
-        val = 0.5 * float(np.sum((ys - s.y_target) ** 2)) + 0.5 * s.lam * float(np.sum(x**2))
+        val = (0.5 * np.sum((ys - s.y_target) ** 2, axis=-1)
+               + 0.5 * s.lam * np.sum(x**2, axis=-1))
         if s.sin_amp:
-            val += s.sin_amp * float(np.sum(np.sin(x)))
-        return val
+            val = val + s.sin_amp * np.sum(np.sin(x), axis=-1)
+        return val if val.ndim else float(val)
 
     def grad_ell(self, x: Vector) -> Vector:
         s = self._o.spec
-        g = s.lam * x + s.B.T @ (self._A_inv @ (self.y_star(x) - s.y_target))
+        g = s.lam * x + matvec(s.B.T, matvec(self._A_inv, self.y_star(x) - s.y_target))
         if s.sin_amp:
             g = g + s.sin_amp * np.cos(x)
         return g
@@ -174,7 +176,8 @@ class QuadraticExact(ExactOracle):
     def surrogate_grad(self, x: Vector, y: Vector) -> Vector:
         s = self._o.spec
         pair = IteratePair(x, y)
-        return self._o._grad_x_f(pair) + s.B.T @ (self._A_inv @ self._o._grad_y_f(pair))
+        back = matvec(self._A_inv, self._o._grad_y_f(pair))
+        return self._o._grad_x_f(pair) + matvec(s.B.T, back)
 
     @property
     def ell_star(self) -> Optional[float]:

@@ -49,3 +49,26 @@ def test_run_override(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--run.T=7"]) == 0
     rows = read_trajectory_csv(tmp_path / "ov_sustain_seed0.csv")
     assert rows[-1]["t"] == 6
+
+
+def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
+    argv = ["run", "--experiment.name=hc", "--problem.kind=hyperclean",
+            "--problem.n_train=20", "--problem.n_val=10", "--problem.d_lo=3",
+            "--run.T=3", "--run.seeds=0", "--schedule.K=1",
+            "--metrics.epsilon_targets=0.5", f"--output.dir={tmp_path}"]
+    assert main(argv) == 1
+    assert "FAILED sustain: seed 0: MissingMetric" in capsys.readouterr().err
+    assert (tmp_path / "hc_summary.csv").exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    ("--run.metric_stride=0", "metric_stride must be >= 1"),
+    ("--metrics.epsilon_metric=grad_ell", "epsilon metric 'grad_ell' is not one of"),
+    ("--run.T=three", "invalid literal for int()"),
+])
+def test_run_rejects_bad_options_before_running(tmp_path, capsys, override, message):
+    # a one-line error and exit code 2, not a traceback, and nothing written
+    argv = ["run", "--run.T=3", "--run.seeds=0", f"--output.dir={tmp_path}", override]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"sustain run: {message}")
+    assert list(tmp_path.iterdir()) == []

@@ -20,11 +20,11 @@ from sustain.driver import (
 )
 from sustain.errors import DimensionMismatch
 from sustain.hypergrad import lipschitz_L_K
-from sustain.momentum import Variant
+from sustain.momentum import MomentumState, Variant
 from sustain.oracle import IteratePair
 from sustain.sampling import STREAM_LOWER, SampleToken
 from sustain.schedules import strongly_convex_params
-from sustain.testbed import QuadBilevelSpec, make_quadratic
+from sustain.testbed import QuadBilevelSpec, make_quadratic, random_quadratic_spec
 
 
 def _eta_one_cfg(T, seed=0, **kw):
@@ -388,3 +388,113 @@ def test_strongly_convex_schedule_resolved_once(quad5, monkeypatch, K_override, 
     assert len(calls) == 1
     assert K == expected.K
     assert schedule(0) == expected and schedule(T - 1) == expected
+
+
+def _per_point_values(oracle, exact, K, x, y, h_f, h_g, errors):
+    """The computed fields of one record by the former per-point formulas."""
+    s, L_g = oracle.spec, oracle.constants.L_g
+    A_inv = np.linalg.inv(s.A)
+    ys = A_inv @ (s.B @ x + s.b)
+    g = s.lam * x + s.B.T @ (A_inv @ (ys - s.y_target))
+    ell = 0.5 * float(np.sum((ys - s.y_target) ** 2)) + 0.5 * s.lam * float(np.sum(x**2))
+    if s.sin_amp:
+        g = g + s.sin_amp * np.cos(x)
+        ell += s.sin_amp * float(np.sum(np.sin(x)))
+    dy = y - ys
+    e_f = e_g = None
+    if errors:
+        M = np.eye(oracle.d_lo) - s.A / L_g
+        acc, p = np.zeros(oracle.d_lo), y - s.y_target
+        for _ in range(K):
+            acc += p
+            p = M @ p
+        grad_x_f = s.lam * x + (s.sin_amp * np.cos(x) if s.sin_amp else 0.0)
+        e_f = float(np.linalg.norm(h_f - (grad_x_f - (-s.B.T) @ (acc / L_g))))
+        e_g = float(np.linalg.norm(h_g - (s.A @ y - s.B @ x - s.b)))
+    return {
+        "grad_ell_sq": float(g @ g),
+        "ell_gap": None if exact.ell_star is None else ell - exact.ell_star,
+        "tracking_sq": float(dy @ dy),
+        "e_f_norm": e_f,
+        "e_g_norm": e_g,
+        "upper_loss": float(oracle.upper_loss(IteratePair(x, y))),
+    }
+
+
+_FLOAT_FIELDS = ("alpha", "beta", "eta_f", "eta_g", "grad_ell_sq", "ell_gap",
+                 "tracking_sq", "e_f_norm", "e_g_norm", "upper_loss")
+
+
+def _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=None):
+    """Run with the commits and the record blocks watched; every record must
+    equal the per-point formulas at its committed (x_t, y_t, h_f, h_g)."""
+    committed, blocks = [], []
+    commit, records_of = MomentumState.commit, sustain.driver._records
+
+    def watched_commit(state, cur, h_f, h_g, f_sample_value=None):
+        committed.append((cur.x, cur.y, h_f, h_g))
+        commit(state, cur, h_f, h_g, f_sample_value)
+
+    def watched_records(rows, *args):
+        blocks.append(len(rows))
+        return records_of(rows, *args)
+
+    monkeypatch.setattr(MomentumState, "commit", watched_commit)
+    monkeypatch.setattr(sustain.driver, "_records", watched_records)
+    if poison_t is not None:
+        clean = oracle.grad_x_f_sample
+        monkeypatch.setattr(oracle, "grad_x_f_sample", lambda pair, token: (
+            np.full_like(clean(pair, token), np.nan) if token.path[1] == poison_t
+            else clean(pair, token)))
+    _, records = (run_sustain(oracle, exact, cfg) if kind is None
+                  else run_baseline(oracle, exact, cfg, kind))
+    T = cfg.T if poison_t is None else poison_t
+    stride = cfg.metric_stride
+    assert [r.t for r in records] == [t for t in range(T)
+                                      if t % stride == 0 or t == cfg.T - 1]
+    assert len(committed) == T
+    assert max(blocks) <= sustain.driver._BLOCK and sum(blocks) == len(records)
+    errors = kind is None and cfg.record_errors
+    for r in records:
+        want = _per_point_values(oracle, exact, cfg.K_override,
+                                 *committed[r.t], errors)
+        got = {name: getattr(r, name) for name in want}
+        assert repr(got) == repr(want), r.t
+        for name in _FLOAT_FIELDS:
+            v = getattr(r, name)
+            assert v is None or type(v) is float, (r.t, name, type(v))
+    return records
+
+
+_KINDS = [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("record_errors", [True, False])
+def test_block_records_equal_per_point_formulas(kind, stride, record_errors, monkeypatch):
+    # three token blocks, the last one partial; sin_amp = 0 keeps ell_star
+    rng = np.random.default_rng(50)
+    oracle, exact = make_quadratic(
+        random_quadratic_spec(rng, d_up=3, d_lo=6, sigma_f=0.3, sigma_g=0.3), rng_seed=4)
+    cfg = RunConfig(T=2 * sustain.driver._BLOCK + 3, policy=Policy.PRACTICAL, seed=8,
+                    metric_stride=stride, K_override=5, c_eta=10.0,
+                    record_errors=record_errors)
+    records = _check_block_records(oracle, exact, cfg, kind, monkeypatch)
+    assert records[0].ell_gap is not None
+    assert (records[-1].e_f_norm is not None) == (kind is None and record_errors)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", _KINDS)
+def test_block_records_of_a_run_stopped_mid_block(kind, monkeypatch):
+    # a NaN upper gradient at t = 356 stops the run inside the second block;
+    # the rows held since t = 256 still become records
+    rng = np.random.default_rng(51)
+    oracle, exact = make_quadratic(
+        random_quadratic_spec(rng, d_up=4, d_lo=9, sigma_f=0.3, sigma_g=0.3,
+                              sin_amp=0.5), rng_seed=5)
+    cfg = RunConfig(T=2 * sustain.driver._BLOCK + 3, policy=Policy.PRACTICAL, seed=9,
+                    metric_stride=1, K_override=3, c_eta=10.0)
+    records = _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=356)
+    assert records[-1].t == 355 and records[-1].ell_gap is None

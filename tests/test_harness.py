@@ -67,6 +67,22 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("nope",))
 
+    def test_metric_stride_below_one_rejected(self):
+        # the same check and message as RunConfig, made before any run starts
+        with pytest.raises(ValueError, match="metric_stride must be >= 1"):
+            ExperimentConfig(metric_stride=0)
+        with pytest.raises(ValueError, match="metric_stride must be >= 1"):
+            ExperimentConfig.from_mapping({"run.metric_stride": "0"})
+
+    @pytest.mark.parametrize("metric", ["grad_ell", "t", "cumulative_samples", ""])
+    def test_epsilon_metric_must_be_a_float_column(self, metric):
+        with pytest.raises(ValueError, match="epsilon metric"):
+            ExperimentConfig(epsilon_metric=metric)
+
+    @pytest.mark.parametrize("metric", ["grad_ell_sq", "tracking_sq", "e_f_norm", "upper_loss"])
+    def test_float_columns_accepted_as_epsilon_metric(self, metric):
+        assert ExperimentConfig(epsilon_metric=metric).epsilon_metric == metric
+
     def test_option_i_rejected(self):
         # Option I was TWO_EVAL's recursion reordered; the key is gone, not aliased
         with pytest.raises(ValueError, match="unknown variant 'option_i'"):
@@ -261,3 +277,19 @@ class TestRunGrid:
         # the completed run keeps its bytes
         assert (result.trajectory_paths[("sustain", 0)].read_bytes()
                 == complete.trajectory_paths[("sustain", 0)].read_bytes())
+
+    def test_missing_epsilon_metric_is_a_failed_seed(self, tmp_path):
+        # hyper-cleaning has no exact oracle, so grad_ell_sq is never recorded
+        cfg = self._cfg(tmp_path, problem="hyperclean", T=3, seeds=(0, 1),
+                        epsilon_targets=(0.5,),
+                        options={"problem.n_train": "20", "problem.n_val": "10",
+                                 "problem.d_lo": "3", "schedule.K": "1"})
+        result = run_grid(cfg)
+        row = result.summary_rows[0]
+        assert row["seeds"] == "0"
+        assert row["error"] == (
+            "seed 0: MissingMetric: metric 'grad_ell_sq' absent from trajectory; "
+            "seed 1: MissingMetric: metric 'grad_ell_sq' absent from trajectory")
+        assert row["samples_to_0.5"] == "NotReached"
+        assert result.summary_path.exists()
+        assert result.trajectory_paths == {}

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sustain.errors import EmptyDataset, InvalidBatch, NotSPD
+from sustain.hypergrad import NeumannConfig
+from sustain.momentum import MomentumState, estimator_errors, tracker_errors
 from sustain.oracle import IteratePair
 from sustain.sampling import SampleToken
 from sustain.testbed import (
@@ -344,3 +348,42 @@ def test_sigmoid_matches_masked_formula(n, scale):
     assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
     edges = np.array([800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0])
     assert _sigmoid(edges).tobytes() == _masked_sigmoid(edges).tobytes()
+
+
+# dimensions below 8, from 8 to 128 and above 128, where NumPy's sums switch
+# from a plain loop to unrolled blocks and to pairwise halving
+_DIMS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 160))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d_up=_DIMS, d_lo=_DIMS, n=st.integers(1, 300), K=st.integers(1, 25),
+       sin_amp=st.sampled_from([0.0, 0.7]), seed=st.integers(0, 2**32 - 1))
+def test_quadratic_closed_forms_stack_bit_for_bit(d_up, d_lo, n, K, sin_amp, seed):
+    # every row of a stacked call equals the one-point call on that row
+    rng = np.random.default_rng(seed)
+    spec = random_quadratic_spec(rng, d_up=d_up, d_lo=d_lo, lam=0.3, sin_amp=sin_amp)
+    oracle, exact = make_quadratic(spec, rng_seed=0)
+    X = 2.0 * rng.standard_normal((n, d_up))
+    Y = 2.0 * rng.standard_normal((n, d_lo))
+    HF, HG = rng.standard_normal((n, d_up)), rng.standard_normal((n, d_lo))
+    stacked = IteratePair(X, Y)
+    cfg = NeumannConfig.from_constants(oracle.constants, K)
+    e_f, e_g = tracker_errors(HF, HG, exact, stacked, K)
+    forms = {
+        "y_star": (exact.y_star(X), lambda i: exact.y_star(X[i])),
+        "ell": (exact.ell(X), lambda i: exact.ell(X[i])),
+        "grad_ell": (exact.grad_ell(X), lambda i: exact.grad_ell(X[i])),
+        "surrogate_grad": (exact.surrogate_grad(X, Y),
+                           lambda i: exact.surrogate_grad(X[i], Y[i])),
+        "grad_y_g_mean": (exact.grad_y_g_mean(stacked),
+                          lambda i: exact.grad_y_g_mean(IteratePair(X[i], Y[i]))),
+        "neumann_expectation": (exact.neumann_expectation(stacked, K),
+                                lambda i: exact.neumann_expectation(IteratePair(X[i], Y[i]), K)),
+        "tracker_errors": (np.stack([e_f, e_g], axis=-1), lambda i: np.array(estimator_errors(
+            MomentumState(HF[i], HG[i], None), exact, IteratePair(X[i], Y[i]), cfg))),
+    }
+    assert type(exact.ell(X[0])) is float
+    for name, (rows, one) in forms.items():
+        assert rows.shape[0] == n, name
+        for i in range(n):
+            assert rows[i].tobytes() == np.asarray(one(i)).tobytes(), (name, i)
