@@ -1,5 +1,6 @@
-"""Per-layer timings of the sample-token layer, the hypergradient estimator,
-the hyper-cleaning oracle, the metric records and the trajectory CSV.
+"""Per-layer timings of the sample-token layer, the hypergradient estimator
+and its truncation draw, the momentum updates, the schedules, the
+hyper-cleaning oracle, the metric records and the trajectory CSV.
 
     PYTHONPATH=src python -m pytest benches -q --benchmark-only
 
@@ -12,11 +13,19 @@ call derives the child key, resets the shared generator and draws.
 import numpy as np
 import pytest
 
-from sustain.driver import _records
+from sustain.driver import Policy, RunConfig, _records, resolve_schedule
 from sustain.harness import write_trajectory_csv
-from sustain.hypergrad import NeumannConfig, estimate_coupled
+from sustain.hypergrad import NeumannConfig, draw_k, estimate_coupled
+from sustain.momentum import MomentumState, Variant, update_f, update_g
 from sustain.oracle import IteratePair
-from sustain.sampling import STREAM_UPPER, SampleToken, _mix_into, _mix_path, _stream
+from sustain.sampling import (
+    STREAM_LOWER,
+    STREAM_UPPER,
+    SampleToken,
+    _mix_into,
+    _mix_path,
+    _stream,
+)
 from sustain.testbed import (
     _NOISE_TAG,
     HyperCleanSpec,
@@ -89,24 +98,82 @@ def test_sigmoid_32(benchmark):
     benchmark(_sigmoid, z)
 
 
+def _quad_rate(sin_amp=0.5):
+    """The quad-rate oracle (d_up 3, d_lo 6); without the sinusoid its outer
+    objective is strongly convex, which the strongly-convex schedule needs."""
+    spec = random_quadratic_spec(np.random.default_rng(0), d_up=3, d_lo=6, lam=0.2,
+                                 sigma_f=0.4, sigma_g=0.4, sin_amp=sin_amp)
+    return make_quadratic(spec, rng_seed=0)[0]
+
+
+def _fresh_samples(stream, *args):
+    """A ``benchmark.pedantic`` setup: the call's ``args`` and a fresh
+    composite sample of ``stream``, one per round, as the run loop takes them
+    from its iteration-token blocks."""
+    tokens = _fresh_tokens(lambda root, a, b: root.children(a, b))
+    return lambda: ((*args, next(tokens).child(stream)), {})
+
+
 @pytest.mark.parametrize("n_points", [1, 2])
 @pytest.mark.parametrize("K", [1, 12, 21])
 def test_estimate_coupled(benchmark, K, n_points):
     # the quad-rate shape; each round takes a fresh composite sample from a
     # block, as the run loop does, and evaluates it at one point or at the
     # pair (x_t, x_{t-1}), so k varies over 0..K-1 from round to round
-    spec = random_quadratic_spec(np.random.default_rng(0), d_up=3, d_lo=6, lam=0.2,
-                                 sigma_f=0.4, sigma_g=0.4, sin_amp=0.5)
-    oracle, _ = make_quadratic(spec, rng_seed=0)
+    oracle = _quad_rate()
     cfg = NeumannConfig.from_constants(oracle.constants, K)
     rng = np.random.default_rng(1)
     points = tuple(IteratePair(rng.standard_normal(3), rng.standard_normal(6))
                    for _ in range(n_points))
-    tokens = _fresh_tokens(lambda root, a, b: root.children(a, b))
-    benchmark.pedantic(
-        estimate_coupled,
-        setup=lambda: ((oracle, points, cfg, next(tokens).child(STREAM_UPPER)), {}),
-        rounds=ROUNDS, warmup_rounds=100)
+    benchmark.pedantic(estimate_coupled,
+                       setup=_fresh_samples(STREAM_UPPER, oracle, points, cfg),
+                       rounds=ROUNDS, warmup_rounds=100)
+
+
+def test_draw_k(benchmark):
+    # the truncation draw of a fresh composite sample, K 12 as in quad-rate
+    cfg = NeumannConfig.from_constants(_quad_rate().constants, 12)
+    benchmark.pedantic(draw_k, setup=_fresh_samples(STREAM_UPPER, cfg),
+                       rounds=ROUNDS, warmup_rounds=100)
+
+
+def _momentum_state(variant):
+    """A tracker state at t >= 1 on the quad-rate shape, and the current iterate."""
+    rng = np.random.default_rng(5)
+    state = MomentumState(h_f=rng.standard_normal(3), h_g=rng.standard_normal(6),
+                          prev_iterate=IteratePair(rng.standard_normal(3),
+                                                   rng.standard_normal(6)),
+                          variant=variant, last_f_sample_value=rng.standard_normal(3))
+    return state, IteratePair(rng.standard_normal(3), rng.standard_normal(6))
+
+
+def test_update_g(benchmark):
+    # eta_g < 1: the lower gradient at x_t and x_{t-1} on one fresh sample
+    oracle = _quad_rate()
+    state, cur = _momentum_state(Variant.TWO_EVAL)
+    benchmark.pedantic(update_g, setup=_fresh_samples(STREAM_LOWER, state, oracle, cur, 0.5),
+                       rounds=ROUNDS, warmup_rounds=100)
+
+
+@pytest.mark.parametrize("variant", [Variant.TWO_EVAL, Variant.OPTION_II],
+                         ids=["two_eval_paired", "option_ii"])
+def test_update_f(benchmark, variant):
+    # eta_f < 1 at K 12: TWO_EVAL evaluates the fresh sample at the pair
+    # (x_t, x_{t-1}), Option II at x_t only
+    oracle = _quad_rate()
+    cfg = NeumannConfig.from_constants(oracle.constants, 12)
+    state, cur = _momentum_state(variant)
+    benchmark.pedantic(update_f,
+                       setup=_fresh_samples(STREAM_UPPER, state, oracle, cur, 0.5, cfg),
+                       rounds=ROUNDS, warmup_rounds=100)
+
+
+@pytest.mark.parametrize("policy", list(Policy), ids=[p.value for p in Policy])
+def test_schedule(benchmark, policy):
+    # one schedule(t) call of a resolved schedule, quad-rate's T and K
+    cfg = RunConfig(T=1000, policy=policy, K_override=12, base_alpha=0.15)
+    schedule, _ = resolve_schedule(_quad_rate(sin_amp=0.0), cfg)
+    benchmark(schedule, 500)
 
 
 @pytest.mark.parametrize("capability", ["grad_y_g_sample", "hess_yy_g_sample", "hess_xy_g_sample"])

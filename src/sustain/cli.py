@@ -10,6 +10,7 @@ from typing import List, Optional
 import numpy as np
 
 from .driver import AlternatingSGD, Policy, RunConfig, run_baseline, run_sustain
+from .errors import SustainError
 from .harness import (
     ExperimentConfig,
     apply_overrides,
@@ -24,13 +25,13 @@ from .testbed import make_quadratic, random_quadratic_spec
 
 
 def _cmd_run(args) -> int:
-    try:  # a malformed line, override or value, reported before any run
+    try:  # a malformed line, key, override or value, reported before any file is written
         mapping = parse_config_file(args.config) if args.config else {}
         cfg = ExperimentConfig.from_mapping(apply_overrides(mapping, args.overrides))
-    except ValueError as exc:
+        result = run_grid(cfg)  # builds the problem first: its errors too
+    except (ValueError, SustainError) as exc:
         print(f"sustain run: {exc}", file=sys.stderr)
         return 2
-    result = run_grid(cfg)
     for (algorithm, seed), path in sorted(result.trajectory_paths.items()):
         print(f"trajectory {algorithm} seed={seed}: {path}")
     print(f"summary: {result.summary_path}")

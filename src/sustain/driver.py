@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, ExactOracleUnavailable
+from .errors import ExactOracleUnavailable
 from .hypergrad import (
     NeumannConfig,
     choose_K_nonconvex,
@@ -71,6 +71,12 @@ class RunConfig:
             raise ValueError("T must be >= 1")
         if self.metric_stride < 1:
             raise ValueError("metric_stride must be >= 1")
+        if self.K_override is not None and self.K_override < 1:
+            raise ValueError("K_override must be >= 1")
+        if self.alpha_override is not None and self.alpha_override <= 0:
+            raise ValueError("alpha_override must be positive")
+        if self.c_eta < 0 or (self.c_eta_g is not None and self.c_eta_g < 0):
+            raise ValueError("c_eta and c_eta_g must be nonnegative")
 
 
 @dataclass
@@ -150,20 +156,20 @@ BaselineKind = Union[AlternatingSGD, TwoTimescale, DoubleLoop]
 def resolve_schedule(
     oracle: BilevelOracle, cfg: RunConfig
 ) -> Tuple[Callable[[int], ScheduleParams], int]:
-    """Build the per-iteration schedule callable and the truncation level K."""
+    """Build the per-iteration schedule callable and the truncation level K,
+    the one K that both the schedule's L_K and the estimator use."""
     c = oracle.constants
+    choose_K = (choose_K_strongly_convex if cfg.policy is Policy.STRONGLY_CONVEX
+                else choose_K_nonconvex)
+    K = cfg.K_override if cfg.K_override is not None else choose_K(c, cfg.T)
     if cfg.policy is Policy.STRONGLY_CONVEX:
-        K = cfg.K_override if cfg.K_override is not None else choose_K_strongly_convex(c, cfg.T)
-        params = strongly_convex_params(
-            c, lipschitz_L_K(c, K), cfg.T, alpha_override=cfg.alpha_override, K_override=K
-        )
+        params = strongly_convex_params(c, lipschitz_L_K(c, K), cfg.alpha_override)
         return lambda t: params, K
-    K = cfg.K_override if cfg.K_override is not None else choose_K_nonconvex(c, cfg.T)
     if cfg.policy is Policy.PRACTICAL:
-        return lambda t: practical_params(cfg.base_alpha, t, cfg.c_eta, K, cfg.c_eta_g), K
+        return lambda t: practical_params(cfg.base_alpha, t, cfg.c_eta, cfg.c_eta_g), K
     if cfg.policy is Policy.NONCONVEX:
         consts = nonconvex_constants(c, lipschitz_L_K(c, K))
-        return lambda t: nonconvex_params(consts, t, K), K
+        return lambda t: nonconvex_params(consts, t), K
     raise ValueError(f"unknown policy {cfg.policy}")
 
 
@@ -174,11 +180,7 @@ def _initial_pair(oracle: BilevelOracle, cfg: RunConfig) -> IteratePair:
     x = np.zeros(oracle.d_up) if cfg.initial_x is None else np.asarray(cfg.initial_x, float)
     y = np.zeros(oracle.d_lo) if cfg.initial_y is None else np.asarray(cfg.initial_y, float)
     pair = IteratePair(x, y)
-    if pair.d_up != oracle.d_up or pair.d_lo != oracle.d_lo:
-        raise DimensionMismatch(
-            f"initial iterate dims ({pair.d_up},{pair.d_lo}) do not match "
-            f"oracle dims ({oracle.d_up},{oracle.d_lo})"
-        )
+    oracle.check_dims(pair)
     return pair
 
 

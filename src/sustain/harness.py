@@ -58,17 +58,20 @@ TRAJECTORY_COLUMNS = (
 METRIC_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS
                        if c not in ("t", "cumulative_samples", "cumulative_hvps"))
 
-_POLICIES = {
-    "nonconvex": Policy.NONCONVEX,
-    "strongly_convex": Policy.STRONGLY_CONVEX,
-    "practical": Policy.PRACTICAL,
-}
-_VARIANTS = {
-    "two_eval": Variant.TWO_EVAL,
-    "option_ii": Variant.OPTION_II,
-}
-_DIRECTIONS = {"plain": Direction.PLAIN, "adam": Direction.ADAM}
 _ALGORITHMS = ("sustain", "alternating", "two_timescale", "double_loop")
+# every option key the harness reads (``_opt``); a config with any other key
+# is rejected
+_OPTIONS = frozenset({
+    "problem.spec_seed", "problem.noise_seed", "problem.data_seed",
+    "problem.d_up", "problem.d_lo", "problem.mu_g", "problem.L_g", "problem.lam",
+    "problem.sigma_f", "problem.sigma_g", "problem.sin_amp",
+    "problem.train_csv", "problem.val_csv", "problem.p", "problem.n_train",
+    "problem.n_val", "problem.reg", "problem.batch_size",
+    "problem.M", "problem.p_dim", "problem.q", "problem.rho", "problem.m",
+    "run.initial_x", "run.initial_y", "run.record_errors",
+    "schedule.K", "schedule.base_alpha", "schedule.c_eta", "schedule.c_eta_g",
+    "schedule.alpha", "algorithm.ratio", "algorithm.n_inner",
+})
 
 
 class NotReached:
@@ -136,10 +139,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.metric_stride < 1:
-            raise ValueError("metric_stride must be >= 1")
         if any(e <= 0 for e in self.epsilon_targets):
             raise ValueError("epsilon targets must be positive")
         if self.epsilon_metric not in METRIC_COLUMNS:
@@ -148,12 +147,14 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in _ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
-        if self.policy not in _POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
+        for name, values in (("policy", Policy), ("variant", Variant), ("direction", Direction)):
+            if getattr(self, name) not in {v.value for v in values}:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        unknown = sorted(set(self.options) - _OPTIONS)
+        if unknown:
+            raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+        # RunConfig's own checks, with every run.* and schedule.* option cast
+        make_run_config(self, self.seeds[0])
 
     @classmethod
     def from_mapping(cls, mapping: Dict[str, str]) -> "ExperimentConfig":
@@ -197,7 +198,17 @@ class ExperimentConfig:
 
 
 def _opt(options: Dict[str, str], key: str, default, cast=float):
-    return cast(options[key]) if key in options else default
+    assert key in _OPTIONS, key
+    if key not in options:
+        return default
+    try:
+        return cast(options[key])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _floats(value: str) -> List[float]:
+    return [float(s) for s in value.split(",")]
 
 
 def make_problem(cfg: ExperimentConfig) -> Tuple[BilevelOracle, Optional[ExactOracle]]:
@@ -218,9 +229,10 @@ def make_problem(cfg: ExperimentConfig) -> Tuple[BilevelOracle, Optional[ExactOr
         oracle, exact = make_quadratic(spec, rng_seed=_opt(o, "problem.noise_seed", 0, int))
         return oracle, exact
     if cfg.problem == "hyperclean":
-        if "problem.train_csv" in o:
-            train = load_dataset_csv(o["problem.train_csv"])
-            val = load_dataset_csv(o["problem.val_csv"])
+        train_csv = _opt(o, "problem.train_csv", None, str)
+        if train_csv is not None:
+            train = load_dataset_csv(train_csv)
+            val = load_dataset_csv(_opt(o, "problem.val_csv", None, str))
             p = _opt(o, "problem.p", 0.0)
         else:
             p = _opt(o, "problem.p", 0.3)
@@ -263,17 +275,15 @@ def make_problem(cfg: ExperimentConfig) -> Tuple[BilevelOracle, Optional[ExactOr
 
 def make_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
     o = cfg.options
-    init_x = o.get("run.initial_x")
-    init_y = o.get("run.initial_y")
     return RunConfig(
         T=cfg.T,
-        policy=_POLICIES[cfg.policy],
-        variant=_VARIANTS[cfg.variant],
-        direction=_DIRECTIONS[cfg.direction],
+        policy=Policy(cfg.policy),
+        variant=Variant(cfg.variant),
+        direction=Direction(cfg.direction),
         seed=seed,
         metric_stride=cfg.metric_stride,
-        initial_x=None if init_x is None else [float(s) for s in init_x.split(",")],
-        initial_y=None if init_y is None else [float(s) for s in init_y.split(",")],
+        initial_x=_opt(o, "run.initial_x", None, _floats),
+        initial_y=_opt(o, "run.initial_y", None, _floats),
         K_override=_opt(o, "schedule.K", None, int),
         base_alpha=_opt(o, "schedule.base_alpha", 0.1),
         c_eta=_opt(o, "schedule.c_eta", 1.0),
@@ -412,9 +422,9 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     ``error`` joins every failed seed's error with ``"; "``.  A run that stops
     before t = T - 1, or whose records lack the epsilon metric, has failed:
     it gets no trajectory CSV."""
+    oracle, exact = make_problem(cfg)
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
-    oracle, exact = make_problem(cfg)
 
     paths: Dict[Tuple[str, int], Path] = {}
     summary_rows: List[Dict[str, str]] = []

@@ -128,19 +128,6 @@ def update_f(
     return h, hvps, s_cur
 
 
-def estimator_errors(
-    state: MomentumState,
-    exact: ExactOracle,
-    cur: IteratePair,
-    cfg: NeumannConfig,
-) -> Tuple[float, float]:
-    """Tracker errors (||e_f||, ||e_g||) of the state's trackers at ``cur``."""
-    if exact is None:
-        raise ExactOracleUnavailable("estimator errors need an exact oracle")
-    e_f, e_g = tracker_errors(state.h_f, state.h_g, exact, cur, cfg.K)
-    return float(e_f), float(e_g)
-
-
 def tracker_errors(
     h_f: Vector,
     h_g: Vector,

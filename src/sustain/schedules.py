@@ -23,7 +23,6 @@ class ScheduleParams:
     beta: float
     eta_f: float
     eta_g: float
-    K: int
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def _clamped(eta: float, which: str) -> float:
     return eta
 
 
-def nonconvex_params(consts: NonconvexScheduleConstants, t: int, K: int) -> ScheduleParams:
+def nonconvex_params(consts: NonconvexScheduleConstants, t: int) -> ScheduleParams:
     """alpha_t = (w + t)^(-1/3), beta = c_beta alpha, eta = c alpha^2."""
     alpha = (consts.w + t) ** (-1.0 / 3.0)
     return ScheduleParams(
@@ -99,16 +98,13 @@ def nonconvex_params(consts: NonconvexScheduleConstants, t: int, K: int) -> Sche
         beta=consts.c_beta * alpha,
         eta_f=_clamped(consts.c_eta_f * alpha**2, "eta_f"),
         eta_g=_clamped(consts.c_eta_g * alpha**2, "eta_g"),
-        K=K,
     )
 
 
 def strongly_convex_params(
     c: ProblemConstants,
     L_K: float,
-    T: int,
     alpha_override: float | None = None,
-    K_override: int | None = None,
 ) -> ScheduleParams:
     """Constant schedule for strongly-convex outer objectives.
 
@@ -117,8 +113,6 @@ def strongly_convex_params(
     replaces the computed alpha (used for step-size sweeps at constant
     alpha), the derived quantities keep their ratios to alpha.
     """
-    from .hypergrad import choose_K_strongly_convex
-
     if c.mu_f is None:
         raise DivisionByZero("mu_f is required for the strongly-convex policy")
     d = derive_constants(c)
@@ -138,13 +132,11 @@ def strongly_convex_params(
     )
     if alpha_override is not None:
         alpha = alpha_override
-    K = K_override if K_override is not None else choose_K_strongly_convex(c, T)
     return ScheduleParams(
         alpha=alpha,
         beta=c_beta_hat * alpha,
         eta_f=_clamped((c.mu_f + 1.0) * alpha, "eta_f"),
         eta_g=1.0,
-        K=K,
     )
 
 
@@ -152,7 +144,6 @@ def practical_params(
     base_alpha: float,
     t: int,
     c_eta: float,
-    K: int = 1,
     c_eta_g: float | None = None,
 ) -> ScheduleParams:
     """Tuned schedule: alpha_t = beta_t = base_alpha / (1+t)^(1/3)."""
@@ -167,5 +158,4 @@ def practical_params(
         beta=alpha,
         eta_f=min(1.0, c_eta * alpha**2),
         eta_g=min(1.0, c_g * alpha**2),
-        K=K,
     )

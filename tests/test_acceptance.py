@@ -477,7 +477,7 @@ def test_criterion_10_schedule_constants():
                             mu_f=1.0)
     # L_y = C_gxy / mu_g = 1, L = L_fx + L_fy * L_y = 1, so the momentum
     # ratio is (8 + 8 + 2) / 2 = 9 exactly
-    params = strongly_convex_params(c_sc, L_K=1.0, T=100)
+    params = strongly_convex_params(c_sc, L_K=1.0)
     c_beta_hat = params.beta / params.alpha
     if c_beta_hat != float(Fraction(8 + 8 + 2, 2)):
         ok = False

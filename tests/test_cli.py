@@ -65,10 +65,23 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--run.metric_stride=0", "metric_stride must be >= 1"),
     ("--metrics.epsilon_metric=grad_ell", "epsilon metric 'grad_ell' is not one of"),
     ("--run.T=three", "invalid literal for int()"),
+    ("--schedule.c_et=10", "unknown config key 'schedule.c_et'"),
+    ("--schedule.K=abc", "schedule.K: invalid literal for int()"),
+    ("--schedule.c_eta=-1", "c_eta and c_eta_g must be nonnegative"),
+    ("--schedule.c_eta_g=-1", "c_eta and c_eta_g must be nonnegative"),
+    ("--schedule.alpha=0", "alpha_override must be positive"),
+    ("--schedule.K=0", "K_override must be >= 1"),
+    ("--problem.d_up=abc", "problem.d_up: invalid literal for int()"),
+    ("--problem.kind=hyperclean --problem.reg=0", "reg must be positive"),
+    ("--problem.mu_g=-1", "lower-level Hessian A must be symmetric positive-definite"),
 ])
 def test_run_rejects_bad_options_before_running(tmp_path, capsys, override, message):
-    # a one-line error and exit code 2, not a traceback, and nothing written
-    argv = ["run", "--run.T=3", "--run.seeds=0", f"--output.dir={tmp_path}", override]
+    # a one-line error and exit code 2, not a traceback, and no output directory
+    out = tmp_path / "out"
+    argv = ["run", "--run.T=3", "--run.seeds=0", f"--output.dir={out}", *override.split()]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"sustain run: {message}")
-    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"sustain run: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+

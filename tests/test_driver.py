@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sustain.driver
+import sustain.hypergrad
 import sustain.sampling
 from sustain.driver import (
     AdamState,
@@ -368,26 +369,49 @@ def test_block_tokens_match_scalar_tokens(sampled_testbeds, testbed, monkeypatch
 
 @pytest.mark.parametrize("K_override,alpha_override", [(None, None), (4, None), (None, 0.01)])
 def test_strongly_convex_schedule_resolved_once(quad5, monkeypatch, K_override, alpha_override):
+    # K is chosen in resolve_schedule alone, by at most one chooser call, and
+    # the strongly-convex schedule's L_K comes from that same K
     oracle, _ = quad5
     c, T = oracle.constants, 500
-    # the former two-call resolution: a provisional L_K, then the selected K
-    first = strongly_convex_params(c, lipschitz_L_K(c, K_override or 1), T,
-                                   alpha_override=alpha_override, K_override=K_override)
-    expected = strongly_convex_params(c, lipschitz_L_K(c, first.K), T,
-                                      alpha_override=alpha_override, K_override=first.K)
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return strongly_convex_params(*args, **kwargs)
+    def counting(name):
+        def choose(*args):
+            calls.append(name)
+            return getattr(sustain.hypergrad, name)(*args)
+        return choose
 
-    monkeypatch.setattr(sustain.driver, "strongly_convex_params", counting)
-    cfg = RunConfig(T=T, policy=Policy.STRONGLY_CONVEX, K_override=K_override,
-                    alpha_override=alpha_override)
-    schedule, K = resolve_schedule(oracle, cfg)
-    assert len(calls) == 1
-    assert K == expected.K
-    assert schedule(0) == expected and schedule(T - 1) == expected
+    for name in ("choose_K_nonconvex", "choose_K_strongly_convex"):
+        monkeypatch.setattr(sustain.driver, name, counting(name))
+    for policy in Policy:
+        calls.clear()
+        cfg = RunConfig(T=T, policy=policy, K_override=K_override,
+                        alpha_override=alpha_override)
+        schedule, K = resolve_schedule(oracle, cfg)
+        chooser = ("choose_K_strongly_convex" if policy is Policy.STRONGLY_CONVEX
+                   else "choose_K_nonconvex")
+        assert calls == ([] if K_override else [chooser])
+        assert K == (K_override or getattr(sustain.hypergrad, chooser)(c, T))
+        if policy is Policy.STRONGLY_CONVEX:
+            expected = strongly_convex_params(c, lipschitz_L_K(c, K), alpha_override)
+            assert schedule(0) == expected and schedule(T - 1) == expected
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("c_eta", -1.0, "c_eta and c_eta_g must be nonnegative"),
+    ("c_eta_g", -0.5, "c_eta and c_eta_g must be nonnegative"),
+    ("alpha_override", 0.0, "alpha_override must be positive"),
+    ("alpha_override", -0.1, "alpha_override must be positive"),
+    ("K_override", 0, "K_override must be >= 1"),
+])
+def test_run_config_rejects_bad_policy_knobs(field, value, message):
+    # rejected when the config is made, not at t = 1 inside the loop
+    with pytest.raises(ValueError, match=message):
+        RunConfig(T=5, **{field: value})
+
+
+def test_run_config_accepts_zero_momentum_coefficients():
+    RunConfig(T=5, c_eta=0.0, c_eta_g=0.0)
 
 
 def _per_point_values(oracle, exact, K, x, y, h_f, h_g, errors):

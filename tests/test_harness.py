@@ -9,6 +9,7 @@ from sustain.harness import (
     NOT_REACHED,
     ExperimentConfig,
     NotReached,
+    _opt,
     apply_overrides,
     fit_rate_exponent,
     parse_config_file,
@@ -82,6 +83,51 @@ class TestConfigParsing:
     @pytest.mark.parametrize("metric", ["grad_ell_sq", "tracking_sq", "e_f_norm", "upper_loss"])
     def test_float_columns_accepted_as_epsilon_metric(self, metric):
         assert ExperimentConfig(epsilon_metric=metric).epsilon_metric == metric
+
+    def test_unknown_option_key_rejected(self):
+        # a misspelled key is an error, not a value silently dropped
+        with pytest.raises(ValueError, match="unknown config key 'schedule.c_et'"):
+            ExperimentConfig.from_mapping({"schedule.c_et": "10"})
+        with pytest.raises(ValueError, match="unknown config key 'problem.dup', 'run.Tx'"):
+            ExperimentConfig(options={"run.Tx": "5", "problem.dup": "3"})
+
+    def test_run_options_cast_when_the_config_is_made(self):
+        with pytest.raises(ValueError, match="schedule.base_alpha: could not convert"):
+            ExperimentConfig(options={"schedule.base_alpha": "fast"})
+        with pytest.raises(ValueError, match="run.initial_y: could not convert"):
+            ExperimentConfig(options={"run.initial_y": "1,x"})
+
+    def test_only_listed_keys_are_read(self):
+        with pytest.raises(AssertionError, match="schedule.c_et"):
+            _opt({"schedule.c_et": "10"}, "schedule.c_et", 1.0)
+
+    def test_every_listed_key_is_read(self, tmp_path, monkeypatch):
+        # building each problem kind, a run config and each baseline reads
+        # every accepted key, so the set lists no key that is silently ignored
+        import sustain.harness as harness
+
+        read = set()
+        real = harness._opt
+
+        def recording(options, key, default, cast=float):
+            read.add(key)
+            return real(options, key, default, cast)
+
+        monkeypatch.setattr(harness, "_opt", recording)
+        for name, rows in (("train", "1,2,1\n3,4,0\n"), ("val", "0,1,1\n")):
+            (tmp_path / f"{name}.csv").write_text("f1,f2,label\n" + rows)
+        for kind, options in (
+            ("quadratic", {}),
+            ("hyperclean", {}),
+            ("hyperclean", {"problem.train_csv": str(tmp_path / "train.csv"),
+                            "problem.val_csv": str(tmp_path / "val.csv")}),
+            ("meta_linear", {}),
+        ):
+            cfg = ExperimentConfig(problem=kind, options=options)
+            harness.make_problem(cfg)
+            for algorithm in ("two_timescale", "double_loop"):
+                harness._baseline_kind(cfg, algorithm)
+        assert read == harness._OPTIONS
 
     def test_option_i_rejected(self):
         # Option I was TWO_EVAL's recursion reordered; the key is gone, not aliased

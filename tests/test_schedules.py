@@ -56,7 +56,7 @@ class TestNonconvexConstants:
 class TestNonconvexParams:
     def test_alpha_is_inverse_cube_root(self, unit_constants):
         consts = nonconvex_constants(unit_constants, lipschitz_L_K(unit_constants, 3))
-        p0 = nonconvex_params(consts, t=0, K=3)
+        p0 = nonconvex_params(consts, t=0)
         assert p0.alpha == pytest.approx(consts.w ** (-1.0 / 3.0))
 
     def test_alpha_cube_roots(self):
@@ -66,19 +66,19 @@ class TestNonconvexParams:
             w=8.0, c_beta=1.0, c_eta_f=1.0, c_eta_g=1.0,
             c_bar_eta_f=0.0, c_bar_eta_g=0.0, L_mu_g=1.0,
         )
-        assert nonconvex_params(consts, 0, 1).alpha == pytest.approx(0.5)
+        assert nonconvex_params(consts, 0).alpha == pytest.approx(0.5)
         consts2 = NonconvexScheduleConstants(
             w=2.0, c_beta=1.0, c_eta_f=1.0, c_eta_g=1.0,
             c_bar_eta_f=0.0, c_bar_eta_g=0.0, L_mu_g=1.0,
         )
-        assert nonconvex_params(consts2, 998, 1).alpha == pytest.approx(0.1)
+        assert nonconvex_params(consts2, 998).alpha == pytest.approx(0.1)
 
     def test_alpha_decreasing_eta_ratio_constant(self, unit_constants):
         consts = nonconvex_constants(unit_constants, lipschitz_L_K(unit_constants, 3))
         prev_alpha = math.inf
         ratios = set()
         for t in range(0, 200, 10):
-            p = nonconvex_params(consts, t, 3)
+            p = nonconvex_params(consts, t)
             assert p.alpha < prev_alpha
             prev_alpha = p.alpha
             if p.eta_f < 1.0:
@@ -94,12 +94,12 @@ class TestNonconvexParams:
             1.0 / ((unit_constants.mu_g + unit_constants.L_g) * consts.c_beta),
         )
         for t in range(50):
-            assert nonconvex_params(consts, t, 3).alpha <= cap + 1e-15
+            assert nonconvex_params(consts, t).alpha <= cap + 1e-15
 
     def test_alpha_cubes_summable(self, unit_constants):
         consts = nonconvex_constants(unit_constants, lipschitz_L_K(unit_constants, 3))
         for T in (10, 100, 1000):
-            total = sum(nonconvex_params(consts, t, 3).alpha ** 3 for t in range(T))
+            total = sum(nonconvex_params(consts, t).alpha ** 3 for t in range(T))
             assert total <= math.log(T + 1)
 
 
@@ -110,19 +110,19 @@ class TestStronglyConvexParams:
                        L_gxy=0.0, L_gyy=0.0, C_fy=0.0, mu_f=1.0)
         d = derive_constants(c)
         assert (d.L, d.L_y) == (1.0, 1.0)
-        p = strongly_convex_params(c, L_K=1.0, T=100)
+        p = strongly_convex_params(c, L_K=1.0)
         assert p.beta / p.alpha == pytest.approx(9.0, rel=1e-12)
 
     def test_eta_g_always_one(self, unit_constants):
         c = _constants(mu_f=0.5)
-        p = strongly_convex_params(c, L_K=1.0, T=1000)
+        p = strongly_convex_params(c, L_K=1.0)
         assert p.eta_g == 1.0
 
     def test_alpha_satisfies_all_ceilings(self):
         c = _constants(mu_f=0.5)
         d = derive_constants(c)
         L_K = lipschitz_L_K(c, 5)
-        p = strongly_convex_params(c, L_K=L_K, T=1000, K_override=5)
+        p = strongly_convex_params(c, L_K=L_K)
         c_beta_hat = (8 * d.L_y**2 + 8 * d.L**2 + 2 * c.mu_f) / c.mu_g
         assert p.alpha <= 1.0 / (c.mu_f + 1.0) + 1e-15
         assert p.alpha <= 1.0 / (2.0 * c.mu_g * c_beta_hat) + 1e-15
@@ -132,17 +132,17 @@ class TestStronglyConvexParams:
 
     def test_eta_f_bounded_by_one(self):
         c = _constants(mu_f=1.0)
-        p = strongly_convex_params(c, L_K=0.5, T=100)
+        p = strongly_convex_params(c, L_K=0.5)
         assert p.eta_f == pytest.approx((c.mu_f + 1.0) * p.alpha)
         assert p.eta_f <= 1.0
 
     def test_missing_mu_f_raises(self, unit_constants):
         with pytest.raises(DivisionByZero):
-            strongly_convex_params(unit_constants, L_K=1.0, T=10)
+            strongly_convex_params(unit_constants, L_K=1.0)
 
     def test_alpha_override(self):
         c = _constants(mu_f=0.5)
-        p = strongly_convex_params(c, L_K=1.0, T=100, alpha_override=0.01)
+        p = strongly_convex_params(c, L_K=1.0, alpha_override=0.01)
         assert p.alpha == 0.01
         assert p.beta == pytest.approx((8 * derive_constants(c).L_y**2
                                         + 8 * derive_constants(c).L**2 + 1.0) / c.mu_g * 0.01)
@@ -185,11 +185,11 @@ def test_clamp_warns_only_beyond_rounding(caplog):
                                         c_bar_eta_g=1.0, L_mu_g=1.0)
     assert c_eta * (consts.w ** (-1.0 / 3.0)) ** 2 > 1.0
     with caplog.at_level(logging.WARNING, logger="sustain.schedules"):
-        p = nonconvex_params(consts, 0, 3)
+        p = nonconvex_params(consts, 0)
     assert (p.eta_f, p.eta_g) == (1.0, 1.0)
     assert caplog.records == []
     with caplog.at_level(logging.WARNING, logger="sustain.schedules"):
-        p = nonconvex_params(replace(consts, c_eta_g=1.5 * c_eta), 0, 3)
+        p = nonconvex_params(replace(consts, c_eta_g=1.5 * c_eta), 0)
     assert p.eta_g == 1.0
     assert [r.getMessage() for r in caplog.records] == [
         f"eta_g = {1.5 * c_eta * (consts.w ** (-1.0 / 3.0)) ** 2:.17g} clamped to 1"]

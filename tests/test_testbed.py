@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sustain.errors import EmptyDataset, InvalidBatch, NotSPD
-from sustain.hypergrad import NeumannConfig
-from sustain.momentum import MomentumState, estimator_errors, tracker_errors
+from sustain.momentum import tracker_errors
 from sustain.oracle import IteratePair
 from sustain.sampling import SampleToken
 from sustain.testbed import (
@@ -367,7 +366,6 @@ def test_quadratic_closed_forms_stack_bit_for_bit(d_up, d_lo, n, K, sin_amp, see
     Y = 2.0 * rng.standard_normal((n, d_lo))
     HF, HG = rng.standard_normal((n, d_up)), rng.standard_normal((n, d_lo))
     stacked = IteratePair(X, Y)
-    cfg = NeumannConfig.from_constants(oracle.constants, K)
     e_f, e_g = tracker_errors(HF, HG, exact, stacked, K)
     forms = {
         "y_star": (exact.y_star(X), lambda i: exact.y_star(X[i])),
@@ -379,8 +377,8 @@ def test_quadratic_closed_forms_stack_bit_for_bit(d_up, d_lo, n, K, sin_amp, see
                           lambda i: exact.grad_y_g_mean(IteratePair(X[i], Y[i]))),
         "neumann_expectation": (exact.neumann_expectation(stacked, K),
                                 lambda i: exact.neumann_expectation(IteratePair(X[i], Y[i]), K)),
-        "tracker_errors": (np.stack([e_f, e_g], axis=-1), lambda i: np.array(estimator_errors(
-            MomentumState(HF[i], HG[i], None), exact, IteratePair(X[i], Y[i]), cfg))),
+        "tracker_errors": (np.stack([e_f, e_g], axis=-1), lambda i: np.array(tracker_errors(
+            HF[i], HG[i], exact, IteratePair(X[i], Y[i]), K))),
     }
     assert type(exact.ell(X[0])) is float
     for name, (rows, one) in forms.items():
