@@ -1,6 +1,7 @@
 """Per-layer timings of the sample-token layer, the hypergradient estimator
 and its truncation draw, the momentum updates, the schedules, the
-hyper-cleaning oracle, the metric records and the trajectory CSV.
+hyper-cleaning oracle, the metric records (with and without an exact oracle)
+and the trajectory CSV.
 
     PYTHONPATH=src python -m pytest benches -q --benchmark-only
 
@@ -176,15 +177,21 @@ def test_schedule(benchmark, policy):
     benchmark(schedule, 500)
 
 
+def _hyperclean_compare():
+    """The hyperclean-compare oracle: 500 training and 500 validation points,
+    d = 20, batch 32."""
+    train, val = generate_corrupted_dataset(500, 500, 20, p=0.3, rng_seed=0)
+    return make_hyperclean(HyperCleanSpec(train, val, 0.3, reg=1.0, batch_size=32),
+                           rng_seed=0)
+
+
 @pytest.mark.parametrize("capability", ["grad_y_g_sample", "hess_yy_g_sample", "hess_xy_g_sample"])
 def test_hyperclean_training_capability(benchmark, capability):
     # the hyperclean-compare shape (500 training and 500 validation points,
     # d = 20, batch 32); after the first round the batch draw is a memo hit,
     # so a round times the capability's arithmetic, and one action for the
     # Hessian operators
-    train, val = generate_corrupted_dataset(500, 500, 20, p=0.3, rng_seed=0)
-    oracle = make_hyperclean(HyperCleanSpec(train, val, 0.3, reg=1.0, batch_size=32),
-                             rng_seed=0)
+    oracle = _hyperclean_compare()
     rng = np.random.default_rng(2)
     pair = IteratePair(rng.standard_normal(500), rng.standard_normal(20))
     v = rng.standard_normal(20)
@@ -216,6 +223,17 @@ def test_records_block(benchmark, record_errors):
     oracle, exact, rows = _grid_records_rows(BLOCK)
     records = benchmark(_records, rows, exact, oracle, 20, record_errors)
     assert len(records) == BLOCK
+
+
+def test_records_block_hyperclean(benchmark):
+    # one token block of records on the hyperclean-compare shape, which has
+    # no exact oracle: the stacked upper_loss over 256 iterates is the step
+    rng = np.random.default_rng(6)
+    rows = [(t, 0.1, 0.1, 1.0, 1.0, rng.standard_normal(500), rng.standard_normal(20),
+             rng.standard_normal(500), rng.standard_normal(20), 24 * (t + 1), 11 * (t + 1))
+            for t in range(BLOCK)]
+    records = benchmark(_records, rows, None, _hyperclean_compare(), 3, False)
+    assert len(records) == BLOCK and records[0].upper_loss is not None
 
 
 def test_write_trajectory_csv_1000(benchmark, tmp_path):

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ExactOracleUnavailable
+from .errors import DimensionMismatch, ExactOracleUnavailable
 from .hypergrad import (
     NeumannConfig,
     choose_K_nonconvex,
@@ -73,10 +73,13 @@ class RunConfig:
             raise ValueError("metric_stride must be >= 1")
         if self.K_override is not None and self.K_override < 1:
             raise ValueError("K_override must be >= 1")
-        if self.alpha_override is not None and self.alpha_override <= 0:
+        # written so that NaN fails every comparison
+        if self.alpha_override is not None and not self.alpha_override > 0:
             raise ValueError("alpha_override must be positive")
-        if self.c_eta < 0 or (self.c_eta_g is not None and self.c_eta_g < 0):
+        if not (self.c_eta >= 0 and (self.c_eta_g is None or self.c_eta_g >= 0)):
             raise ValueError("c_eta and c_eta_g must be nonnegative")
+        if not 0 < self.base_alpha < np.inf:
+            raise ValueError("base_alpha must be positive and finite")
 
 
 @dataclass
@@ -194,15 +197,15 @@ def _records(
     """The records of ``rows``, one per recorded iteration, each row holding
     (t, alpha, beta, eta_f, eta_g, x_t, y_t, h_f, h_g, samples, hvps).
 
-    Each exact-oracle closed form is called once on the stacked rows; its row
-    i equals the one-point value at row i bit for bit (``ExactOracle``).
+    Each exact-oracle closed form and ``oracle.upper_loss`` is called once on
+    the stacked rows; row i equals the one-point value bit for bit.
     """
     if not rows:
         return []
     t, alpha, beta, eta_f, eta_g, x, y, h_f, h_g, samples, hvps = zip(*rows)
     grad_sq = gap = track = e_f = e_g = upper = (None,) * len(rows)
+    cur = IteratePair(np.array(x), np.array(y))
     if exact is not None:
-        cur = IteratePair(np.array(x), np.array(y))
         g = exact.grad_ell(cur.x)
         grad_sq = rowdot(g, g).tolist()
         if exact.ell_star is not None:
@@ -216,7 +219,10 @@ def _records(
             except (ExactOracleUnavailable, NotImplementedError):
                 pass
     if hasattr(oracle, "upper_loss"):
-        upper = [float(oracle.upper_loss(IteratePair(xi, yi))) for xi, yi in zip(x, y)]
+        upper = np.asarray(oracle.upper_loss(cur), dtype=float)
+        if upper.shape != (len(rows),):
+            raise DimensionMismatch(f"upper_loss of {len(rows)} points has shape {upper.shape}")
+        upper = upper.tolist()
     return [TrajectoryRecord(*fields) for fields in
             zip(t, alpha, beta, eta_f, eta_g, grad_sq, gap, track, e_f, e_g,
                 samples, hvps, upper)]

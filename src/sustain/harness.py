@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -58,7 +58,6 @@ TRAJECTORY_COLUMNS = (
 METRIC_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS
                        if c not in ("t", "cumulative_samples", "cumulative_hvps"))
 
-_ALGORITHMS = ("sustain", "alternating", "two_timescale", "double_loop")
 # every option key the harness reads (``_opt``); a config with any other key
 # is rejected
 _OPTIONS = frozenset({
@@ -144,17 +143,16 @@ class ExperimentConfig:
         if self.epsilon_metric not in METRIC_COLUMNS:
             raise ValueError(f"epsilon metric {self.epsilon_metric!r} is not one of "
                              f"the float record columns {', '.join(METRIC_COLUMNS)}")
-        for a in self.algorithms:
-            if a not in _ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
         for name, values in (("policy", Policy), ("variant", Variant), ("direction", Direction)):
             if getattr(self, name) not in {v.value for v in values}:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         unknown = sorted(set(self.options) - _OPTIONS)
         if unknown:
             raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
-        # RunConfig's own checks, with every run.* and schedule.* option cast
+        # the checks of RunConfig and of each baseline kind, every option cast
         make_run_config(self, self.seeds[0])
+        for a in self.algorithms:
+            _baseline_kind(self, a)
 
     @classmethod
     def from_mapping(cls, mapping: Dict[str, str]) -> "ExperimentConfig":
@@ -294,14 +292,17 @@ def make_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
 
 
 def _baseline_kind(cfg: ExperimentConfig, algorithm: str):
+    """The baseline kind of ``algorithm``; None for SUSTAIN itself."""
     o = cfg.options
+    if algorithm == "sustain":
+        return None
     if algorithm == "alternating":
         return AlternatingSGD()
     if algorithm == "two_timescale":
         return TwoTimescale(ratio=_opt(o, "algorithm.ratio", 2.0))
     if algorithm == "double_loop":
         return DoubleLoop(n_inner=_opt(o, "algorithm.n_inner", 1, int))
-    raise ValueError(f"{algorithm!r} is not a baseline")
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +424,14 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     before t = T - 1, or whose records lack the epsilon metric, has failed:
     it gets no trajectory CSV."""
     oracle, exact = make_problem(cfg)
+    kinds = [_baseline_kind(cfg, a) for a in cfg.algorithms]
+    run = make_run_config(cfg, cfg.seeds[0])
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     paths: Dict[Tuple[str, int], Path] = {}
     summary_rows: List[Dict[str, str]] = []
-    for algorithm in cfg.algorithms:
+    for algorithm, kind in zip(cfg.algorithms, kinds):
         finals: Dict[str, List[Optional[float]]] = {
             "grad_ell_sq": [], "ell_gap": [], "upper_loss": [], "cumulative_samples": []
         }
@@ -437,12 +440,12 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
         }
         errors: List[str] = []
         for seed in cfg.seeds:
-            run_cfg = make_run_config(cfg, seed)
+            run_cfg = replace(run, seed=seed)
             try:
-                if algorithm == "sustain":
+                if kind is None:
                     _, records = run_sustain(oracle, exact, run_cfg)
                 else:
-                    _, records = run_baseline(oracle, exact, run_cfg, _baseline_kind(cfg, algorithm))
+                    _, records = run_baseline(oracle, exact, run_cfg, kind)
             except Exception as exc:  # recorded per-row, grid continues
                 errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
                 continue

@@ -137,10 +137,7 @@ def exact_neumann_expectation(
 
 def bias_bound(c: ProblemConstants, K: int) -> BiasBound:
     """Worst-case estimator bias: (C_gxy C_fy / mu_g) (1 - mu_g/L_g)^K."""
-    if c.mu_g <= 0 or c.mu_g > c.L_g:
-        raise InvalidConstants("need 0 < mu_g <= L_g")
-    if K < 1:
-        raise InvalidConstants("K must be >= 1")
+    NeumannConfig.from_constants(c, K)  # checks K and 0 < mu_g <= L_g
     contraction = 1.0 - c.mu_g / c.L_g
     return BiasBound(bound=(c.C_gxy * c.C_fy / c.mu_g) * contraction**K)
 
@@ -176,10 +173,7 @@ def choose_K_strongly_convex(c: ProblemConstants, T: int) -> int:
 def lipschitz_L_K(c: ProblemConstants, K: int) -> float:
     """Mean-square Lipschitz constant of the sampled estimator w.r.t. the
     iterate, growing as sqrt(K^3) through the product term."""
-    if c.mu_g <= 0 or c.mu_g > c.L_g:
-        raise InvalidConstants("need 0 < mu_g <= L_g")
-    if K < 1:
-        raise InvalidConstants("K must be >= 1")
+    NeumannConfig.from_constants(c, K)  # checks K and 0 < mu_g <= L_g
     denom = 2.0 * c.mu_g * c.L_g - c.mu_g**2
     cubic_num = 6.0 * c.C_gxy**2 * c.C_fy**2 * c.L_gyy**2 * K**3
     if c.L_g == c.mu_g:

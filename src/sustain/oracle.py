@@ -55,8 +55,8 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class IteratePair:
-    """One point (x, y) of the product space, or, for the closed forms of an
-    ``ExactOracle``, a stack of points with one point per row of x and y."""
+    """One point (x, y) of the product space, or, for the stacked calls, one
+    point per row of x and y (``ExactOracle``, ``BilevelOracle``)."""
 
     x: Vector
     y: Vector
@@ -90,6 +90,9 @@ class BilevelOracle(ABC):
     one token object at x_t and x_{t-1}; ``draw`` memoizes on the token, so
     the second evaluation reuses the first one's draws instead of drawing
     them again.
+
+    An oracle may define ``upper_loss(pair)``, the upper objective f(x, y)
+    that every record holds; it follows ``ExactOracle``'s stacked contract.
     """
 
     d_up: int

@@ -131,11 +131,12 @@ class QuadraticOracle(BilevelOracle):
         return lambda v: Bt @ v
 
     def upper_loss(self, pair: IteratePair) -> float:
-        val = 0.5 * float(np.sum((pair.y - self.spec.y_target) ** 2))
-        val += 0.5 * self.spec.lam * float(np.sum(pair.x**2))
-        if self.spec.sin_amp:
-            val += self.spec.sin_amp * float(np.sum(np.sin(pair.x)))
-        return val
+        s = self.spec
+        val = (0.5 * np.sum((pair.y - s.y_target) ** 2, axis=-1)
+               + 0.5 * s.lam * np.sum(pair.x**2, axis=-1))
+        if s.sin_amp:
+            val = val + s.sin_amp * np.sum(np.sin(pair.x), axis=-1)
+        return val if val.ndim else float(val)
 
 
 class QuadraticExact(ExactOracle):
@@ -158,13 +159,7 @@ class QuadraticExact(ExactOracle):
         return matvec(self._A_inv, matvec(s.B, x) + s.b)
 
     def ell(self, x: Vector) -> float:
-        s = self._o.spec
-        ys = self.y_star(x)
-        val = (0.5 * np.sum((ys - s.y_target) ** 2, axis=-1)
-               + 0.5 * s.lam * np.sum(x**2, axis=-1))
-        if s.sin_amp:
-            val = val + s.sin_amp * np.sum(np.sin(x), axis=-1)
-        return val if val.ndim else float(val)
+        return self._o.upper_loss(IteratePair(x, self.y_star(x)))
 
     def grad_ell(self, x: Vector) -> Vector:
         s = self._o.spec
@@ -274,11 +269,6 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _bce_sum(logits: np.ndarray, labels: np.ndarray) -> float:
-    # log(1 + e^z) - b z, stably
-    return float(np.sum(np.logaddexp(0.0, logits) - labels * logits))
-
-
 class HyperCleanOracle(BilevelOracle):
     """Sampled oracle for the weighted-training/clean-validation problem.
 
@@ -376,8 +366,10 @@ class HyperCleanOracle(BilevelOracle):
         return 2.0 * self.spec.reg * np.eye(self.d_lo) + (a.T * coef) @ a
 
     def upper_loss(self, pair: IteratePair) -> float:
-        """Full-batch validation loss at the current inner iterate."""
-        return _bce_sum(self.spec.val.features @ pair.y, self.spec.val.labels)
+        """Full-batch validation loss log(1 + e^z) - b z, summed stably."""
+        z = matvec(self.spec.val.features, pair.y)
+        loss = np.sum(np.logaddexp(0.0, z) - self.spec.val.labels * z, axis=-1)
+        return loss if loss.ndim else float(loss)
 
 
 def make_hyperclean(spec: HyperCleanSpec, rng_seed: int) -> HyperCleanOracle:
@@ -489,7 +481,7 @@ class MetaLinearOracle(BilevelOracle):
         return token.draw((_NOISE_TAG, self.salt, tag), "choice", self.spec.M, self.spec.m, False)
 
     def _blocks(self, y: Vector) -> np.ndarray:
-        return y.reshape(self.spec.M, self.spec.p)
+        return y.reshape(*y.shape[:-1], self.spec.M, self.spec.p)
 
     def grad_x_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         s, tasks = self.spec, self._tasks(token, 0)
@@ -544,8 +536,9 @@ class MetaLinearOracle(BilevelOracle):
         blocks = self._blocks(pair.y)
         total = 0.0
         for i in range(s.M):
-            total += 0.5 * float(np.sum((s.D[i] @ (pair.x + blocks[i]) - s.u[i]) ** 2))
-        return total / s.M
+            resid = matvec(s.D[i], pair.x + blocks[..., i, :]) - s.u[i]
+            total += 0.5 * np.sum(resid**2, axis=-1)
+        return total / s.M if total.ndim else float(total / s.M)
 
 
 def make_meta_linear(spec: MetaLinearSpec, rng_seed: int) -> MetaLinearOracle:

@@ -71,6 +71,16 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--schedule.c_eta_g=-1", "c_eta and c_eta_g must be nonnegative"),
     ("--schedule.alpha=0", "alpha_override must be positive"),
     ("--schedule.K=0", "K_override must be >= 1"),
+    ("--schedule.c_eta=nan", "c_eta and c_eta_g must be nonnegative"),
+    ("--schedule.c_eta_g=nan", "c_eta and c_eta_g must be nonnegative"),
+    ("--schedule.alpha=nan", "alpha_override must be positive"),
+    ("--schedule.base_alpha=nan", "base_alpha must be positive and finite"),
+    ("--schedule.base_alpha=inf", "base_alpha must be positive and finite"),
+    ("--run.algorithms=double_loop --algorithm.n_inner=abc",
+     "algorithm.n_inner: invalid literal for int()"),
+    ("--run.algorithms=two_timescale --algorithm.ratio=0.5",
+     "two-timescale ratio must exceed 1"),
+    ("--run.algorithms=sustain,newton", "unknown algorithm 'newton'"),
     ("--problem.d_up=abc", "problem.d_up: invalid literal for int()"),
     ("--problem.kind=hyperclean --problem.reg=0", "reg must be positive"),
     ("--problem.mu_g=-1", "lower-level Hessian A must be symmetric positive-definite"),

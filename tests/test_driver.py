@@ -403,6 +403,13 @@ def test_strongly_convex_schedule_resolved_once(quad5, monkeypatch, K_override, 
     ("alpha_override", 0.0, "alpha_override must be positive"),
     ("alpha_override", -0.1, "alpha_override must be positive"),
     ("K_override", 0, "K_override must be >= 1"),
+    ("c_eta", float("nan"), "c_eta and c_eta_g must be nonnegative"),
+    ("c_eta_g", float("nan"), "c_eta and c_eta_g must be nonnegative"),
+    ("alpha_override", float("nan"), "alpha_override must be positive"),
+    ("base_alpha", float("nan"), "base_alpha must be positive and finite"),
+    ("base_alpha", float("inf"), "base_alpha must be positive and finite"),
+    ("base_alpha", 0.0, "base_alpha must be positive and finite"),
+    ("base_alpha", -0.1, "base_alpha must be positive and finite"),
 ])
 def test_run_config_rejects_bad_policy_knobs(field, value, message):
     # rejected when the config is made, not at t = 1 inside the loop
@@ -412,6 +419,11 @@ def test_run_config_rejects_bad_policy_knobs(field, value, message):
 
 def test_run_config_accepts_zero_momentum_coefficients():
     RunConfig(T=5, c_eta=0.0, c_eta_g=0.0)
+
+
+def test_run_config_accepts_infinite_momentum_coefficients():
+    # c_eta = inf clamps eta to 1 throughout
+    RunConfig(T=5, c_eta=float("inf"), c_eta_g=float("inf"))
 
 
 def _per_point_values(oracle, exact, K, x, y, h_f, h_g, errors):
@@ -445,13 +457,14 @@ def _per_point_values(oracle, exact, K, x, y, h_f, h_g, errors):
     }
 
 
-_FLOAT_FIELDS = ("alpha", "beta", "eta_f", "eta_g", "grad_ell_sq", "ell_gap",
-                 "tracking_sq", "e_f_norm", "e_g_norm", "upper_loss")
+_EXACT_FIELDS = ("grad_ell_sq", "ell_gap", "tracking_sq", "e_f_norm", "e_g_norm")
+_FLOAT_FIELDS = ("alpha", "beta", "eta_f", "eta_g", *_EXACT_FIELDS, "upper_loss")
 
 
 def _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=None):
     """Run with the commits and the record blocks watched; every record must
-    equal the per-point formulas at its committed (x_t, y_t, h_f, h_g)."""
+    equal the per-point formulas at its committed (x_t, y_t, h_f, h_g), and
+    without an exact oracle hold the one-point ``upper_loss`` only."""
     committed, blocks = [], []
     commit, records_of = MomentumState.commit, sustain.driver._records
 
@@ -480,8 +493,13 @@ def _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=None):
     assert max(blocks) <= sustain.driver._BLOCK and sum(blocks) == len(records)
     errors = kind is None and cfg.record_errors
     for r in records:
-        want = _per_point_values(oracle, exact, cfg.K_override,
-                                 *committed[r.t], errors)
+        if exact is None:
+            x, y = committed[r.t][:2]
+            want = {**dict.fromkeys(_EXACT_FIELDS),
+                    "upper_loss": oracle.upper_loss(IteratePair(x, y))}
+        else:
+            want = _per_point_values(oracle, exact, cfg.K_override,
+                                     *committed[r.t], errors)
         got = {name: getattr(r, name) for name in want}
         assert repr(got) == repr(want), r.t
         for name in _FLOAT_FIELDS:
@@ -522,3 +540,30 @@ def test_block_records_of_a_run_stopped_mid_block(kind, monkeypatch):
                     metric_stride=1, K_override=3, c_eta=10.0)
     records = _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=356)
     assert records[-1].t == 355 and records[-1].ell_gap is None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("poison_t", [None, 300])
+@pytest.mark.parametrize("kind", [None, DoubleLoop(n_inner=3)])
+@pytest.mark.parametrize("problem", ["hyperclean", "meta_linear"])
+def test_block_upper_loss_without_exact_oracle(problem, kind, poison_t, sampled_testbeds,
+                                               monkeypatch):
+    # exact=None leaves upper_loss the only computed column: one stacked call
+    # per token block, whole runs and a run stopped at t = 300 in block two
+    cfg = RunConfig(T=2 * sustain.driver._BLOCK + 3, policy=Policy.PRACTICAL, seed=10,
+                    metric_stride=1, K_override=3, base_alpha=0.02)
+    records = _check_block_records(sampled_testbeds[problem], None, cfg, kind, monkeypatch,
+                                   poison_t=poison_t)
+    assert records[-1].upper_loss is not None
+
+
+@pytest.mark.parametrize("upper_loss", [
+    lambda pair: float(0.5 * np.sum(pair.y**2)),
+    lambda pair: 0.5 * np.sum(pair.y**2, axis=-1, keepdims=True),
+], ids=["one_point_only", "column"])
+def test_upper_loss_of_the_wrong_shape_is_rejected(upper_loss, quad5, monkeypatch):
+    # an upper_loss that does not return one value per stacked point
+    oracle, _ = quad5
+    monkeypatch.setattr(oracle, "upper_loss", upper_loss)
+    with pytest.raises(DimensionMismatch, match="upper_loss"):
+        run_sustain(oracle, None, _eta_one_cfg(3))

@@ -258,13 +258,18 @@ class TestRunGrid:
         result = run_grid(cfg)
         assert result.summary_path.parent == other
 
-    def test_per_row_error_capture(self, tmp_path):
-        # double_loop with an absurd inner step count still finishes; force an
-        # error instead with an invalid two_timescale ratio
-        cfg = self._cfg(tmp_path, algorithms=("two_timescale",))
-        cfg.options["algorithm.ratio"] = "0.5"
-        result = run_grid(cfg)
-        assert "ratio" in result.summary_rows[0]["error"]
+    def test_bad_algorithm_option_is_a_config_error(self, tmp_path):
+        # the baseline kinds are built when the config is made, so an invalid
+        # two_timescale ratio fails before any run (per-seed failures are
+        # still captured per row, see the next test)
+        with pytest.raises(ValueError, match="two-timescale ratio must exceed 1"):
+            self._cfg(tmp_path, algorithms=("two_timescale",),
+                      options={"algorithm.ratio": "0.5"})
+
+    def test_repeated_algorithm_gets_a_row_each(self, tmp_path):
+        result = run_grid(self._cfg(tmp_path, algorithms=("sustain", "sustain")))
+        assert [r["algorithm"] for r in result.summary_rows] == ["sustain", "sustain"]
+        assert result.summary_rows[0] == result.summary_rows[1]
 
     def test_failed_seeds_are_counted_and_every_error_kept(self, tmp_path, monkeypatch):
         import sustain.harness as harness

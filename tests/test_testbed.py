@@ -385,3 +385,53 @@ def test_quadratic_closed_forms_stack_bit_for_bit(d_up, d_lo, n, K, sin_amp, see
         assert rows.shape[0] == n, name
         for i in range(n):
             assert rows[i].tobytes() == np.asarray(one(i)).tobytes(), (name, i)
+
+
+def _upper_loss_oracle(kind, rng, a, b):
+    """A ``kind`` testbed drawn from ``rng``, with sizes taken from ``a`` and
+    ``b``: the quadratic's (d_up, d_lo), hyper-cleaning's training and
+    validation counts, and meta-learning's task dimension and held-out rows."""
+    if kind.startswith("quadratic"):
+        sin_amp = 0.7 if kind == "quadratic_sin" else 0.0
+        return make_quadratic(random_quadratic_spec(rng, d_up=a, d_lo=b, lam=0.3,
+                                                    sin_amp=sin_amp), rng_seed=0)[0]
+    if kind == "hyperclean":
+        train, val = generate_corrupted_dataset(a, b, 1 + (a + b) % 40, p=0.3,
+                                                rng_seed=int(rng.integers(2**32)))
+        return make_hyperclean(HyperCleanSpec(train, val, 0.3), rng_seed=0)
+    M = 1 + a % 9
+    p, q = 1 + a % 20, b
+    designs = [rng.standard_normal((q, p)) for _ in range(2 * M)]
+    targets = [rng.standard_normal(q) for _ in range(2 * M)]
+    m = M if kind == "meta_all_tasks" else 1 + b % M
+    return make_meta_linear(MetaLinearSpec(Z=designs[:M], v=targets[:M], D=designs[M:],
+                                           u=targets[M:], rho=1.0, m=m), rng_seed=0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_sin", "hyperclean",
+                                  "meta_all_tasks", "meta_subsampled"])
+@settings(max_examples=15, deadline=None)
+@given(a=_DIMS, b=_DIMS, n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_upper_loss_stacks_bit_for_bit(kind, a, b, n, seed):
+    # every row of a stacked upper_loss equals the one-point call, a float
+    rng = np.random.default_rng(seed)
+    oracle = _upper_loss_oracle(kind, rng, a, b)
+    X = 2.0 * rng.standard_normal((n, oracle.d_up))
+    Y = 2.0 * rng.standard_normal((n, oracle.d_lo))
+    rows = oracle.upper_loss(IteratePair(X, Y))
+    assert rows.shape == (n,)
+    for i in range(n):
+        one = oracle.upper_loss(IteratePair(X[i], Y[i]))
+        assert type(one) is float
+        assert rows[i].tobytes() == np.float64(one).tobytes(), i
+
+
+@pytest.mark.parametrize("sin_amp", [0.0, 0.5])
+def test_quadratic_ell_is_upper_loss_at_y_star(sin_amp):
+    # the outer objective is the upper objective at y*(x), one point or stacked
+    rng = np.random.default_rng(13)
+    oracle, exact = make_quadratic(
+        random_quadratic_spec(rng, d_up=4, d_lo=7, lam=0.3, sin_amp=sin_amp), rng_seed=0)
+    X = 2.0 * rng.standard_normal((9, 4))
+    for x in (X[0], X):
+        assert repr(exact.ell(x)) == repr(oracle.upper_loss(IteratePair(x, exact.y_star(x))))
