@@ -24,12 +24,18 @@ from .oracle import IteratePair, derive_constants
 from .testbed import make_quadratic, random_quadratic_spec
 
 
+# what a command reports as one line with exit code 2, not as a traceback
+_USER_ERRORS = (ValueError, SustainError, OSError)
+
+
 def _cmd_run(args) -> int:
-    try:  # a malformed line, key, override or value, reported before any file is written
+    # an unreadable or malformed config, key, override or value is reported
+    # before any file is written
+    try:
         mapping = parse_config_file(args.config) if args.config else {}
         cfg = ExperimentConfig.from_mapping(apply_overrides(mapping, args.overrides))
         result = run_grid(cfg)  # builds the problem first: its errors too
-    except (ValueError, SustainError) as exc:
+    except _USER_ERRORS as exc:
         print(f"sustain run: {exc}", file=sys.stderr)
         return 2
     for (algorithm, seed), path in sorted(result.trajectory_paths.items()):
@@ -42,13 +48,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    rows = read_trajectory_csv(args.input)
-    series = [
-        (row["t"], row[args.metric])
-        for row in rows
-        if row.get(args.metric) is not None
-    ]
-    fit = fit_rate_exponent(series, (args.tmin, args.tmax))
+    try:
+        rows = read_trajectory_csv(args.input)
+        if rows and args.metric not in rows[0]:
+            raise ValueError(f"metric {args.metric!r} is not a column of {args.input}")
+        series = [(row["t"], row[args.metric]) for row in rows if row[args.metric] is not None]
+        fit = fit_rate_exponent(series, (args.tmin, args.tmax))
+    except _USER_ERRORS as exc:
+        print(f"sustain fit: {exc}", file=sys.stderr)
+        return 2
     print(
         f"metric={args.metric} window=[{fit.window[0]},{fit.window[1]}] "
         f"exponent={fit.exponent:.6g} intercept={fit.intercept:.6g} "

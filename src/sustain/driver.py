@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, ExactOracleUnavailable
+from .errors import DimensionMismatch
 from .hypergrad import (
     NeumannConfig,
     choose_K_nonconvex,
@@ -169,6 +169,8 @@ def resolve_schedule(
         params = strongly_convex_params(c, lipschitz_L_K(c, K), cfg.alpha_override)
         return lambda t: params, K
     if cfg.policy is Policy.PRACTICAL:
+        if cfg.c_eta == 0:  # once per run, not per schedule(t)
+            logger.info("c_eta = 0: pure correction-only momentum (degenerate)")
         return lambda t: practical_params(cfg.base_alpha, t, cfg.c_eta, cfg.c_eta_g), K
     if cfg.policy is Policy.NONCONVEX:
         consts = nonconvex_constants(c, lipschitz_L_K(c, K))
@@ -216,7 +218,7 @@ def _records(
             try:
                 e_f, e_g = (e.tolist() for e in
                             tracker_errors(np.array(h_f), np.array(h_g), exact, cur, K))
-            except (ExactOracleUnavailable, NotImplementedError):
+            except NotImplementedError:  # no closed-form estimator expectation
                 pass
     if hasattr(oracle, "upper_loss"):
         upper = np.asarray(oracle.upper_loss(cur), dtype=float)

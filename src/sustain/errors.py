@@ -29,10 +29,6 @@ class MissingHistory(SustainError):
     """Option II momentum update requested before any sample was stored."""
 
 
-class ExactOracleUnavailable(SustainError):
-    pass
-
-
 class DivisionByZero(SustainError):
     """Degenerate problem constants make a schedule formula undefined."""
 

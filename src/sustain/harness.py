@@ -138,7 +138,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if any(e <= 0 for e in self.epsilon_targets):
+        if not self.algorithms:
+            raise ValueError("at least one algorithm is required")
+        if not all(e > 0 for e in self.epsilon_targets):  # NaN fails it too
             raise ValueError("epsilon targets must be positive")
         if self.epsilon_metric not in METRIC_COLUMNS:
             raise ValueError(f"epsilon metric {self.epsilon_metric!r} is not one of "

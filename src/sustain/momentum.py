@@ -3,24 +3,23 @@
 Both trackers follow one recursion, h = eta s_cur + (1 - eta)(h_prev + s_cur
 - s_prev), where s_prev re-evaluates the current sample at the previous
 iterate; at eta = 1 it is the plain sample.  The Option II upper tracker
-trades that second evaluation for the stored previous sample value.
+passes the stored previous sample value as s_prev instead.  The momentum
+weight eta is the caller's: it must lie in [0, 1], and the schedules are the
+only place that clamps it.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ExactOracleUnavailable, MissingHistory
+from .errors import MissingHistory
 from .hypergrad import NeumannConfig, estimate_coupled
 from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot
 from .sampling import SampleToken
-
-logger = logging.getLogger(__name__)
 
 
 class Variant(enum.Enum):
@@ -62,13 +61,9 @@ class MomentumState:
         self.last_f_sample_value = f_sample_value
 
 
-def _clamp_eta(eta: float, which: str) -> float:
-    if eta > 1.0:
-        logger.warning("%s = %.4g clamped to 1 (convex combination required)", which, eta)
-        return 1.0
-    if eta < 0.0:
-        raise ValueError(f"{which} must be nonnegative")
-    return eta
+def _check_eta(eta: float, which: str) -> None:
+    if not 0.0 <= eta <= 1.0:  # NaN fails it too
+        raise ValueError(f"{which} = {eta!r} is not in [0, 1]")
 
 
 def _recursion(eta: float, h_prev: Vector, s_cur: Vector,
@@ -91,7 +86,7 @@ def update_g(
     """Lower-level tracker update; both gradient evaluations take the same
     token object, so the correction telescopes exactly on deterministic
     oracles and the sample's draws are made once."""
-    eta_g = _clamp_eta(eta_g, "eta_g")
+    _check_eta(eta_g, "eta_g")
     g_cur = oracle.grad_y_g_sample(cur, sample)
     g_prev = oracle.grad_y_g_sample(state.prev_iterate, sample) if eta_g < 1.0 else None
     return _recursion(eta_g, state.h_g, g_cur, g_prev)
@@ -110,22 +105,18 @@ def update_f(
     Returns the new h_f, the Hessian-vector products consumed and the fresh
     hypergradient sample at ``cur`` (stored by ``commit`` for Option II).
     TWO_EVAL re-evaluates the composite sample, including its drawn
-    truncation index, at the previous iterate; Option II replaces that
-    evaluation by the stored previous sample value.
+    truncation index, at the previous iterate; Option II passes the stored
+    previous sample value to the same recursion in its place.
     """
-    eta_f = _clamp_eta(eta_f, "eta_f")
+    _check_eta(eta_f, "eta_f")
     paired = eta_f < 1.0 and state.variant is Variant.TWO_EVAL
+    if eta_f < 1.0 and not paired and state.last_f_sample_value is None:
+        raise MissingHistory("Option II needs a stored sample value at t >= 1")
     points = (cur, state.prev_iterate) if paired else (cur,)
     s = estimate_coupled(oracle, points, cfg, sample)
-    s_cur = s[0].value
-    hvps = sum(e.hvp_count for e in s)
-    if state.variant is Variant.OPTION_II and eta_f < 1.0:
-        if state.last_f_sample_value is None:
-            raise MissingHistory("Option II needs a stored sample value at t >= 1")
-        h = s_cur + (1.0 - eta_f) * (state.h_f - state.last_f_sample_value)
-    else:
-        h = _recursion(eta_f, state.h_f, s_cur, s[1].value if paired else None)
-    return h, hvps, s_cur
+    s_prev = s[1].value if paired else state.last_f_sample_value
+    return (_recursion(eta_f, state.h_f, s[0].value, s_prev),
+            sum(e.hvp_count for e in s), s[0].value)
 
 
 def tracker_errors(
@@ -139,11 +130,9 @@ def tracker_errors(
     row when the trackers and ``cur`` are stacks of n rows.
 
     e_f is measured against the estimator's expectation (surrogate plus
-    bias), which the exact oracle must give in closed form.
+    bias), which the exact oracle must give in closed form; an oracle without
+    it raises ``NotImplementedError``.
     """
-    try:
-        e_f = h_f - exact.neumann_expectation(cur, K)
-    except NotImplementedError:
-        raise ExactOracleUnavailable("no closed-form estimator expectation") from None
+    e_f = h_f - exact.neumann_expectation(cur, K)
     e_g = h_g - exact.grad_y_g_mean(cur)
     return np.sqrt(rowdot(e_f, e_f)), np.sqrt(rowdot(e_g, e_g))

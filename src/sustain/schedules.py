@@ -149,8 +149,6 @@ def practical_params(
     """Tuned schedule: alpha_t = beta_t = base_alpha / (1+t)^(1/3)."""
     if base_alpha <= 0:
         raise ValueError("base_alpha must be positive")
-    if c_eta == 0:
-        logger.info("c_eta = 0: pure correction-only momentum (degenerate)")
     alpha = base_alpha / (1.0 + t) ** (1.0 / 3.0)
     c_g = c_eta if c_eta_g is None else c_eta_g
     return ScheduleParams(

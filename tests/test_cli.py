@@ -84,6 +84,9 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--problem.d_up=abc", "problem.d_up: invalid literal for int()"),
     ("--problem.kind=hyperclean --problem.reg=0", "reg must be positive"),
     ("--problem.mu_g=-1", "lower-level Hessian A must be symmetric positive-definite"),
+    ("--metrics.epsilon_targets=nan", "epsilon targets must be positive"),
+    ("--run.algorithms=", "at least one algorithm is required"),
+    ("--config missing.cfg", "[Errno 2] No such file or directory: 'missing.cfg'"),
 ])
 def test_run_rejects_bad_options_before_running(tmp_path, capsys, override, message):
     # a one-line error and exit code 2, not a traceback, and no output directory
@@ -95,3 +98,38 @@ def test_run_rejects_bad_options_before_running(tmp_path, capsys, override, mess
     assert err.count("\n") == 1
     assert not out.exists()
 
+
+def _fit_failure(argv, capsys):
+    assert main(["fit", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
+
+
+def _small_trajectory(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment.name = fit\nrun.T = 20\nschedule.K = 1\n"
+                   f"output.dir = {tmp_path}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    return tmp_path / "fit_sustain_seed0.csv"
+
+
+def test_fit_reports_a_missing_input_in_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    err = _fit_failure(["--input", str(missing), "--tmin", "1", "--tmax", "9"], capsys)
+    assert err == f"sustain fit: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_fit_reports_an_empty_window_in_one_line(tmp_path, capsys):
+    traj = _small_trajectory(tmp_path)
+    capsys.readouterr()
+    err = _fit_failure(["--input", str(traj), "--tmin", "5", "--tmax", "3"], capsys)
+    assert err == "sustain fit: need >= 8 points in window, have 0\n"
+
+
+def test_fit_rejects_an_unknown_metric_by_name(tmp_path, capsys):
+    traj = _small_trajectory(tmp_path)
+    capsys.readouterr()
+    err = _fit_failure(["--input", str(traj), "--metric", "nope",
+                        "--tmin", "1", "--tmax", "19"], capsys)
+    assert err == f"sustain fit: metric 'nope' is not a column of {traj}\n"

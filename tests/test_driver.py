@@ -1,4 +1,6 @@
+import logging
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,11 +23,16 @@ from sustain.driver import (
 )
 from sustain.errors import DimensionMismatch
 from sustain.hypergrad import lipschitz_L_K
-from sustain.momentum import MomentumState, Variant
+from sustain.momentum import MomentumState, Variant, tracker_errors
 from sustain.oracle import IteratePair
 from sustain.sampling import STREAM_LOWER, SampleToken
 from sustain.schedules import strongly_convex_params
-from sustain.testbed import QuadBilevelSpec, make_quadratic, random_quadratic_spec
+from sustain.testbed import (
+    QuadBilevelSpec,
+    QuadraticExact,
+    make_quadratic,
+    random_quadratic_spec,
+)
 
 
 def _eta_one_cfg(T, seed=0, **kw):
@@ -424,6 +431,36 @@ def test_run_config_accepts_zero_momentum_coefficients():
 def test_run_config_accepts_infinite_momentum_coefficients():
     # c_eta = inf clamps eta to 1 throughout
     RunConfig(T=5, c_eta=float("inf"), c_eta_g=float("inf"))
+
+
+def test_zero_momentum_coefficient_noted_once_per_run(quad5, caplog):
+    oracle, exact = quad5
+    cfg = RunConfig(T=300, c_eta=0.0, K_override=1, record_errors=False)
+    with caplog.at_level(logging.INFO, logger="sustain"):
+        run_sustain(oracle, exact, cfg)
+    notes = [r for r in caplog.records if "pure correction-only momentum" in r.getMessage()]
+    assert len(notes) == 1
+
+
+class _NoExpectation(QuadraticExact):
+    def neumann_expectation(self, pair, K):
+        raise NotImplementedError
+
+
+def test_records_without_closed_form_expectation(quad5_noisy):
+    # the tracker-error columns stay empty; every other column and the
+    # returned iterate are those of a run that records no tracker errors
+    oracle, _ = quad5_noisy
+    exact = _NoExpectation(oracle)
+    with pytest.raises(NotImplementedError):
+        tracker_errors(np.zeros(2), np.zeros(5), exact, IteratePair(np.zeros(2), np.zeros(5)), 1)
+    cfg = RunConfig(T=300, seed=3, K_override=3, metric_stride=7)
+    x_on, rec_on = run_sustain(oracle, exact, cfg)
+    x_off, rec_off = run_sustain(oracle, exact, replace(cfg, record_errors=False))
+    assert np.array_equal(x_on, x_off)
+    assert rec_on == rec_off
+    assert all(r.e_f_norm is None and r.e_g_norm is None for r in rec_on)
+    assert all(r.grad_ell_sq is not None for r in rec_on)
 
 
 def _per_point_values(oracle, exact, K, x, y, h_f, h_g, errors):

@@ -67,6 +67,10 @@ class TestConfigParsing:
             ExperimentConfig(epsilon_targets=(0.0,))
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("nope",))
+        with pytest.raises(ValueError, match="epsilon targets must be positive"):
+            ExperimentConfig(epsilon_targets=(float("nan"),))
+        with pytest.raises(ValueError, match="at least one algorithm is required"):
+            ExperimentConfig(algorithms=())
 
     def test_metric_stride_below_one_rejected(self):
         # the same check and message as RunConfig, made before any run starts
