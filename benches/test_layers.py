@@ -185,19 +185,20 @@ def _hyperclean_compare():
                            rng_seed=0)
 
 
-@pytest.mark.parametrize("capability", ["grad_y_g_sample", "hess_yy_g_sample", "hess_xy_g_sample"])
+@pytest.mark.parametrize("capability", ["grad_y_f_sample", "grad_y_g_sample",
+                                        "hess_yy_g_sample", "hess_xy_g_sample"])
 def test_hyperclean_training_capability(benchmark, capability):
     # the hyperclean-compare shape (500 training and 500 validation points,
     # d = 20, batch 32); after the first round the batch draw is a memo hit,
     # so a round times the capability's arithmetic, and one action for the
-    # Hessian operators
+    # Hessian operators; grad_y_f_sample draws its batch from the validation set
     oracle = _hyperclean_compare()
     rng = np.random.default_rng(2)
     pair = IteratePair(rng.standard_normal(500), rng.standard_normal(20))
     v = rng.standard_normal(20)
     tok = SampleToken.root(0).children(0, BLOCK)[3]
     method = getattr(oracle, capability)
-    if capability == "grad_y_g_sample":
+    if capability.startswith("grad_"):
         benchmark(method, pair, tok)
     else:
         benchmark(lambda: method(pair, tok)(v))

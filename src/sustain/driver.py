@@ -293,7 +293,7 @@ def _run(
             y_next = y_next - params.beta * g
         step = h_f if adam is None else adam_direction(adam, h_f)
         x_next = pair.x - params.alpha * step
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(y_next))):
+        if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
             logger.warning("non-finite iterate at t=%d; aborting run", t)
             break
         state.commit(pair, h_f, h_g, s_f)

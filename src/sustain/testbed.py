@@ -264,9 +264,9 @@ class HyperCleanSpec:
 
 
 def _sigmoid(z):
-    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below; e^-|z| never overflows
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below; e^min(z,0) is e^-|z| for
+    # z < 0 and exactly 1 otherwise, and neither exponent overflows
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 class HyperCleanOracle(BilevelOracle):
@@ -298,12 +298,12 @@ class HyperCleanOracle(BilevelOracle):
         av_sq = float(np.max(np.sum(spec.val.features**2, axis=1)))
         self.constants = ProblemConstants(
             mu_g=2.0 * spec.reg,
-            L_g=2.0 * spec.reg + (n_tr / m) * min(m, n_tr) * 0.25 * a_sq,
-            C_gxy=(n_tr / m) * np.sqrt(min(m, n_tr)) * 0.25 * a_nm,
+            L_g=2.0 * spec.reg + self._tr_scale * min(m, n_tr) * 0.25 * a_sq,
+            C_gxy=self._tr_scale * np.sqrt(min(m, n_tr)) * 0.25 * a_nm,
             C_fy=n_val * np.sqrt(av_sq),
             L_fx=0.0,
             L_fy=n_val * 0.25 * av_sq,
-            L_gxy=(n_tr / m) * np.sqrt(min(m, n_tr)) * a_sq,
+            L_gxy=self._tr_scale * np.sqrt(min(m, n_tr)) * a_sq,
             L_gyy=n_tr * 0.25 * a_sq * a_nm,
         )
 
@@ -312,11 +312,12 @@ class HyperCleanOracle(BilevelOracle):
         return token.draw((_NOISE_TAG, self.salt, tag), "integers", 0, n, m)
 
     def _train_batch(self, pair: IteratePair, token: SampleToken, tag: int):
-        """The training minibatch drawn for ``tag``: indices ``idx``, features
-        ``a``, weights ``w = sigmoid(x[idx])`` and ``s = sigmoid(a y)``."""
+        """The training minibatch for ``tag``: indices ``idx``, features ``a``,
+        and ``w = sigmoid(x[idx])``, ``s = sigmoid(a y)`` from one sigmoid."""
         idx = self._batch(token, self._n_tr, tag)
         a = self.spec.train.features[idx]
-        return idx, a, _sigmoid(pair.x[idx]), _sigmoid(a @ pair.y)
+        ws = _sigmoid(np.concatenate((pair.x[idx], a @ pair.y)))
+        return idx, a, ws[:len(idx)], ws[len(idx):]
 
     # Upper-level sample: a validation minibatch shared by both f-gradients.
     def grad_x_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
@@ -349,10 +350,9 @@ class HyperCleanOracle(BilevelOracle):
         resid = s - self.spec.train.labels[idx]
 
         def action(v: Vector) -> Vector:
-            out = np.zeros(self.d_up)
-            # rows are nonzero only for the sampled training points
-            np.add.at(out, idx, self._tr_scale * dw * resid * (a @ v))
-            return out
+            # nonzero rows only at sampled points; repeats add in index order
+            rows = self._tr_scale * dw * resid * (a @ v)
+            return np.bincount(idx, weights=rows, minlength=self.d_up)
 
         return action
 

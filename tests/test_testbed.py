@@ -214,8 +214,9 @@ class TestHyperClean:
     @pytest.mark.parametrize("batch_size", [1, 4, 30, 50])
     def test_sampled_capabilities_match_per_capability_formulas(self, batch_size):
         # the shared training batch and the scales precomputed from the set
-        # sizes give the bits of the formulas each capability spelled out;
-        # 30 is the training set size and 50 exceeds both sets
+        # sizes give the bits of the formulas each capability spelled out,
+        # with a sigmoid per array and the np.add.at scatter; 30 is the
+        # training set size and 50 exceeds both sets
         oracle = self._oracle(batch_size=batch_size)
         tr, val, reg = oracle.spec.train, oracle.spec.val, oracle.spec.reg
         rng = np.random.default_rng(batch_size)
@@ -230,33 +231,51 @@ class TestHyperClean:
 
             idx = batch(len(val), 0)
             a = val.features[idx]
-            resid = _sigmoid(a @ pair.y) - val.labels[idx]
+            resid = _where_sigmoid(a @ pair.y) - val.labels[idx]
             want = (len(val) / len(idx)) * (resid @ a)
             assert oracle.grad_y_f_sample(pair, tok).tobytes() == want.tobytes()
 
             idx = batch(len(tr), 1)
             a = tr.features[idx]
-            w = _sigmoid(pair.x[idx])
-            resid = _sigmoid(a @ pair.y) - tr.labels[idx]
+            w = _where_sigmoid(pair.x[idx])
+            resid = _where_sigmoid(a @ pair.y) - tr.labels[idx]
             want = 2.0 * reg * pair.y + (len(tr) / len(idx)) * ((w * resid) @ a)
             assert oracle.grad_y_g_sample(pair, tok).tobytes() == want.tobytes()
 
             idx = batch(len(tr), 2)
             a = tr.features[idx]
-            w = _sigmoid(pair.x[idx])
-            s = _sigmoid(a @ pair.y)
+            w = _where_sigmoid(pair.x[idx])
+            s = _where_sigmoid(a @ pair.y)
             coef = w * s * (1.0 - s) * (len(tr) / len(idx))
             want = 2.0 * reg * v + (coef * (a @ v)) @ a
             assert oracle.hess_yy_g_sample(pair, tok)(v).tobytes() == want.tobytes()
 
             idx = batch(len(tr), 3)
             a = tr.features[idx]
-            w = _sigmoid(pair.x[idx])
+            w = _where_sigmoid(pair.x[idx])
             dw = w * (1.0 - w)
-            resid = _sigmoid(a @ pair.y) - tr.labels[idx]
+            resid = _where_sigmoid(a @ pair.y) - tr.labels[idx]
+            if batch_size == 50:  # the scatter must add up repeated rows
+                assert len(np.unique(idx)) < len(idx)
             want = np.zeros(30)
             np.add.at(want, idx, (len(tr) / len(idx)) * dw * resid * (a @ v))
             assert oracle.hess_xy_g_sample(pair, tok)(v).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [50, 120, 300])
+    def test_constants_of_a_batch_above_the_training_set(self, batch_size):
+        # such a batch draws n_train points scaled by 1, as batch n_train
+        # does, so it has the same constants, and L_g still bounds the
+        # sampled Hessians; weights near 1 and margins near 0 make their
+        # curvature nearly as large as it can be
+        oracle = self._oracle(batch_size=batch_size)
+        assert oracle.constants == self._oracle(batch_size=30).constants
+        rng = np.random.default_rng(batch_size)
+        root = SampleToken.root(21)
+        for i in range(300):
+            pair = IteratePair(40.0 + rng.standard_normal(30), 0.1 * rng.standard_normal(6))
+            action = oracle.hess_yy_g_sample(pair, root.child(i))
+            H = np.array([action(e) for e in np.eye(6)])
+            assert np.linalg.eigvalsh(H)[-1] <= oracle.constants.L_g
 
 
 class TestMetaLinear:
@@ -347,6 +366,29 @@ def test_sigmoid_matches_masked_formula(n, scale):
     assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
     edges = np.array([800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0])
     assert _sigmoid(edges).tobytes() == _masked_sigmoid(edges).tobytes()
+
+
+def _where_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                  -2.2e-308, 709.8, -709.8, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                            st.floats(-40.0, 40.0), st.sampled_from(_SIGMOID_EDGES)),
+                  min_size=1, max_size=200))
+def test_sigmoid_matches_where_formula(z):
+    # every non-NaN result bit for bit, and NaN exactly where it was (a NaN's
+    # sign bit now follows the input's, so NaN bits are not compared)
+    z = np.array(z)
+    got, want = _sigmoid(z), _where_sigmoid(z)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    assert got[keep].tobytes() == want[keep].tobytes()
 
 
 # dimensions below 8, from 8 to 128 and above 128, where NumPy's sums switch
