@@ -17,7 +17,7 @@ import pytest
 from sustain.driver import Policy, RunConfig, _records, resolve_schedule
 from sustain.harness import write_trajectory_csv
 from sustain.hypergrad import NeumannConfig, draw_k, estimate_coupled
-from sustain.momentum import MomentumState, Variant, update_f, update_g
+from sustain.momentum import MomentumState, update_f, update_g
 from sustain.oracle import IteratePair
 from sustain.sampling import (
     STREAM_LOWER,
@@ -138,32 +138,28 @@ def test_draw_k(benchmark):
                        rounds=ROUNDS, warmup_rounds=100)
 
 
-def _momentum_state(variant):
+def _momentum_state():
     """A tracker state at t >= 1 on the quad-rate shape, and the current iterate."""
     rng = np.random.default_rng(5)
     state = MomentumState(h_f=rng.standard_normal(3), h_g=rng.standard_normal(6),
                           prev_iterate=IteratePair(rng.standard_normal(3),
-                                                   rng.standard_normal(6)),
-                          variant=variant, last_f_sample_value=rng.standard_normal(3))
+                                                   rng.standard_normal(6)))
     return state, IteratePair(rng.standard_normal(3), rng.standard_normal(6))
 
 
 def test_update_g(benchmark):
     # eta_g < 1: the lower gradient at x_t and x_{t-1} on one fresh sample
     oracle = _quad_rate()
-    state, cur = _momentum_state(Variant.TWO_EVAL)
+    state, cur = _momentum_state()
     benchmark.pedantic(update_g, setup=_fresh_samples(STREAM_LOWER, state, oracle, cur, 0.5),
                        rounds=ROUNDS, warmup_rounds=100)
 
 
-@pytest.mark.parametrize("variant", [Variant.TWO_EVAL, Variant.OPTION_II],
-                         ids=["two_eval_paired", "option_ii"])
-def test_update_f(benchmark, variant):
-    # eta_f < 1 at K 12: TWO_EVAL evaluates the fresh sample at the pair
-    # (x_t, x_{t-1}), Option II at x_t only
+def test_update_f(benchmark):
+    # eta_f < 1 at K 12: the fresh sample evaluated at the pair (x_t, x_{t-1})
     oracle = _quad_rate()
     cfg = NeumannConfig.from_constants(oracle.constants, 12)
-    state, cur = _momentum_state(variant)
+    state, cur = _momentum_state()
     benchmark.pedantic(update_f,
                        setup=_fresh_samples(STREAM_UPPER, state, oracle, cur, 0.5, cfg),
                        rounds=ROUNDS, warmup_rounds=100)

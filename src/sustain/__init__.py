@@ -36,7 +36,7 @@ from .hypergrad import (
     estimate,
     lipschitz_L_K,
 )
-from .momentum import MomentumState, Variant, update_f, update_g
+from .momentum import MomentumState, update_f, update_g
 from .oracle import (
     BilevelOracle,
     ExactOracle,

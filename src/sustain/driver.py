@@ -16,15 +16,15 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConstants
 from .hypergrad import (
     NeumannConfig,
     choose_K_nonconvex,
     choose_K_strongly_convex,
     lipschitz_L_K,
 )
-from .momentum import MomentumState, Variant, tracker_errors, update_f, update_g
-from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot
+from .momentum import MomentumState, tracker_errors, update_f, update_g
+from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot, validate_constants
 from .sampling import STREAM_LOWER, STREAM_RETURN, STREAM_UPPER, SampleToken
 from .schedules import (
     ScheduleParams,
@@ -52,7 +52,6 @@ class Direction(enum.Enum):
 class RunConfig:
     T: int
     policy: Policy = Policy.PRACTICAL
-    variant: Variant = Variant.TWO_EVAL
     direction: Direction = Direction.PLAIN
     seed: int = 0
     metric_stride: int = 1
@@ -80,6 +79,8 @@ class RunConfig:
             raise ValueError("c_eta and c_eta_g must be nonnegative")
         if not 0 < self.base_alpha < np.inf:
             raise ValueError("base_alpha must be positive and finite")
+        if not all(v is None or np.isfinite(v).all() for v in (self.initial_x, self.initial_y)):
+            raise ValueError("initial_x and initial_y must be finite")
 
 
 @dataclass
@@ -248,7 +249,8 @@ def _run(
 ) -> Tuple[Vector, List[TrajectoryRecord]]:
     """The loop of ``run_sustain`` (kind None) and ``run_baseline``.
 
-    Any NaN/Inf in a tracker, estimate or inner step reaches x_{t+1} or
+    Invalid problem constants raise ``InvalidConstants`` before any oracle
+    call.  Any NaN/Inf in a tracker, estimate or inner step reaches x_{t+1} or
     y_{t+1}, checked once per iteration before the record for t: a failed
     run's records end at t-1, and the returned iterate x_a is drawn with a
     uniform on 1..t, over the completed iterates only (x_0 when t = 0).
@@ -256,10 +258,13 @@ def _run(
     every token-block boundary and once after the loop, so it holds at most
     ``_BLOCK`` of them.
     """
+    report = validate_constants(oracle.constants)
+    if not report.valid:
+        raise InvalidConstants(f"invalid problem constants: {'; '.join(report.violations)}")
     schedule, K = resolve_schedule(oracle, cfg)
     ncfg = NeumannConfig.from_constants(oracle.constants, K)
     pair = _initial_pair(oracle, cfg)
-    state = MomentumState.initial(oracle.d_up, oracle.d_lo, cfg.variant)
+    state = MomentumState.initial(oracle.d_up, oracle.d_lo)
     adam = (AdamState.initial(oracle.d_up)
             if kind is None and cfg.direction is Direction.ADAM else None)
     n_inner = kind.n_inner if isinstance(kind, DoubleLoop) else 1
@@ -285,7 +290,7 @@ def _run(
             block = root.children(t, min(t + _BLOCK, cfg.T))
         it = block[t % _BLOCK]
         h_g = update_g(state, oracle, pair, eta_g, it.child(STREAM_LOWER))
-        h_f, n_hvp, s_f = update_f(state, oracle, pair, eta_f, ncfg, it.child(STREAM_UPPER))
+        h_f, n_hvp = update_f(state, oracle, pair, eta_f, ncfg, it.child(STREAM_UPPER))
 
         y_next = pair.y - params.beta * h_g
         for j in range(1, n_inner):
@@ -296,7 +301,7 @@ def _run(
         if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
             logger.warning("non-finite iterate at t=%d; aborting run", t)
             break
-        state.commit(pair, h_f, h_g, s_f)
+        state.commit(pair, h_f, h_g)
         samples += per_iter_samples
         hvps += n_hvp
 

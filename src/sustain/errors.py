@@ -25,10 +25,6 @@ class SingularDenominator(SustainError):
     pass
 
 
-class MissingHistory(SustainError):
-    """Option II momentum update requested before any sample was stored."""
-
-
 class DivisionByZero(SustainError):
     """Degenerate problem constants make a schedule formula undefined."""
 

@@ -24,6 +24,7 @@ from .driver import (
     RunConfig,
     TrajectoryRecord,
     TwoTimescale,
+    _initial_pair,
     run_baseline,
     run_sustain,
 )
@@ -32,7 +33,6 @@ from .errors import (
     MissingMetric,
     NonPositiveValue,
 )
-from .momentum import Variant
 from .oracle import BilevelOracle, ExactOracle
 from .testbed import (
     HyperCleanSpec,
@@ -124,7 +124,6 @@ class ExperimentConfig:
     problem: str = "quadratic"
     algorithms: Tuple[str, ...] = ("sustain",)
     policy: str = "practical"
-    variant: str = "two_eval"
     direction: str = "plain"
     T: int = 100
     seeds: Tuple[int, ...] = (0,)
@@ -145,7 +144,7 @@ class ExperimentConfig:
         if self.epsilon_metric not in METRIC_COLUMNS:
             raise ValueError(f"epsilon metric {self.epsilon_metric!r} is not one of "
                              f"the float record columns {', '.join(METRIC_COLUMNS)}")
-        for name, values in (("policy", Policy), ("variant", Variant), ("direction", Direction)):
+        for name, values in (("policy", Policy), ("direction", Direction)):
             if getattr(self, name) not in {v.value for v in values}:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         unknown = sorted(set(self.options) - _OPTIONS)
@@ -161,7 +160,6 @@ class ExperimentConfig:
         known = {
             "problem.kind": "problem",
             "run.policy": "policy",
-            "run.variant": "variant",
             "run.direction": "direction",
             "run.T": "T",
             "run.seeds": "seeds",
@@ -278,7 +276,6 @@ def make_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
     return RunConfig(
         T=cfg.T,
         policy=Policy(cfg.policy),
-        variant=Variant(cfg.variant),
         direction=Direction(cfg.direction),
         seed=seed,
         metric_stride=cfg.metric_stride,
@@ -419,7 +416,9 @@ def _median_samples(counts: List[Union[int, NotReached]]) -> Union[int, NotReach
 
 def run_grid(cfg: ExperimentConfig) -> GridResult:
     """Run every (algorithm, seed) cell, write one trajectory CSV per cell
-    and one summary CSV; failures are recorded per-row, never fatal.
+    and one summary CSV; run failures are recorded per-row, never fatal.
+    A problem that cannot be built, or an initial iterate of the wrong
+    length for it, raises before the output directory is made.
 
     A summary row's ``seeds`` counts the seeds whose run succeeded, and its
     ``error`` joins every failed seed's error with ``"; "``.  A run that stops
@@ -428,6 +427,7 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     oracle, exact = make_problem(cfg)
     kinds = [_baseline_kind(cfg, a) for a in cfg.algorithms]
     run = make_run_config(cfg, cfg.seeds[0])
+    _initial_pair(oracle, run)
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -2,29 +2,21 @@
 
 Both trackers follow one recursion, h = eta s_cur + (1 - eta)(h_prev + s_cur
 - s_prev), where s_prev re-evaluates the current sample at the previous
-iterate; at eta = 1 it is the plain sample.  The Option II upper tracker
-passes the stored previous sample value as s_prev instead.  The momentum
-weight eta is the caller's: it must lie in [0, 1], and the schedules are the
-only place that clamps it.
+iterate; at eta = 1 it is the plain sample.  The momentum weight eta is the
+caller's: it must lie in [0, 1], and the schedules are the only place that
+clamps it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import MissingHistory
 from .hypergrad import NeumannConfig, estimate_coupled
 from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot
 from .sampling import SampleToken
-
-
-class Variant(enum.Enum):
-    TWO_EVAL = "two_eval"
-    OPTION_II = "option_ii"
 
 
 @dataclass
@@ -38,27 +30,21 @@ class MomentumState:
     h_f: Vector
     h_g: Vector
     prev_iterate: IteratePair
-    variant: Variant = Variant.TWO_EVAL
-    last_f_sample_value: Optional[Vector] = None
 
     @classmethod
-    def initial(cls, d_up: int, d_lo: int, variant: Variant = Variant.TWO_EVAL) -> "MomentumState":
+    def initial(cls, d_up: int, d_lo: int) -> "MomentumState":
         return cls(
             h_f=np.zeros(d_up),
             h_g=np.zeros(d_lo),
             prev_iterate=IteratePair(np.zeros(d_up), np.zeros(d_lo)),
-            variant=variant,
         )
 
-    def commit(self, cur: IteratePair, h_f: Vector, h_g: Vector,
-               f_sample_value: Optional[Vector] = None) -> None:
+    def commit(self, cur: IteratePair, h_f: Vector, h_g: Vector) -> None:
         """Record the updates for iteration t; both trackers were evaluated
-        at ``cur`` so it becomes the previous iterate of the next step, and
-        ``f_sample_value`` the stored value of Option II's next update."""
+        at ``cur`` so it becomes the previous iterate of the next step."""
         self.h_f = h_f
         self.h_g = h_g
         self.prev_iterate = cur
-        self.last_f_sample_value = f_sample_value
 
 
 def _check_eta(eta: float, which: str) -> None:
@@ -99,24 +85,19 @@ def update_f(
     eta_f: float,
     cfg: NeumannConfig,
     sample: SampleToken,
-) -> Tuple[Vector, int, Vector]:
-    """Upper-level tracker update in the state's variant.
+) -> Tuple[Vector, int]:
+    """Upper-level tracker update; returns the new h_f and the
+    Hessian-vector products consumed.
 
-    Returns the new h_f, the Hessian-vector products consumed and the fresh
-    hypergradient sample at ``cur`` (stored by ``commit`` for Option II).
-    TWO_EVAL re-evaluates the composite sample, including its drawn
-    truncation index, at the previous iterate; Option II passes the stored
-    previous sample value to the same recursion in its place.
+    When eta_f < 1 the composite sample, including its drawn truncation
+    index, is evaluated at the pair (x_t, x_{t-1}) and the value at x_{t-1}
+    is the recursion's s_prev.
     """
     _check_eta(eta_f, "eta_f")
-    paired = eta_f < 1.0 and state.variant is Variant.TWO_EVAL
-    if eta_f < 1.0 and not paired and state.last_f_sample_value is None:
-        raise MissingHistory("Option II needs a stored sample value at t >= 1")
-    points = (cur, state.prev_iterate) if paired else (cur,)
+    points = (cur, state.prev_iterate) if eta_f < 1.0 else (cur,)
     s = estimate_coupled(oracle, points, cfg, sample)
-    s_prev = s[1].value if paired else state.last_f_sample_value
-    return (_recursion(eta_f, state.h_f, s[0].value, s_prev),
-            sum(e.hvp_count for e in s), s[0].value)
+    s_prev = s[1].value if eta_f < 1.0 else None
+    return _recursion(eta_f, state.h_f, s[0].value, s_prev), sum(e.hvp_count for e in s)
 
 
 def tracker_errors(

@@ -87,6 +87,10 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--metrics.epsilon_targets=nan", "epsilon targets must be positive"),
     ("--run.algorithms=", "at least one algorithm is required"),
     ("--config missing.cfg", "[Errno 2] No such file or directory: 'missing.cfg'"),
+    ("--run.variant=option_ii", "unknown config key 'run.variant'"),
+    ("--run.initial_x=nan,0", "initial_x and initial_y must be finite"),
+    ("--run.initial_y=0,0,inf,0,0", "initial_x and initial_y must be finite"),
+    ("--run.initial_x=1,2,3", "oracle is (2, 5), iterate is (3, 5)"),
 ])
 def test_run_rejects_bad_options_before_running(tmp_path, capsys, override, message):
     # a one-line error and exit code 2, not a traceback, and no output directory

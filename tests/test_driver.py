@@ -21,9 +21,9 @@ from sustain.driver import (
     run_baseline,
     run_sustain,
 )
-from sustain.errors import DimensionMismatch
+from sustain.errors import DimensionMismatch, InvalidConstants
 from sustain.hypergrad import lipschitz_L_K
-from sustain.momentum import MomentumState, Variant, tracker_errors
+from sustain.momentum import MomentumState, tracker_errors
 from sustain.oracle import IteratePair
 from sustain.sampling import STREAM_LOWER, SampleToken
 from sustain.schedules import strongly_convex_params
@@ -132,14 +132,6 @@ class TestRunSustain:
         cfg.initial_x = [0.0, 0.0, 0.0]
         with pytest.raises(DimensionMismatch):
             run_sustain(oracle, exact, cfg)
-
-    def test_variants_run(self, quad5_noisy):
-        oracle, exact = quad5_noisy
-        for variant in (Variant.TWO_EVAL, Variant.OPTION_II):
-            cfg = RunConfig(T=25, policy=Policy.PRACTICAL, seed=1,
-                            metric_stride=5, variant=variant)
-            x, records = run_sustain(oracle, exact, cfg)
-            assert np.all(np.isfinite(x))
 
     def test_adam_direction_runs(self, quad5_noisy):
         oracle, exact = quad5_noisy
@@ -417,11 +409,55 @@ def test_strongly_convex_schedule_resolved_once(quad5, monkeypatch, K_override, 
     ("base_alpha", float("inf"), "base_alpha must be positive and finite"),
     ("base_alpha", 0.0, "base_alpha must be positive and finite"),
     ("base_alpha", -0.1, "base_alpha must be positive and finite"),
+    # a run never starts from a non-finite iterate, so it never returns one
+    ("initial_x", [float("nan"), 0.0], "initial_x and initial_y must be finite"),
+    ("initial_x", [0.0, float("inf")], "initial_x and initial_y must be finite"),
+    ("initial_y", [0.0, float("-inf")], "initial_x and initial_y must be finite"),
+    ("initial_y", [float("nan")] * 5, "initial_x and initial_y must be finite"),
 ])
 def test_run_config_rejects_bad_policy_knobs(field, value, message):
     # rejected when the config is made, not at t = 1 inside the loop
     with pytest.raises(ValueError, match=message):
         RunConfig(T=5, **{field: value})
+
+
+class _CountingOracle:
+    """Forwards to an oracle, with some of its constants replaced, and counts
+    every method call."""
+
+    def __init__(self, inner, **constants):
+        self._inner = inner
+        self.constants = replace(inner.constants, **constants)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("constants,K_override,message", [
+    ({"sigma_g": -1.0}, None, "sigma_g is negative"),
+    ({"C_fy": float("nan")}, 3, "C_fy is not finite"),
+    ({"C_fy": float("nan")}, None, "C_fy is not finite"),
+    ({"mu_g": 3.0}, None, "mu_g > L_g"),
+])
+@pytest.mark.parametrize("kind", [None, AlternatingSGD(), DoubleLoop(n_inner=2)])
+def test_invalid_constants_fail_before_any_oracle_call(quad5, constants, K_override,
+                                                       message, kind):
+    oracle = _CountingOracle(quad5[0], **constants)
+    cfg = RunConfig(T=50, K_override=K_override)
+    with pytest.raises(InvalidConstants, match=message):
+        if kind is None:
+            run_sustain(oracle, quad5[1], cfg)
+        else:
+            run_baseline(oracle, quad5[1], cfg, kind)
+    assert oracle.calls == 0
 
 
 def test_run_config_accepts_zero_momentum_coefficients():
@@ -505,9 +541,9 @@ def _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=None):
     committed, blocks = [], []
     commit, records_of = MomentumState.commit, sustain.driver._records
 
-    def watched_commit(state, cur, h_f, h_g, f_sample_value=None):
+    def watched_commit(state, cur, h_f, h_g):
         committed.append((cur.x, cur.y, h_f, h_g))
-        commit(state, cur, h_f, h_g, f_sample_value)
+        commit(state, cur, h_f, h_g)
 
     def watched_records(rows, *args):
         blocks.append(len(rows))

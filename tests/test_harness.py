@@ -134,9 +134,19 @@ class TestConfigParsing:
         assert read == harness._OPTIONS
 
     def test_option_i_rejected(self):
-        # Option I was TWO_EVAL's recursion reordered; the key is gone, not aliased
-        with pytest.raises(ValueError, match="unknown variant 'option_i'"):
-            ExperimentConfig(variant="option_i")
+        # the momentum variants are gone: run.variant is an unknown key, not an alias
+        for value in ("option_i", "option_ii", "two_eval"):
+            with pytest.raises(ValueError, match="unknown config key 'run.variant'"):
+                ExperimentConfig.from_mapping({"run.variant": value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("policy", "option_i"), ("policy", "Practical"), ("direction", "adamw"),
+    ])
+    def test_unknown_enum_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"unknown {name} '{value}'"):
+            ExperimentConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"unknown {name} '{value}'"):
+            ExperimentConfig.from_mapping({f"run.{name}": value})
 
 
 class TestRateFit:
@@ -293,11 +303,21 @@ class TestRunGrid:
                                 "seed 3: RuntimeError: forced failure 3")
         assert sorted(result.trajectory_paths) == [("sustain", 0), ("sustain", 2)]
 
-    def test_run_stopped_at_t0_is_a_failed_seed(self, tmp_path):
-        # an infinite initial x stops every run at t = 0, before any record
-        cfg = self._cfg(tmp_path, seeds=(0, 1))
-        cfg.options["run.initial_x"] = "inf,0"
-        result = run_grid(cfg)
+    def test_run_stopped_at_t0_is_a_failed_seed(self, tmp_path, monkeypatch):
+        # an infinite upper gradient stops every run at t = 0, before any
+        # record (an infinite initial x is rejected before the grid starts)
+        import sustain.harness as harness
+
+        real = harness.make_problem
+
+        def infinite_upper_gradient(cfg):
+            oracle, exact = real(cfg)
+            monkeypatch.setattr(oracle, "grad_x_f_sample",
+                                lambda pair, token: np.full(oracle.d_up, np.inf))
+            return oracle, exact
+
+        monkeypatch.setattr(harness, "make_problem", infinite_upper_gradient)
+        result = run_grid(self._cfg(tmp_path, seeds=(0, 1)))
         row = result.summary_rows[0]
         assert row["seeds"] == "0"
         assert row["error"] == ("seed 0: run stopped before t = 4 (no records); "

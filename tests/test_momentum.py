@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sustain.errors import MissingHistory
 from sustain.hypergrad import NeumannConfig, estimate
 from sustain.momentum import (
     MomentumState,
-    Variant,
     tracker_errors,
     update_f,
     update_g,
@@ -26,10 +24,10 @@ def _identity_quad(lam=0.0, B=1.0):
     return make_quadratic(spec, rng_seed=0)
 
 
-def _state(h_f, h_g, prev_x, prev_y, variant=Variant.TWO_EVAL):
+def _state(h_f, h_g, prev_x, prev_y):
     return MomentumState(
         h_f=np.array([h_f]), h_g=np.array([h_g]),
-        prev_iterate=IteratePair([prev_x], [prev_y]), variant=variant,
+        prev_iterate=IteratePair([prev_x], [prev_y]),
     )
 
 
@@ -92,15 +90,13 @@ def test_eta_outside_unit_interval_rejected():
     cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
     cur = IteratePair([0.0], [2.0])
     for eta in (1.5, -0.1, float("nan"), float("inf")):
-        for variant in (Variant.TWO_EVAL, Variant.OPTION_II):
-            counting = _CountingOracle(oracle)
-            state = _state(h_f=1.0, h_g=99.0, prev_x=0.0, prev_y=9.0, variant=variant)
-            state.last_f_sample_value = np.array([1.5])
-            with pytest.raises(ValueError, match="eta_g"):
-                update_g(state, counting, cur, eta, TOK)
-            with pytest.raises(ValueError, match="eta_f"):
-                update_f(state, counting, cur, eta, cfg, TOK)
-            assert counting.calls == 0
+        counting = _CountingOracle(oracle)
+        state = _state(h_f=1.0, h_g=99.0, prev_x=0.0, prev_y=9.0)
+        with pytest.raises(ValueError, match="eta_g"):
+            update_g(state, counting, cur, eta, TOK)
+        with pytest.raises(ValueError, match="eta_f"):
+            update_f(state, counting, cur, eta, cfg, TOK)
+        assert counting.calls == 0
 
 
 class TestUpdateF:
@@ -109,9 +105,8 @@ class TestUpdateF:
         cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
         state = _state(h_f=50.0, h_g=0.0, prev_x=0.0, prev_y=0.0)
         cur = IteratePair([0.0], [2.0])
-        h, hvps, fresh = update_f(state, oracle, cur, 1.0, cfg, TOK)
+        h, hvps = update_f(state, oracle, cur, 1.0, cfg, TOK)
         assert h == pytest.approx(estimate(oracle, cur, cfg, TOK).value)
-        assert np.array_equal(fresh, h)
         assert hvps == 1
 
     def test_hand_value(self):
@@ -119,8 +114,25 @@ class TestUpdateF:
         oracle, _ = _identity_quad()
         cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
         state = _state(h_f=1.0, h_g=0.0, prev_x=0.0, prev_y=1.5)
-        h, hvps, _ = update_f(state, oracle, IteratePair([0.0], [2.0]), 0.25, cfg, TOK)
+        h, hvps = update_f(state, oracle, IteratePair([0.0], [2.0]), 0.25, cfg, TOK)
         assert h[0] == pytest.approx(1.625)
+        assert hvps == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(eta=st.floats(0.0, 1.0, exclude_max=True),
+           h_prev=st.floats(-1e3, 1e3), y_cur=st.floats(-1e3, 1e3),
+           y_prev=st.floats(-1e3, 1e3))
+    def test_recursion_on_the_sample_at_both_iterates(self, eta, h_prev, y_cur, y_prev):
+        # the correction re-evaluates the current sample at the previous
+        # iterate: s_prev is the one-point estimate there, bit for bit
+        oracle, _ = _identity_quad()
+        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+        state = _state(h_f=h_prev, h_g=0.0, prev_x=0.0, prev_y=y_prev)
+        cur = IteratePair([0.0], [y_cur])
+        s_cur = estimate(oracle, cur, cfg, TOK).value
+        s_prev = estimate(oracle, state.prev_iterate, cfg, TOK).value
+        h, hvps = update_f(state, oracle, cur, eta, cfg, TOK)
+        assert np.array_equal(h, eta * s_cur + (1.0 - eta) * (state.h_f + s_cur - s_prev))
         assert hvps == 2
 
     def test_zero_bias_tracking(self):
@@ -132,7 +144,7 @@ class TestUpdateF:
         root = SampleToken.root(9)
         for t in range(5):
             eta = 1.0 if t == 0 else 0.4
-            h, _, _ = update_f(state, oracle, pair, eta, cfg, root.child(t))
+            h, _ = update_f(state, oracle, pair, eta, cfg, root.child(t))
             h_g = update_g(state, oracle, pair, eta, root.child(t, 1))
             state.commit(pair, h, h_g)
             assert h == pytest.approx(exact.surrogate_grad(pair.x, pair.y))
@@ -140,64 +152,16 @@ class TestUpdateF:
 
 
 class TestSingleEval:
-    """Option II: one fresh evaluation, the stored previous sample value in
-    place of the re-evaluation at the previous iterate."""
-
-    def _setup(self, variant, h_f=1.0, last=None, prev_y=1.5):
-        oracle, _ = _identity_quad()
-        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
-        state = _state(h_f=h_f, h_g=0.0, prev_x=0.0, prev_y=prev_y,
-                       variant=variant)
-        if last is not None:
-            state.last_f_sample_value = np.array([last])
-        return oracle, cfg, state
-
-    def test_option_ii_hand_value(self):
-        # fresh 2.0, stored 1.5, h_prev=1.0, eta=0.5 -> 2 + 0.5*(1 - 1.5) = 1.75
-        oracle, cfg, state = self._setup(Variant.OPTION_II, last=1.5)
-        h, hvps, fresh = update_f(state, oracle, IteratePair([0.0], [2.0]), 0.5, cfg, TOK)
-        assert h[0] == pytest.approx(1.75)
-        assert fresh[0] == pytest.approx(2.0)
-        assert hvps == 1  # no re-evaluation at the previous iterate
-
-    def test_options_agree_on_deterministic_oracle(self):
-        # the stored value 1.5 is the sample at the previous iterate (y = 1.5)
-        oracle, cfg, s1 = self._setup(Variant.TWO_EVAL)
-        _, _, s2 = self._setup(Variant.OPTION_II, last=1.5)
-        cur = IteratePair([0.0], [2.0])
-        h1, hvps1, _ = update_f(s1, oracle, cur, 0.5, cfg, TOK)
-        h2, hvps2, _ = update_f(s2, oracle, cur, 0.5, cfg, TOK)
-        assert np.array_equal(h1, h2)
-        assert (hvps1, hvps2) == (2, 1)
-
-    @settings(max_examples=200, deadline=None)
-    @given(eta=st.floats(0.0, 1.0, exclude_max=True),
-           h_prev=st.floats(-1e3, 1e3), y_cur=st.floats(-1e3, 1e3),
-           y_prev=st.floats(-1e3, 1e3))
-    def test_option_ii_is_the_two_eval_recursion(self, eta, h_prev, y_cur, y_prev):
-        # K = 1 on the deterministic quadratic: the estimate stored at the
-        # previous iterate is the TWO_EVAL re-evaluation there, so the one
-        # recursion gives the same bits
-        oracle, cfg, two = self._setup(Variant.TWO_EVAL, h_f=h_prev, prev_y=y_prev)
-        _, _, opt = self._setup(Variant.OPTION_II, h_f=h_prev, prev_y=y_prev)
-        opt.last_f_sample_value = estimate(oracle, opt.prev_iterate, cfg, TOK).value
-        cur = IteratePair([0.0], [y_cur])
-        h_two, _, fresh_two = update_f(two, oracle, cur, eta, cfg, TOK)
-        h_opt, _, fresh_opt = update_f(opt, oracle, cur, eta, cfg, TOK)
-        assert np.array_equal(h_two, h_opt)
-        assert np.array_equal(fresh_two, fresh_opt)
+    """At eta_f = 1 the upper tracker is the fresh sample, evaluated at x_t
+    only."""
 
     def test_eta_one_gives_fresh_value(self):
-        for variant in (Variant.TWO_EVAL, Variant.OPTION_II):
-            oracle, cfg, state = self._setup(variant, last=0.0)
-            h, _, fresh = update_f(state, oracle, IteratePair([0.0], [2.0]), 1.0, cfg, TOK)
-            assert h[0] == pytest.approx(2.0)
-            assert np.array_equal(h, fresh)
-
-    def test_option_ii_missing_history(self):
-        oracle, cfg, state = self._setup(Variant.OPTION_II)
-        with pytest.raises(MissingHistory):
-            update_f(state, oracle, IteratePair([0.0], [2.0]), 0.5, cfg, TOK)
+        oracle, _ = _identity_quad()
+        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+        state = _state(h_f=1.0, h_g=0.0, prev_x=0.0, prev_y=1.5)
+        h, hvps = update_f(state, oracle, IteratePair([0.0], [2.0]), 1.0, cfg, TOK)
+        assert h[0] == pytest.approx(2.0)
+        assert hvps == 1  # no re-evaluation at the previous iterate
 
 
 class TestEstimatorErrors:
@@ -210,7 +174,7 @@ class TestEstimatorErrors:
         for t in range(4):
             eta = 1.0 if t == 0 else 0.5
             h_g = update_g(state, oracle, pair, eta, root.child(t, 0))
-            h_f, _, _ = update_f(state, oracle, pair, eta, cfg, root.child(t, 1))
+            h_f, _ = update_f(state, oracle, pair, eta, cfg, root.child(t, 1))
             state.commit(pair, h_f, h_g)
             e_f, e_g = tracker_errors(state.h_f, state.h_g, exact, pair, cfg.K)
             assert e_f == pytest.approx(0.0, abs=1e-12)
@@ -224,7 +188,7 @@ class TestEstimatorErrors:
         pair = IteratePair(np.zeros(2), np.zeros(5))
         tok = SampleToken.root(12).child(0)
         h_g = update_g(state, oracle, pair, 1.0, tok.child(0))
-        h_f, _, _ = update_f(state, oracle, pair, 1.0, cfg, tok.child(1))
+        h_f, _ = update_f(state, oracle, pair, 1.0, cfg, tok.child(1))
         state.commit(pair, h_f, h_g)
         _, e_g = tracker_errors(state.h_f, state.h_g, exact, pair, cfg.K)
         noise = h_g - exact.grad_y_g_mean(pair)
