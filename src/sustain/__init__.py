@@ -44,7 +44,6 @@ from .oracle import (
     ProblemConstants,
     check_oracle_consistency,
     derive_constants,
-    validate_constants,
 )
 from .sampling import SampleToken
 from .schedules import (

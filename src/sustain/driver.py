@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConstants
+from .errors import DimensionMismatch
 from .hypergrad import (
     NeumannConfig,
     choose_K_nonconvex,
@@ -24,7 +24,7 @@ from .hypergrad import (
     lipschitz_L_K,
 )
 from .momentum import MomentumState, tracker_errors, update_f, update_g
-from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot, validate_constants
+from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot
 from .sampling import STREAM_LOWER, STREAM_RETURN, STREAM_UPPER, SampleToken
 from .schedules import (
     ScheduleParams,
@@ -249,8 +249,7 @@ def _run(
 ) -> Tuple[Vector, List[TrajectoryRecord]]:
     """The loop of ``run_sustain`` (kind None) and ``run_baseline``.
 
-    Invalid problem constants raise ``InvalidConstants`` before any oracle
-    call.  Any NaN/Inf in a tracker, estimate or inner step reaches x_{t+1} or
+    Any NaN/Inf in a tracker, estimate or inner step reaches x_{t+1} or
     y_{t+1}, checked once per iteration before the record for t: a failed
     run's records end at t-1, and the returned iterate x_a is drawn with a
     uniform on 1..t, over the completed iterates only (x_0 when t = 0).
@@ -258,9 +257,6 @@ def _run(
     every token-block boundary and once after the loop, so it holds at most
     ``_BLOCK`` of them.
     """
-    report = validate_constants(oracle.constants)
-    if not report.valid:
-        raise InvalidConstants(f"invalid problem constants: {'; '.join(report.violations)}")
     schedule, K = resolve_schedule(oracle, cfg)
     ncfg = NeumannConfig.from_constants(oracle.constants, K)
     pair = _initial_pair(oracle, cfg)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -49,11 +49,7 @@ from .testbed import (
 OUTPUT_DIR_ENV = "SUSTAIN_OUTPUT_DIR"
 
 TRAJECTORY_SCHEMA = "trajectory-v1"
-TRAJECTORY_COLUMNS = (
-    "t", "alpha", "beta", "eta_f", "eta_g", "grad_ell_sq", "ell_gap",
-    "tracking_sq", "e_f_norm", "e_g_norm", "cumulative_samples",
-    "cumulative_hvps", "upper_loss",
-)
+TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
 # the columns a threshold can be compared with: every one that holds a float
 METRIC_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS
                        if c not in ("t", "cumulative_samples", "cumulative_hvps"))

@@ -24,21 +24,20 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class NeumannConfig:
-    """Truncation budget and the lower-level spectrum bounds that scale it."""
+    """Truncation budget and the lower-level Hessian bound that scales it."""
 
     K: int
     L_g: float
-    mu_g: float
 
     def __post_init__(self):
         if self.K < 1:
             raise InvalidConstants("K must be >= 1")
-        if not (0 < self.mu_g <= self.L_g):
-            raise InvalidConstants("need 0 < mu_g <= L_g")
+        if not 0 < self.L_g < math.inf:
+            raise InvalidConstants("need 0 < L_g < inf")
 
     @classmethod
     def from_constants(cls, c: ProblemConstants, K: int) -> "NeumannConfig":
-        return cls(K=K, L_g=c.L_g, mu_g=c.mu_g)
+        return cls(K=K, L_g=c.L_g)
 
 
 @dataclass(frozen=True)
@@ -137,14 +136,12 @@ def exact_neumann_expectation(
 
 def bias_bound(c: ProblemConstants, K: int) -> BiasBound:
     """Worst-case estimator bias: (C_gxy C_fy / mu_g) (1 - mu_g/L_g)^K."""
-    NeumannConfig.from_constants(c, K)  # checks K and 0 < mu_g <= L_g
+    NeumannConfig.from_constants(c, K)  # checks K
     contraction = 1.0 - c.mu_g / c.L_g
     return BiasBound(bound=(c.C_gxy * c.C_fy / c.mu_g) * contraction**K)
 
 
 def _choose_k(c: ProblemConstants, log_arg: float, multiplier: float) -> int:
-    if c.mu_g <= 0 or c.mu_g > c.L_g:
-        raise InvalidConstants("need 0 < mu_g <= L_g")
     if log_arg <= 1.0:
         logger.warning(
             "K-selection argument %.3g <= 1: bias already within the target "
@@ -173,7 +170,7 @@ def choose_K_strongly_convex(c: ProblemConstants, T: int) -> int:
 def lipschitz_L_K(c: ProblemConstants, K: int) -> float:
     """Mean-square Lipschitz constant of the sampled estimator w.r.t. the
     iterate, growing as sqrt(K^3) through the product term."""
-    NeumannConfig.from_constants(c, K)  # checks K and 0 < mu_g <= L_g
+    NeumannConfig.from_constants(c, K)  # checks K
     denom = 2.0 * c.mu_g * c.L_g - c.mu_g**2
     cubic_num = 6.0 * c.C_gxy**2 * c.C_fy**2 * c.L_gyy**2 * K**3
     if c.L_g == c.mu_g:

@@ -1,14 +1,14 @@
-"""Stochastic bilevel problem interface and regularity-constant validation."""
+"""Stochastic bilevel problem interface and its regularity constants."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConstants
 from .sampling import SampleToken
 
 Vector = np.ndarray
@@ -38,6 +38,11 @@ class ProblemConstants:
     ``mu_g``/``L_g`` bound the lower-level Hessian spectrum, the ``C_*``
     values bound gradient/cross-Hessian norms, and the ``L_*`` values are
     Lipschitz constants of the corresponding derivatives.
+
+    Valid by construction: every value but ``mu_f`` must be finite and
+    non-negative, 0 < mu_g <= L_g, and ``mu_f``, when supplied, positive.
+    Otherwise ``InvalidConstants`` names every violation, so a changed copy
+    (``dataclasses.replace``) is checked too.
     """
 
     mu_g: float
@@ -51,6 +56,25 @@ class ProblemConstants:
     mu_f: Optional[float] = None
     sigma_f: float = 0.0
     sigma_g: float = 0.0
+
+    def __post_init__(self):
+        violations = []
+        for name in (f.name for f in fields(self) if f.name != "mu_f"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                violations.append(f"{name} is not finite")
+            elif v < 0:
+                violations.append(f"{name} is negative")
+        if self.mu_g <= 0:
+            violations.append("mu_g must be strictly positive")
+        if self.mu_g > self.L_g:
+            violations.append(
+                "mu_g > L_g: the contraction factor 1 - mu_g/L_g would be negative"
+            )
+        if self.mu_f is not None and self.mu_f <= 0:
+            violations.append("mu_f must be strictly positive when supplied")
+        if violations:
+            raise InvalidConstants(f"invalid problem constants: {'; '.join(violations)}")
 
 
 @dataclass(frozen=True)
@@ -180,16 +204,6 @@ class DerivedConstants:
     L_mu_g: float
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    derived: Optional[DerivedConstants] = None
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
 def derive_constants(c: ProblemConstants) -> DerivedConstants:
     """Smoothness constants of the surrogate gradient, outer gradient and y*."""
     L = (
@@ -201,32 +215,6 @@ def derive_constants(c: ProblemConstants) -> DerivedConstants:
     L_y = c.C_gxy / c.mu_g
     L_mu_g = c.mu_g * c.L_g / (c.mu_g + c.L_g)
     return DerivedConstants(L=L, L_f=L_f, L_y=L_y, L_mu_g=L_mu_g)
-
-
-def validate_constants(c: ProblemConstants) -> ValidationReport:
-    """Report-style check of the constant invariants; never raises."""
-    report = ValidationReport()
-    vals = {
-        "mu_g": c.mu_g, "L_g": c.L_g, "C_gxy": c.C_gxy, "C_fy": c.C_fy,
-        "L_fx": c.L_fx, "L_fy": c.L_fy, "L_gxy": c.L_gxy, "L_gyy": c.L_gyy,
-        "sigma_f": c.sigma_f, "sigma_g": c.sigma_g,
-    }
-    for name, v in vals.items():
-        if not np.isfinite(v):
-            report.violations.append(f"{name} is not finite")
-        elif v < 0:
-            report.violations.append(f"{name} is negative")
-    if c.mu_g <= 0:
-        report.violations.append("mu_g must be strictly positive")
-    if c.mu_g > c.L_g:
-        report.violations.append(
-            "mu_g > L_g: the contraction factor 1 - mu_g/L_g would be negative"
-        )
-    if c.mu_f is not None and c.mu_f <= 0:
-        report.violations.append("mu_f must be strictly positive when supplied")
-    if report.valid:
-        report.derived = derive_constants(c)
-    return report
 
 
 @dataclass

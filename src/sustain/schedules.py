@@ -116,8 +116,6 @@ def strongly_convex_params(
     if c.mu_f is None:
         raise DivisionByZero("mu_f is required for the strongly-convex policy")
     d = derive_constants(c)
-    if c.mu_g == 0 or c.L_g == 0:
-        raise DivisionByZero("degenerate constants")
     c_beta_hat = (8.0 * d.L_y**2 + 8.0 * d.L**2 + 2.0 * c.mu_f) / c.mu_g
     if c_beta_hat == 0 or (8.0 * L_K**2 + d.L_f) == 0:
         raise DivisionByZero("degenerate constants")

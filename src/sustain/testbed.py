@@ -69,19 +69,21 @@ class QuadraticOracle(BilevelOracle):
         self.d_lo, self.d_up = spec.B.shape
         self.salt = int(rng_seed)
         bnorm = float(np.linalg.norm(spec.B, 2))
-        # without the sinusoidal term the outer objective is a convex
-        # quadratic, so its strong-convexity modulus is available
+        # without the sinusoidal term the outer objective is a quadratic; it
+        # is strongly convex when its Hessian's least eigenvalue clears
+        # rounding noise (lam = 0 with d_up > d_lo leaves it singular)
         mu_f = None
         if spec.sin_amp == 0.0:
             A_inv_B = np.linalg.solve(spec.A, spec.B)
             H_ell = spec.lam * np.eye(self.d_up) + A_inv_B.T @ A_inv_B
-            mu_f = float(np.linalg.eigvalsh(H_ell)[0])
+            least = float(np.linalg.eigvalsh(H_ell)[0])
+            mu_f = least if least > 1e-12 else None
         self.constants = ProblemConstants(
             mu_g=float(eigvals[0]),
             L_g=float(eigvals[-1]),
             C_gxy=bnorm,
             C_fy=spec.c_fy_bound,
-            L_fx=spec.lam + spec.sin_amp,
+            L_fx=abs(spec.lam) + abs(spec.sin_amp),  # of lam x + a cos x
             L_fy=1.0,
             L_gxy=0.0,
             L_gyy=0.0,
@@ -146,12 +148,12 @@ class QuadraticExact(ExactOracle):
         self._o = oracle
         s = oracle.spec
         self._A_inv = np.linalg.inv(s.A)
-        # Outer Hessian of the quadratic part: lam I + B' A^-2 B.
-        self._H_ell = s.lam * np.eye(oracle.d_up) + s.B.T @ self._A_inv @ self._A_inv @ s.B
         self._ell_star: Optional[float] = None
-        if s.sin_amp == 0.0 and np.linalg.eigvalsh(self._H_ell)[0] > 1e-12:
+        if oracle.constants.mu_f is not None:  # a strongly convex quadratic
+            # its Hessian is lam I + B' A^-2 B
+            H_ell = s.lam * np.eye(oracle.d_up) + s.B.T @ self._A_inv @ self._A_inv @ s.B
             c0 = s.B.T @ self._A_inv @ (self._A_inv @ s.b - s.y_target)
-            x_min = np.linalg.solve(self._H_ell, -c0)
+            x_min = np.linalg.solve(H_ell, -c0)
             self._ell_star = self.ell(x_min)
 
     def y_star(self, x: Vector) -> Vector:

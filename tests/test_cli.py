@@ -103,6 +103,17 @@ def test_run_rejects_bad_options_before_running(tmp_path, capsys, override, mess
     assert not out.exists()
 
 
+def test_run_rejects_invalid_problem_constants_before_running(tmp_path, capsys):
+    # the quadratic accepts a negative noise scale; its constants do not
+    out = tmp_path / "out"
+    argv = ["run", "--run.T=3", "--problem.sigma_g=-1", f"--output.dir={out}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "sustain run: invalid problem constants: sigma_g is negative\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _fit_failure(argv, capsys):
     assert main(["fit", *argv]) == 2
     err = capsys.readouterr().err

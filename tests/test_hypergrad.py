@@ -23,6 +23,7 @@ from sustain.hypergrad import (
 )
 from sustain.oracle import BilevelOracle, IteratePair, ProblemConstants
 from sustain.sampling import SampleToken
+from sustain.testbed import QuadBilevelSpec, make_quadratic
 
 
 class _ZeroCrossOracle(BilevelOracle):
@@ -56,7 +57,7 @@ class _NaNOracle(_ZeroCrossOracle):
 class TestEstimate:
     def test_zero_cross_hessian(self):
         oracle = _ZeroCrossOracle()
-        cfg = NeumannConfig(K=4, L_g=1.0, mu_g=1.0)
+        cfg = NeumannConfig(K=4, L_g=1.0)
         pair = IteratePair([2.0], [3.0])
         for i in range(10):
             s = estimate(oracle, pair, cfg, SampleToken.root(0).child(i))
@@ -65,7 +66,7 @@ class TestEstimate:
     def test_onedim_values_by_k(self, onedim_quad):
         # lower y^2 - x*y, upper 0.5*y^2, K=4, y=4: value 8 iff k=0 else 0
         oracle, exact = onedim_quad
-        cfg = NeumannConfig(K=4, L_g=2.0, mu_g=2.0)
+        cfg = NeumannConfig(K=4, L_g=2.0)
         pair = IteratePair([0.0], [4.0])
         seen = {}
         root = SampleToken.root(1)
@@ -130,7 +131,7 @@ class TestEstimate:
     def test_nan_raises(self):
         with pytest.raises(NonfiniteValue):
             estimate(_NaNOracle(), IteratePair([0.0], [0.0]),
-                     NeumannConfig(K=1, L_g=1.0, mu_g=1.0), SampleToken.root(0))
+                     NeumannConfig(K=1, L_g=1.0), SampleToken.root(0))
 
 
 @pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
@@ -161,8 +162,19 @@ def test_coupled_estimate_equals_separate_calls(sampled_testbeds, testbed, seed,
         assert (got.k_drawn, got.hvp_count) == (want.k_drawn, want.hvp_count)
 
 
+@pytest.mark.parametrize("K,L_g,message", [
+    (0, 1.0, "K must be >= 1"),
+    (1, 0.0, "need 0 < L_g < inf"),
+    (1, float("inf"), "need 0 < L_g < inf"),
+    (1, float("nan"), "need 0 < L_g < inf"),
+])
+def test_neumann_config_rejects_bad_budget(K, L_g, message):
+    with pytest.raises(InvalidConstants, match=message):
+        NeumannConfig(K=K, L_g=L_g)
+
+
 def test_draw_k_uniform_range():
-    cfg = NeumannConfig(K=5, L_g=2.0, mu_g=1.0)
+    cfg = NeumannConfig(K=5, L_g=2.0)
     root = SampleToken.root(6)
     ks = [draw_k(cfg, root.child(i)) for i in range(5000)]
     counts = np.bincount(ks, minlength=5)
@@ -188,11 +200,41 @@ class TestBiasBound:
         bounds = [bias_bound(unit_constants, K).bound for K in range(1, 20)]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
-    def test_invalid_constants(self):
-        c = ProblemConstants(mu_g=2.0, L_g=1.0, C_gxy=1.0, C_fy=1.0,
-                             L_fx=0.0, L_fy=0.0, L_gxy=0.0, L_gyy=0.0)
-        with pytest.raises(InvalidConstants):
-            bias_bound(c, 1)
+    def test_invalid_constants(self, unit_constants):
+        # mu_g > L_g fails where the constants are made, K < 1 in bias_bound
+        with pytest.raises(InvalidConstants, match="mu_g > L_g"):
+            bias_bound(ProblemConstants(mu_g=2.0, L_g=1.0, C_gxy=1.0, C_fy=1.0,
+                                        L_fx=0.0, L_fy=0.0, L_gxy=0.0, L_gyy=0.0), 1)
+        with pytest.raises(InvalidConstants, match="K must be >= 1"):
+            bias_bound(unit_constants, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eigs=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6),
+    d_up=st.integers(1, 4),
+    B_scale=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 30),
+)
+def test_bias_within_bound(eigs, d_up, B_scale, seed, K):
+    # the exact bias of the K-term estimator is within bias_bound where the
+    # bound is tightest: grad_y f = y - y_target has the full norm C_fy and
+    # lies along A's least-eigenvalue eigenvector, which (I - A/L_g)^K shrinks least
+    rng = np.random.default_rng(seed)
+    d_lo = len(eigs)
+    Q, _ = np.linalg.qr(rng.standard_normal((d_lo, d_lo)))
+    A = Q @ np.diag(eigs) @ Q.T
+    spec = QuadBilevelSpec(
+        A=0.5 * (A + A.T), B=B_scale * rng.standard_normal((d_lo, d_up)),
+        b=rng.standard_normal(d_lo), y_target=rng.standard_normal(d_lo), lam=0.5,
+    )
+    oracle, exact = make_quadratic(spec, rng_seed=0)
+    c = oracle.constants
+    v_min = np.linalg.eigh(spec.A)[1][:, 0]
+    pair = IteratePair(rng.standard_normal(d_up), spec.y_target + c.C_fy * v_min)
+    bias = exact.neumann_expectation(pair, K) - exact.surrogate_grad(pair.x, pair.y)
+    assert np.linalg.norm(bias) <= bias_bound(c, K).bound + 1e-12
 
 
 class TestChooseK:

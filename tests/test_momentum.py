@@ -87,7 +87,7 @@ def test_eta_outside_unit_interval_rejected():
     # eta is the caller's: the trackers reject it, before any oracle call,
     # instead of clamping it a second time
     oracle, _ = _identity_quad()
-    cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+    cfg = NeumannConfig(K=1, L_g=1.0)
     cur = IteratePair([0.0], [2.0])
     for eta in (1.5, -0.1, float("nan"), float("inf")):
         counting = _CountingOracle(oracle)
@@ -102,7 +102,7 @@ def test_eta_outside_unit_interval_rejected():
 class TestUpdateF:
     def test_eta_one_resets(self):
         oracle, _ = _identity_quad()
-        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+        cfg = NeumannConfig(K=1, L_g=1.0)
         state = _state(h_f=50.0, h_g=0.0, prev_x=0.0, prev_y=0.0)
         cur = IteratePair([0.0], [2.0])
         h, hvps = update_f(state, oracle, cur, 1.0, cfg, TOK)
@@ -112,7 +112,7 @@ class TestUpdateF:
     def test_hand_value(self):
         # samples: 2.0 at cur, 1.5 at prev; h_prev=1, eta=0.25 -> 1.625
         oracle, _ = _identity_quad()
-        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+        cfg = NeumannConfig(K=1, L_g=1.0)
         state = _state(h_f=1.0, h_g=0.0, prev_x=0.0, prev_y=1.5)
         h, hvps = update_f(state, oracle, IteratePair([0.0], [2.0]), 0.25, cfg, TOK)
         assert h[0] == pytest.approx(1.625)
@@ -126,7 +126,7 @@ class TestUpdateF:
         # the correction re-evaluates the current sample at the previous
         # iterate: s_prev is the one-point estimate there, bit for bit
         oracle, _ = _identity_quad()
-        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+        cfg = NeumannConfig(K=1, L_g=1.0)
         state = _state(h_f=h_prev, h_g=0.0, prev_x=0.0, prev_y=y_prev)
         cur = IteratePair([0.0], [y_cur])
         s_cur = estimate(oracle, cur, cfg, TOK).value
@@ -138,7 +138,7 @@ class TestUpdateF:
     def test_zero_bias_tracking(self):
         # mu_g = L_g, K=1: estimator deterministic and exact for all t
         oracle, exact = _identity_quad(lam=0.3)
-        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+        cfg = NeumannConfig(K=1, L_g=1.0)
         state = MomentumState.initial(1, 1)
         pair = IteratePair([1.0], [0.5])
         root = SampleToken.root(9)
@@ -157,7 +157,7 @@ class TestSingleEval:
 
     def test_eta_one_gives_fresh_value(self):
         oracle, _ = _identity_quad()
-        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+        cfg = NeumannConfig(K=1, L_g=1.0)
         state = _state(h_f=1.0, h_g=0.0, prev_x=0.0, prev_y=1.5)
         h, hvps = update_f(state, oracle, IteratePair([0.0], [2.0]), 1.0, cfg, TOK)
         assert h[0] == pytest.approx(2.0)
@@ -167,7 +167,7 @@ class TestSingleEval:
 class TestEstimatorErrors:
     def test_deterministic_zero_bias_zero_errors(self):
         oracle, exact = _identity_quad(lam=0.2)
-        cfg = NeumannConfig(K=1, L_g=1.0, mu_g=1.0)
+        cfg = NeumannConfig(K=1, L_g=1.0)
         state = MomentumState.initial(1, 1)
         pair = IteratePair([1.0], [0.0])
         root = SampleToken.root(11)

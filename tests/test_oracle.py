@@ -1,49 +1,73 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sustain.errors import DimensionMismatch
+from sustain.errors import DimensionMismatch, InvalidConstants
 from sustain.oracle import (
     IteratePair,
     ProblemConstants,
     check_oracle_consistency,
     derive_constants,
-    validate_constants,
 )
 from sustain.sampling import SampleToken
 
 
 class TestValidateConstants:
+    """``ProblemConstants`` checks its values when it is made."""
+
     def test_unit_example_derived_values(self, unit_constants):
         # L = 1 + 1 + (1 + 1) = 4, L_f = L + L*C_gxy/mu_g = 8, L_y = 1
-        report = validate_constants(unit_constants)
-        assert report.valid
-        assert report.derived.L == 4.0
-        assert report.derived.L_f == 8.0
-        assert report.derived.L_y == 1.0
+        d = derive_constants(unit_constants)
+        assert d.L == 4.0
+        assert d.L_f == 8.0
+        assert d.L_y == 1.0
 
     def test_mu_greater_than_L_invalid(self):
-        c = ProblemConstants(mu_g=2.0, L_g=1.0, C_gxy=1.0, C_fy=1.0,
+        with pytest.raises(InvalidConstants, match=r"^invalid problem constants: mu_g > L_g: "
+                           r"the contraction factor 1 - mu_g/L_g would be negative$"):
+            ProblemConstants(mu_g=2.0, L_g=1.0, C_gxy=1.0, C_fy=1.0,
                              L_fx=1.0, L_fy=1.0, L_gxy=1.0, L_gyy=1.0)
-        report = validate_constants(c)
-        assert not report.valid
-        assert any("mu_g > L_g" in v for v in report.violations)
 
     def test_all_zero_degenerate_valid(self):
         c = ProblemConstants(mu_g=1.0, L_g=1.0, C_gxy=0.0, C_fy=0.0,
                              L_fx=0.0, L_fy=0.0, L_gxy=0.0, L_gyy=0.0)
-        report = validate_constants(c)
-        assert report.valid
-        assert report.derived.L == report.derived.L_f == report.derived.L_y == 0.0
+        d = derive_constants(c)
+        assert d.L == d.L_f == d.L_y == 0.0
 
     def test_negative_constant_invalid(self):
-        c = ProblemConstants(mu_g=1.0, L_g=2.0, C_gxy=-1.0, C_fy=1.0,
+        with pytest.raises(InvalidConstants,
+                           match=r"^invalid problem constants: C_gxy is negative$"):
+            ProblemConstants(mu_g=1.0, L_g=2.0, C_gxy=-1.0, C_fy=1.0,
                              L_fx=1.0, L_fy=1.0, L_gxy=1.0, L_gyy=1.0)
-        assert not validate_constants(c).valid
 
     def test_nonfinite_invalid(self):
-        c = ProblemConstants(mu_g=1.0, L_g=np.inf, C_gxy=1.0, C_fy=1.0,
+        with pytest.raises(InvalidConstants,
+                           match=r"^invalid problem constants: L_g is not finite$"):
+            ProblemConstants(mu_g=1.0, L_g=np.inf, C_gxy=1.0, C_fy=1.0,
                              L_fx=1.0, L_fy=1.0, L_gxy=1.0, L_gyy=1.0)
-        assert not validate_constants(c).valid
+
+    def test_every_violation_listed_in_field_order(self):
+        with pytest.raises(InvalidConstants, match=re.escape(
+                "invalid problem constants: mu_g is negative; C_fy is not finite; "
+                "sigma_g is negative; mu_g must be strictly positive; "
+                "mu_f must be strictly positive when supplied")):
+            ProblemConstants(mu_g=-1.0, L_g=1.0, C_fy=np.nan, mu_f=0.0, sigma_g=-1.0)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"mu_g": 0.0}, "mu_g must be strictly positive"),
+        ({"mu_g": 3.0}, "mu_g > L_g"),
+        ({"L_gyy": np.nan}, "L_gyy is not finite"),
+        ({"sigma_f": -0.5}, "sigma_f is negative"),
+        ({"mu_f": -1.0}, "mu_f must be strictly positive when supplied"),
+    ])
+    def test_replace_checks_the_copy(self, unit_constants, change, message):
+        with pytest.raises(InvalidConstants, match=re.escape(message)):
+            replace(unit_constants, **change)
+
+    def test_mu_f_may_be_absent(self, unit_constants):
+        assert replace(unit_constants, mu_f=None).mu_f is None
 
 
 def test_derive_harmonic_smoothing_constant(unit_constants):

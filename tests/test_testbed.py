@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sustain.driver import RunConfig, run_sustain
 from sustain.errors import EmptyDataset, InvalidBatch, NotSPD
 from sustain.momentum import tracker_errors
 from sustain.oracle import IteratePair
@@ -68,6 +69,22 @@ class TestQuadratic:
         assert oracle.constants.mu_g == pytest.approx(1.0)
         assert oracle.constants.L_g == pytest.approx(2.0)
         assert oracle.constants.C_gxy == pytest.approx(np.linalg.norm(oracle.spec.B, 2))
+
+    @pytest.mark.parametrize("d_up,d_lo,spec_seed,lam,sin_amp", [
+        (3, 2, 0, 0.0, 0.0),  # lam = 0 with d_up > d_lo: a singular outer Hessian
+        (4, 2, 1, 0.0, 0.0),
+        (6, 3, 2, 0.0, 0.0),
+        (2, 5, 0, 0.5, -1.0),
+    ])
+    def test_constants_valid_for_every_accepted_spec(self, d_up, d_lo, spec_seed, lam,
+                                                     sin_amp):
+        spec = random_quadratic_spec(np.random.default_rng(spec_seed), d_up=d_up,
+                                     d_lo=d_lo, lam=lam, sin_amp=sin_amp)
+        oracle, exact = make_quadratic(spec, rng_seed=0)
+        assert oracle.constants.mu_f is None and exact.ell_star is None
+        assert oracle.constants.L_fx == abs(lam) + abs(sin_amp)
+        _, records = run_sustain(oracle, exact, RunConfig(T=20))
+        assert [r.t for r in records] == list(range(20))
 
     def test_noise_is_token_deterministic(self, quad5_noisy):
         oracle, _ = quad5_noisy
