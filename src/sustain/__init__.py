@@ -7,15 +7,12 @@ single timescale.
 """
 
 from .driver import (
-    AdamState,
     AlternatingSGD,
-    Direction,
     DoubleLoop,
     Policy,
     RunConfig,
     TrajectoryRecord,
     TwoTimescale,
-    adam_direction,
     run_baseline,
     run_sustain,
 )

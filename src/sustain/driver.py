@@ -1,5 +1,5 @@
-"""Optimizer loops: the double-momentum single-timescale method, its
-Adam-direction variant, and the baseline recursions it is compared against.
+"""Optimizer loops: the double-momentum single-timescale method and the
+baseline recursions it is compared against, each stepping x_t - alpha_t h_f.
 
 Every run is a deterministic function of its config: all randomness flows
 through sample tokens derived from the config seed, and the returned-iterate
@@ -43,16 +43,10 @@ class Policy(enum.Enum):
     PRACTICAL = "practical"
 
 
-class Direction(enum.Enum):
-    PLAIN = "plain"
-    ADAM = "adam"
-
-
 @dataclass
 class RunConfig:
     T: int
     policy: Policy = Policy.PRACTICAL
-    direction: Direction = Direction.PLAIN
     seed: int = 0
     metric_stride: int = 1
     initial_x: Optional[Sequence[float]] = None
@@ -62,7 +56,7 @@ class RunConfig:
     base_alpha: float = 0.1        # practical policy
     c_eta: float = 1.0             # practical policy
     c_eta_g: Optional[float] = None
-    alpha_override: Optional[float] = None  # strongly-convex sweeps
+    alpha_override: Optional[float] = None  # strongly-convex policy only
     record_errors: bool = True
 
     def __post_init__(self):
@@ -75,37 +69,14 @@ class RunConfig:
         # written so that NaN fails every comparison
         if self.alpha_override is not None and not self.alpha_override > 0:
             raise ValueError("alpha_override must be positive")
+        if self.alpha_override is not None and self.policy is not Policy.STRONGLY_CONVEX:
+            raise ValueError("alpha_override applies only to the strongly-convex policy")
         if not (self.c_eta >= 0 and (self.c_eta_g is None or self.c_eta_g >= 0)):
             raise ValueError("c_eta and c_eta_g must be nonnegative")
         if not 0 < self.base_alpha < np.inf:
             raise ValueError("base_alpha must be positive and finite")
         if not all(v is None or np.isfinite(v).all() for v in (self.initial_x, self.initial_y)):
             raise ValueError("initial_x and initial_y must be finite")
-
-
-@dataclass
-class AdamState:
-    m: Vector
-    v: Vector
-    gamma1: float = 0.9
-    gamma2: float = 0.999
-    eps: float = 1e-8
-    t: int = 1
-
-    @classmethod
-    def initial(cls, d_up: int) -> "AdamState":
-        return cls(m=np.zeros(d_up), v=np.zeros(d_up))
-
-
-def adam_direction(state: AdamState, h_f: Vector) -> Vector:
-    """Bias-corrected adaptive direction; mutates the state and advances t."""
-    h_f = np.asarray(h_f, dtype=float)
-    state.m = state.gamma1 * state.m + (1.0 - state.gamma1) * h_f
-    state.v = state.gamma2 * state.v + (1.0 - state.gamma2) * h_f**2
-    m_hat = state.m / (1.0 - state.gamma1**state.t)
-    v_hat = state.v / (1.0 - state.gamma2**state.t)
-    state.t += 1
-    return m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 @dataclass
@@ -261,8 +232,6 @@ def _run(
     ncfg = NeumannConfig.from_constants(oracle.constants, K)
     pair = _initial_pair(oracle, cfg)
     state = MomentumState.initial(oracle.d_up, oracle.d_lo)
-    adam = (AdamState.initial(oracle.d_up)
-            if kind is None and cfg.direction is Direction.ADAM else None)
     n_inner = kind.n_inner if isinstance(kind, DoubleLoop) else 1
     root = SampleToken.root(cfg.seed)
 
@@ -292,8 +261,7 @@ def _run(
         for j in range(1, n_inner):
             g = oracle.grad_y_g_sample(IteratePair(pair.x, y_next), it.child(STREAM_LOWER, j))
             y_next = y_next - params.beta * g
-        step = h_f if adam is None else adam_direction(adam, h_f)
-        x_next = pair.x - params.alpha * step
+        x_next = pair.x - params.alpha * h_f
         if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
             logger.warning("non-finite iterate at t=%d; aborting run", t)
             break
@@ -334,10 +302,9 @@ def run_baseline(
     kind: BaselineKind,
 ) -> Tuple[Vector, List[TrajectoryRecord]]:
     """Momentum-free baselines: the run_sustain loop with both momentum
-    weights pinned to 1, plain steps and no tracker errors recorded.
+    weights pinned to 1 and no tracker errors recorded.
 
-    AlternatingSGD is therefore run_sustain at eta = 1 by construction, and
-    an Adam ``cfg.direction`` gives the same run as a plain one.
+    AlternatingSGD is therefore run_sustain at eta = 1 by construction.
     TwoTimescale sets beta; DoubleLoop adds lower steps j >= 1 on tokens
     (t, STREAM_LOWER, j), refining the inner iterate seen by every later
     outer step, so DoubleLoop(1) is AlternatingSGD.

@@ -18,13 +18,13 @@ import numpy as np
 
 from .driver import (
     AlternatingSGD,
-    Direction,
     DoubleLoop,
     Policy,
     RunConfig,
     TrajectoryRecord,
     TwoTimescale,
     _initial_pair,
+    resolve_schedule,
     run_baseline,
     run_sustain,
 )
@@ -120,7 +120,6 @@ class ExperimentConfig:
     problem: str = "quadratic"
     algorithms: Tuple[str, ...] = ("sustain",)
     policy: str = "practical"
-    direction: str = "plain"
     T: int = 100
     seeds: Tuple[int, ...] = (0,)
     output_dir: str = "results"
@@ -140,9 +139,8 @@ class ExperimentConfig:
         if self.epsilon_metric not in METRIC_COLUMNS:
             raise ValueError(f"epsilon metric {self.epsilon_metric!r} is not one of "
                              f"the float record columns {', '.join(METRIC_COLUMNS)}")
-        for name, values in (("policy", Policy), ("direction", Direction)):
-            if getattr(self, name) not in {v.value for v in values}:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        if self.policy not in {p.value for p in Policy}:
+            raise ValueError(f"unknown policy {self.policy!r}")
         unknown = sorted(set(self.options) - _OPTIONS)
         if unknown:
             raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
@@ -156,7 +154,6 @@ class ExperimentConfig:
         known = {
             "problem.kind": "problem",
             "run.policy": "policy",
-            "run.direction": "direction",
             "run.T": "T",
             "run.seeds": "seeds",
             "run.metric_stride": "metric_stride",
@@ -272,7 +269,6 @@ def make_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
     return RunConfig(
         T=cfg.T,
         policy=Policy(cfg.policy),
-        direction=Direction(cfg.direction),
         seed=seed,
         metric_stride=cfg.metric_stride,
         initial_x=_opt(o, "run.initial_x", None, _floats),
@@ -413,8 +409,9 @@ def _median_samples(counts: List[Union[int, NotReached]]) -> Union[int, NotReach
 def run_grid(cfg: ExperimentConfig) -> GridResult:
     """Run every (algorithm, seed) cell, write one trajectory CSV per cell
     and one summary CSV; run failures are recorded per-row, never fatal.
-    A problem that cannot be built, or an initial iterate of the wrong
-    length for it, raises before the output directory is made.
+    A problem that cannot be built, an initial iterate of the wrong length or
+    a schedule the problem cannot support raises before the output directory
+    is made (the strongly-convex policy needs ``mu_f``).
 
     A summary row's ``seeds`` counts the seeds whose run succeeded, and its
     ``error`` joins every failed seed's error with ``"; "``.  A run that stops
@@ -424,6 +421,7 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     kinds = [_baseline_kind(cfg, a) for a in cfg.algorithms]
     run = make_run_config(cfg, cfg.seeds[0])
     _initial_pair(oracle, run)
+    resolve_schedule(oracle, run)
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -40,9 +40,9 @@ class ProblemConstants:
     Lipschitz constants of the corresponding derivatives.
 
     Valid by construction: every value but ``mu_f`` must be finite and
-    non-negative, 0 < mu_g <= L_g, and ``mu_f``, when supplied, positive.
-    Otherwise ``InvalidConstants`` names every violation, so a changed copy
-    (``dataclasses.replace``) is checked too.
+    non-negative, 0 < mu_g <= L_g, and ``mu_f``, when supplied, finite and
+    positive.  Otherwise ``InvalidConstants`` names every violation, so a
+    changed copy (``dataclasses.replace``) is checked too.
     """
 
     mu_g: float
@@ -71,7 +71,9 @@ class ProblemConstants:
             violations.append(
                 "mu_g > L_g: the contraction factor 1 - mu_g/L_g would be negative"
             )
-        if self.mu_f is not None and self.mu_f <= 0:
+        if self.mu_f is not None and not np.isfinite(self.mu_f):
+            violations.append("mu_f is not finite")
+        elif self.mu_f is not None and self.mu_f <= 0:
             violations.append("mu_f must be strictly positive when supplied")
         if violations:
             raise InvalidConstants(f"invalid problem constants: {'; '.join(violations)}")

@@ -74,6 +74,7 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--schedule.c_eta=nan", "c_eta and c_eta_g must be nonnegative"),
     ("--schedule.c_eta_g=nan", "c_eta and c_eta_g must be nonnegative"),
     ("--schedule.alpha=nan", "alpha_override must be positive"),
+    ("--schedule.alpha=0.01", "alpha_override applies only to the strongly-convex policy"),
     ("--schedule.base_alpha=nan", "base_alpha must be positive and finite"),
     ("--schedule.base_alpha=inf", "base_alpha must be positive and finite"),
     ("--run.algorithms=double_loop --algorithm.n_inner=abc",
@@ -88,9 +89,13 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--run.algorithms=", "at least one algorithm is required"),
     ("--config missing.cfg", "[Errno 2] No such file or directory: 'missing.cfg'"),
     ("--run.variant=option_ii", "unknown config key 'run.variant'"),
+    ("--run.direction=adam", "unknown config key 'run.direction'"),
     ("--run.initial_x=nan,0", "initial_x and initial_y must be finite"),
     ("--run.initial_y=0,0,inf,0,0", "initial_x and initial_y must be finite"),
     ("--run.initial_x=1,2,3", "oracle is (2, 5), iterate is (3, 5)"),
+    # lam = 0 with d_up > d_lo leaves the outer Hessian singular: no mu_f
+    ("--run.policy=strongly_convex --problem.lam=0 --problem.d_up=4 --problem.d_lo=2 "
+     "--problem.spec_seed=1", "mu_f is required for the strongly-convex policy"),
 ])
 def test_run_rejects_bad_options_before_running(tmp_path, capsys, override, message):
     # a one-line error and exit code 2, not a traceback, and no output directory

@@ -94,6 +94,9 @@ class TestConfigParsing:
             ExperimentConfig.from_mapping({"schedule.c_et": "10"})
         with pytest.raises(ValueError, match="unknown config key 'problem.dup', 'run.Tx'"):
             ExperimentConfig(options={"run.Tx": "5", "problem.dup": "3"})
+        # every run steps along h_f: there is no direction to choose
+        with pytest.raises(ValueError, match="unknown config key 'run.direction'"):
+            ExperimentConfig.from_mapping({"run.direction": "adam"})
 
     def test_run_options_cast_when_the_config_is_made(self):
         with pytest.raises(ValueError, match="schedule.base_alpha: could not convert"):
@@ -140,7 +143,7 @@ class TestConfigParsing:
                 ExperimentConfig.from_mapping({"run.variant": value})
 
     @pytest.mark.parametrize("name,value", [
-        ("policy", "option_i"), ("policy", "Practical"), ("direction", "adamw"),
+        ("policy", "option_i"), ("policy", "Practical"),
     ])
     def test_unknown_enum_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"unknown {name} '{value}'"):

@@ -237,6 +237,45 @@ def test_bias_within_bound(eigs, d_up, B_scale, seed, K):
     assert np.linalg.norm(bias) <= bias_bound(c, K).bound + 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    eigs=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6),
+    d_up=st.integers(1, 4),
+    sin_amp=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 12),
+)
+def test_estimator_mean_is_the_exact_expectation(eigs, d_up, sin_amp, seed, K):
+    # with sigma_f = 0 the quadratic's estimate is exact for each drawn k, so
+    # one draw per k in 0..K-1, averaged, is the expectation over k
+    rng = np.random.default_rng(seed)
+    d_lo = len(eigs)
+    Q, _ = np.linalg.qr(rng.standard_normal((d_lo, d_lo)))
+    A = Q @ np.diag(eigs) @ Q.T
+    spec = QuadBilevelSpec(
+        A=0.5 * (A + A.T), B=rng.standard_normal((d_lo, d_up)),
+        b=rng.standard_normal(d_lo), y_target=rng.standard_normal(d_lo),
+        lam=0.5, sin_amp=sin_amp,
+    )
+    oracle, exact = make_quadratic(spec, rng_seed=0)
+    cfg = NeumannConfig.from_constants(oracle.constants, K)
+    pair = IteratePair(rng.standard_normal(d_up), rng.standard_normal(d_lo))
+    by_k = {}
+    root = SampleToken.root(seed)
+    for i in range(100 * K):
+        s = estimate(oracle, pair, cfg, root.child(i))
+        by_k.setdefault(s.k_drawn, s.value)
+        if len(by_k) == K:
+            break
+    assert sorted(by_k) == list(range(K))
+    values = np.array([by_k[k] for k in range(K)])
+    grad_x_f = oracle.grad_x_f_sample(pair, root)
+    # the rounding scale: the gradient and the largest correction subtracted from it
+    scale = max(np.abs(grad_x_f).max(), np.abs(values - grad_x_f).max())
+    err = np.abs(values.mean(axis=0) - exact.neumann_expectation(pair, K)).max()
+    assert err <= 1e-12 * scale
+
+
 class TestChooseK:
     def test_nonconvex_frozen_example(self, unit_constants):
         # ceil(2 * ln(1000)) = 14

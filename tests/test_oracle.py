@@ -61,6 +61,9 @@ class TestValidateConstants:
         ({"L_gyy": np.nan}, "L_gyy is not finite"),
         ({"sigma_f": -0.5}, "sigma_f is negative"),
         ({"mu_f": -1.0}, "mu_f must be strictly positive when supplied"),
+        ({"mu_f": np.nan}, "mu_f is not finite"),
+        ({"mu_f": np.inf}, "mu_f is not finite"),
+        ({"mu_f": -np.inf}, "mu_f is not finite"),
     ])
     def test_replace_checks_the_copy(self, unit_constants, change, message):
         with pytest.raises(InvalidConstants, match=re.escape(message)):
