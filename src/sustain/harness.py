@@ -310,12 +310,12 @@ def _fmt(value) -> str:
 
 
 def write_trajectory_csv(path: Union[str, Path], records: Sequence[TrajectoryRecord]) -> None:
+    """No field needs quoting (each is empty, an int or a float's repr), so
+    rows are joined directly, in the bytes ``csv.writer`` would write."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema={TRAJECTORY_SCHEMA}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, col)) for col in TRAJECTORY_COLUMNS])
+        fh.write(f"# schema={TRAJECTORY_SCHEMA}\n{','.join(TRAJECTORY_COLUMNS)}\n")
+        fh.writelines(",".join([_fmt(getattr(r, col)) for col in TRAJECTORY_COLUMNS]) + "\n"
+                      for r in records)
 
 
 def read_trajectory_csv(path: Union[str, Path]) -> List[Dict[str, Optional[float]]]:

@@ -18,17 +18,19 @@ LinearOperator = Callable[[Vector], Vector]
 def matvec(M: np.ndarray, V: Vector) -> Vector:
     """M v for a vector, or for each row of a stack of vectors ``V[..., :]``.
 
-    Stacks are taken as ``np.matmul(M, V[..., None])[..., 0]``, which hands
-    each row to the same matrix-vector kernel as ``M @ v``: every row equals
-    its one-vector product bit for bit, where ``M @ V.T`` would not.
+    One vector is taken as ``M.dot(v)``: the bits of ``M @ v`` without the
+    ``matmul`` gufunc's per-call cost.  Stacks are taken as ``np.matmul(M,
+    V[..., None])[..., 0]``, which hands each row to the same kernel: every
+    row equals its one-vector product bit for bit, where ``M @ V.T`` would not.
     """
-    return M @ V if V.ndim == 1 else np.matmul(M, V[..., None])[..., 0]
+    return M.dot(V) if V.ndim == 1 else np.matmul(M, V[..., None])[..., 0]
 
 
 def rowdot(U: Vector, V: Vector) -> Vector:
-    """u . v for a pair of vectors, or row by row for stacks; each row equals
-    the one-pair ``u @ v`` bit for bit, for the reason ``matvec`` gives."""
-    return U @ V if U.ndim == 1 else np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
+    """u . v for a pair of vectors, as ``u.dot(v)``, or row by row for stacks
+    through ``np.matmul``; each row equals the one-pair value bit for bit,
+    for the reason ``matvec`` gives."""
+    return U.dot(V) if U.ndim == 1 else np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,10 @@ class BilevelOracle(ABC):
     one token object at x_t and x_{t-1}; ``draw`` memoizes on the token, so
     the second evaluation reuses the first one's draws instead of drawing
     them again.
+
+    Cost: the estimator calls a Hessian action once per row per series term,
+    on one vector.  ``ndarray.dot`` is the cheap one-vector product: ``A @ v``
+    gives the same bits and adds the ``matmul`` gufunc's per-call cost.
 
     An oracle may define ``upper_loss(pair)``, the upper objective f(x, y)
     that every record holds; it follows ``ExactOracle``'s stacked contract.

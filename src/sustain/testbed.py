@@ -91,6 +91,8 @@ class QuadraticOracle(BilevelOracle):
             sigma_f=spec.sigma_f,
             sigma_g=spec.sigma_g,
         )
+        # the Hessians do not depend on the point or the sample
+        self._hess_yy, self._hess_xy = spec.A.dot, (-spec.B.T).dot
 
     # -- deterministic parts -------------------------------------------------
     def _grad_x_f(self, pair: IteratePair) -> Vector:
@@ -125,12 +127,10 @@ class QuadraticOracle(BilevelOracle):
         return g
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
-        A = self.spec.A
-        return lambda v: A @ v
+        return self._hess_yy
 
     def hess_xy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
-        Bt = -self.spec.B.T
-        return lambda v: Bt @ v
+        return self._hess_xy
 
     def upper_loss(self, pair: IteratePair) -> float:
         s = self.spec
@@ -318,7 +318,7 @@ class HyperCleanOracle(BilevelOracle):
         and ``w = sigmoid(x[idx])``, ``s = sigmoid(a y)`` from one sigmoid."""
         idx = self._batch(token, self._n_tr, tag)
         a = self.spec.train.features[idx]
-        ws = _sigmoid(np.concatenate((pair.x[idx], a @ pair.y)))
+        ws = _sigmoid(np.concatenate((pair.x[idx], a.dot(pair.y))))
         return idx, a, ws[:len(idx)], ws[len(idx):]
 
     # Upper-level sample: a validation minibatch shared by both f-gradients.
@@ -329,20 +329,20 @@ class HyperCleanOracle(BilevelOracle):
         val = self.spec.val
         idx = self._batch(token, self._n_val, 0)
         a = val.features[idx]
-        resid = _sigmoid(a @ pair.y) - val.labels[idx]
-        return self._val_scale * (resid @ a)
+        resid = _sigmoid(a.dot(pair.y)) - val.labels[idx]
+        return self._val_scale * resid.dot(a)
 
     def grad_y_g_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         idx, a, w, s = self._train_batch(pair, token, 1)
         resid = s - self.spec.train.labels[idx]
-        return 2.0 * self.spec.reg * pair.y + self._tr_scale * ((w * resid) @ a)
+        return 2.0 * self.spec.reg * pair.y + self._tr_scale * (w * resid).dot(a)
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
         _, a, w, s = self._train_batch(pair, token, 2)
         coef = w * s * (1.0 - s) * self._tr_scale
 
         def action(v: Vector) -> Vector:
-            return 2.0 * self.spec.reg * v + (coef * (a @ v)) @ a
+            return 2.0 * self.spec.reg * v + (coef * a.dot(v)).dot(a)
 
         return action
 
@@ -353,7 +353,7 @@ class HyperCleanOracle(BilevelOracle):
 
         def action(v: Vector) -> Vector:
             # nonzero rows only at sampled points; repeats add in index order
-            rows = self._tr_scale * dw * resid * (a @ v)
+            rows = self._tr_scale * dw * resid * a.dot(v)
             return np.bincount(idx, weights=rows, minlength=self.d_up)
 
         return action
@@ -490,7 +490,7 @@ class MetaLinearOracle(BilevelOracle):
         blocks = self._blocks(pair.y)
         out = np.zeros(self.d_up)
         for i in tasks:
-            out += s.D[i].T @ (s.D[i] @ (pair.x + blocks[i]) - s.u[i])
+            out += s.D[i].T.dot(s.D[i].dot(pair.x + blocks[i]) - s.u[i])
         return out / len(tasks)
 
     def grad_y_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
@@ -498,7 +498,7 @@ class MetaLinearOracle(BilevelOracle):
         blocks = self._blocks(pair.y)
         out = np.zeros((s.M, s.p))
         for i in tasks:
-            out[i] = s.D[i].T @ (s.D[i] @ (pair.x + blocks[i]) - s.u[i])
+            out[i] = s.D[i].T.dot(s.D[i].dot(pair.x + blocks[i]) - s.u[i])
         return out.ravel() / len(tasks)
 
     def grad_y_g_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
@@ -506,7 +506,7 @@ class MetaLinearOracle(BilevelOracle):
         blocks = self._blocks(pair.y)
         out = np.zeros((s.M, s.p))
         for i in tasks:
-            out[i] = s.Z[i].T @ (s.Z[i] @ (pair.x + blocks[i]) - s.v[i]) + s.rho * blocks[i]
+            out[i] = s.Z[i].T.dot(s.Z[i].dot(pair.x + blocks[i]) - s.v[i]) + s.rho * blocks[i]
         return out.ravel() / len(tasks)
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
@@ -516,7 +516,7 @@ class MetaLinearOracle(BilevelOracle):
             blocks = v.reshape(s.M, s.p)
             out = np.zeros((s.M, s.p))
             for i in tasks:
-                out[i] = s.Z[i].T @ (s.Z[i] @ blocks[i]) + s.rho * blocks[i]
+                out[i] = s.Z[i].T.dot(s.Z[i].dot(blocks[i])) + s.rho * blocks[i]
             return out.ravel() / len(tasks)
 
         return action
@@ -528,7 +528,7 @@ class MetaLinearOracle(BilevelOracle):
             blocks = v.reshape(s.M, s.p)
             out = np.zeros(self.d_up)
             for i in tasks:
-                out += s.Z[i].T @ (s.Z[i] @ blocks[i])
+                out += s.Z[i].T.dot(s.Z[i].dot(blocks[i]))
             return out / len(tasks)
 
         return action

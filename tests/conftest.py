@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sustain.oracle import ProblemConstants
 from sustain.testbed import (
@@ -12,6 +15,10 @@ from sustain.testbed import (
     make_quadratic,
     random_quadratic_spec,
 )
+
+# dimensions below 8, from 8 to 128 and above 128, where NumPy's sums switch
+# from a plain loop to unrolled blocks and to pairwise halving
+DIMS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 160))
 
 
 @pytest.fixture
@@ -77,3 +84,34 @@ def sampled_testbeds():
         rng_seed=5,
     )
     return {"quadratic": quad, "hyperclean": hyperclean, "meta_linear": meta}
+
+
+@pytest.fixture
+def count_oracle_calls(monkeypatch):
+    """``count(oracle)`` wraps the oracle's five capabilities, as the
+    benchmark's tracer does, and returns a ``Counter`` of the calls to each
+    and to the Hessian actions they return (``"action"``)."""
+
+    def wrap(counts, name, capability):
+        def counted(pair, token):
+            counts[name] += 1
+            out = capability(pair, token)
+            if not name.startswith("hess_"):
+                return out
+
+            def action(v):
+                counts["action"] += 1
+                return out(v)
+
+            return action
+
+        return counted
+
+    def count(oracle):
+        counts = Counter()
+        for name in ("grad_x_f_sample", "grad_y_f_sample", "grad_y_g_sample",
+                     "hess_xy_g_sample", "hess_yy_g_sample"):
+            monkeypatch.setattr(oracle, name, wrap(counts, name, getattr(oracle, name)))
+        return counts
+
+    return count

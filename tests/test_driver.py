@@ -229,6 +229,24 @@ def test_each_token_path_drawn_once_per_run(sampled_testbeds, testbed, monkeypat
     assert [p for p, n in drawn.items() if n > 1] == []
 
 
+@pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
+@pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
+def test_cumulative_hvps_count_every_action_call(sampled_testbeds, testbed, kind,
+                                                 count_oracle_calls):
+    # the records count each Hessian action the run calls, as the
+    # benchmark's tracer counts them; SUSTAIN's momentum makes it evaluate
+    # most samples at two points
+    oracle = sampled_testbeds[testbed]
+    counts = count_oracle_calls(oracle)
+    cfg = RunConfig(T=30, policy=Policy.PRACTICAL, seed=4, metric_stride=7, K_override=5,
+                    base_alpha=0.01, record_errors=False)
+    _, records = (run_sustain(oracle, None, cfg) if kind is None
+                  else run_baseline(oracle, None, cfg, kind))
+    assert records[-1].t == cfg.T - 1
+    assert counts["action"] == records[-1].cumulative_hvps > 0
+    assert counts["hess_xy_g_sample"] == (2 * cfg.T - 1 if kind is None else cfg.T)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, 1e308])
 @pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -7,8 +9,11 @@ from sustain.driver import TrajectoryRecord
 from sustain.errors import InsufficientPoints, MissingMetric, NonPositiveValue
 from sustain.harness import (
     NOT_REACHED,
+    TRAJECTORY_COLUMNS,
+    TRAJECTORY_SCHEMA,
     ExperimentConfig,
     NotReached,
+    _fmt,
     _opt,
     apply_overrides,
     fit_rate_exponent,
@@ -224,6 +229,22 @@ class TestTrajectoryCSV:
         write_trajectory_csv(path, [_record(0, grad=1.0)])
         first = path.read_text().splitlines()[0]
         assert first.startswith("# schema=trajectory-v1")
+
+    def test_bytes_equal_those_of_csv_writer(self, tmp_path):
+        # the rows are joined by hand; they must hold the bytes csv.writer
+        # writes for every kind of value a record can hold
+        values = [None, 0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 1e300, 7]
+        records = [_record(t, grad=v, gap=values[t - 1], samples=3 * t, upper=values[t - 2])
+                   for t, v in enumerate(values)]
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, records)
+        want = io.StringIO(newline="")
+        want.write(f"# schema={TRAJECTORY_SCHEMA}\n")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(TRAJECTORY_COLUMNS)
+        for r in records:
+            writer.writerow([_fmt(getattr(r, col)) for col in TRAJECTORY_COLUMNS])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 class TestRunGrid:

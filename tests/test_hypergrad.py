@@ -162,6 +162,28 @@ def test_coupled_estimate_equals_separate_calls(sampled_testbeds, testbed, seed,
         assert (got.k_drawn, got.hvp_count) == (want.k_drawn, want.hvp_count)
 
 
+@pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_hvp_count_is_the_number_of_action_calls(sampled_testbeds, testbed, n_points,
+                                                 count_oracle_calls):
+    # every Hessian action is called once per point per series term, and
+    # the reported hvp_count is that number of calls
+    oracle = sampled_testbeds[testbed]
+    counts = count_oracle_calls(oracle)
+    rng = np.random.default_rng(n_points)
+    points = [IteratePair(rng.standard_normal(oracle.d_up), rng.standard_normal(oracle.d_lo))
+              for _ in range(n_points)]
+    cfg = NeumannConfig.from_constants(oracle.constants, 6)
+    for i in range(20):
+        before = counts.copy()
+        out = estimate_coupled(oracle, points, cfg, SampleToken.root(7).child(i))
+        k = out[0].k_drawn
+        assert counts["action"] - before["action"] == sum(e.hvp_count for e in out)
+        assert counts["hess_yy_g_sample"] - before["hess_yy_g_sample"] == k * n_points
+        assert counts["hess_xy_g_sample"] - before["hess_xy_g_sample"] == n_points
+    assert counts["action"] > 20 * n_points  # some draws had k > 0
+
+
 @pytest.mark.parametrize("K,L_g,message", [
     (0, 1.0, "K must be >= 1"),
     (1, 0.0, "need 0 < L_g < inf"),

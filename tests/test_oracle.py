@@ -3,13 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import DIMS
 from sustain.errors import DimensionMismatch, InvalidConstants
 from sustain.oracle import (
     IteratePair,
     ProblemConstants,
     check_oracle_consistency,
     derive_constants,
+    matvec,
+    rowdot,
 )
 from sustain.sampling import SampleToken
 
@@ -135,3 +140,22 @@ def test_quadratic_hessian_spectrum_within_declared_bounds(quad5):
     eigs = np.linalg.eigvalsh(oracle.spec.A)
     assert eigs[0] >= oracle.constants.mu_g - 1e-12
     assert eigs[-1] <= oracle.constants.L_g + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=DIMS, cols=DIMS, layout=st.sampled_from(["C", "F", "-T"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_vector_products_keep_the_bits_of_matmul(rows, cols, layout, seed):
+    # one vector goes through ndarray.dot: it must give the bytes of ``@``
+    # for C- and F-ordered matrices (``-B.T`` is F-ordered, as the quadratic's
+    # cross Hessian is) and read-only vectors
+    rng = np.random.default_rng(seed)
+    if layout == "-T":
+        M = -rng.standard_normal((cols, rows)).T
+    else:
+        M = np.asarray(rng.standard_normal((rows, cols)), order=layout)
+    assert layout == "C" or M.flags.f_contiguous
+    u, v = rng.standard_normal((2, cols))
+    v.flags.writeable = False
+    assert matvec(M, v).tobytes() == (M @ v).tobytes()
+    assert rowdot(u, v).tobytes() == (u @ v).tobytes()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DIMS
 from sustain.driver import RunConfig, run_sustain
 from sustain.errors import EmptyDataset, InvalidBatch, NotSPD
 from sustain.momentum import tracker_errors
@@ -44,6 +45,22 @@ class TestQuadratic:
         assert exact.y_star(x)[0] == pytest.approx(2.0)
         assert exact.ell(x) == pytest.approx(3.0)
         assert exact.grad_ell(x)[0] == pytest.approx(3.0)
+
+    def test_sampled_capabilities_match_per_capability_formulas(self, quad5_noisy):
+        # the lower gradient and the two prebuilt Hessian actions give the
+        # bits of their ``@`` formulas
+        oracle, _ = quad5_noisy
+        s = oracle.spec
+        rng = np.random.default_rng(9)
+        pair = IteratePair(rng.standard_normal(2), rng.standard_normal(5))
+        v = rng.standard_normal(5)
+        for i in range(4):
+            tok = SampleToken.root(13).child(i)
+            noise = tok.draw((_NOISE_TAG, oracle.salt), "standard_normal", 5)
+            want = s.A @ pair.y - s.B @ pair.x - s.b + s.sigma_g * noise
+            assert oracle.grad_y_g_sample(pair, tok).tobytes() == want.tobytes()
+            assert oracle.hess_yy_g_sample(pair, tok)(v).tobytes() == (s.A @ v).tobytes()
+            assert oracle.hess_xy_g_sample(pair, tok)(v).tobytes() == ((-s.B.T) @ v).tobytes()
 
     def test_grad_matches_finite_differences(self, quad5):
         _, exact = quad5
@@ -408,13 +425,8 @@ def test_sigmoid_matches_where_formula(z):
     assert got[keep].tobytes() == want[keep].tobytes()
 
 
-# dimensions below 8, from 8 to 128 and above 128, where NumPy's sums switch
-# from a plain loop to unrolled blocks and to pairwise halving
-_DIMS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 160))
-
-
 @settings(max_examples=25, deadline=None)
-@given(d_up=_DIMS, d_lo=_DIMS, n=st.integers(1, 300), K=st.integers(1, 25),
+@given(d_up=DIMS, d_lo=DIMS, n=st.integers(1, 300), K=st.integers(1, 25),
        sin_amp=st.sampled_from([0.0, 0.7]), seed=st.integers(0, 2**32 - 1))
 def test_quadratic_closed_forms_stack_bit_for_bit(d_up, d_lo, n, K, sin_amp, seed):
     # every row of a stacked call equals the one-point call on that row
@@ -470,7 +482,7 @@ def _upper_loss_oracle(kind, rng, a, b):
 @pytest.mark.parametrize("kind", ["quadratic", "quadratic_sin", "hyperclean",
                                   "meta_all_tasks", "meta_subsampled"])
 @settings(max_examples=15, deadline=None)
-@given(a=_DIMS, b=_DIMS, n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+@given(a=DIMS, b=DIMS, n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_upper_loss_stacks_bit_for_bit(kind, a, b, n, seed):
     # every row of a stacked upper_loss equals the one-point call, a float
     rng = np.random.default_rng(seed)
