@@ -38,6 +38,7 @@ def _cmd_run(args) -> int:
     except _USER_ERRORS as exc:
         print(f"sustain run: {exc}", file=sys.stderr)
         return 2
+    print(f"truncation level K = {result.K}")
     for (algorithm, seed), path in sorted(result.trajectory_paths.items()):
         print(f"trajectory {algorithm} seed={seed}: {path}")
     print(f"summary: {result.summary_path}")
@@ -73,7 +74,7 @@ def _check_bias() -> bool:
     surrogate = exact.surrogate_grad(pair.x, pair.y)
     ok = True
     for K in (1, 2, 5, 10):
-        bound = bias_bound(oracle.constants, K).bound
+        bound = bias_bound(oracle.constants, K)
         mean = exact.neumann_expectation(pair, K)
         gap = float(np.linalg.norm(mean - surrogate))
         if gap > bound + 1e-12:

@@ -109,8 +109,8 @@ class TwoTimescale:
     ratio: float = 2.0  # beta_t = ratio * alpha_t^(2/3)
 
     def __post_init__(self):
-        if self.ratio <= 1.0:
-            raise ValueError("two-timescale ratio must exceed 1")
+        if not 1.0 < self.ratio < np.inf:  # NaN fails it too
+            raise ValueError("two-timescale ratio must exceed 1 and be finite")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,37 +37,25 @@ from .errors import (
 from .oracle import BilevelOracle, ExactOracle
 from .testbed import (
     HyperCleanSpec,
-    MetaLinearSpec,
-    QuadBilevelSpec,
     generate_corrupted_dataset,
     load_dataset_csv,
     make_hyperclean,
     make_meta_linear,
     make_quadratic,
+    random_meta_linear_spec,
     random_quadratic_spec,
 )
 
 OUTPUT_DIR_ENV = "SUSTAIN_OUTPUT_DIR"
+Problem = Tuple[BilevelOracle, Optional[ExactOracle]]  # sampled oracle, exact oracle or None
 
 TRAJECTORY_SCHEMA = "trajectory-v1"
 TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
 # the columns a threshold can be compared with: every one that holds a float
 METRIC_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS
                        if c not in ("t", "cumulative_samples", "cumulative_hvps"))
-
-# every option key the harness reads (``_opt``); a config with any other key
-# is rejected
-_OPTIONS = frozenset({
-    "problem.spec_seed", "problem.noise_seed", "problem.data_seed",
-    "problem.d_up", "problem.d_lo", "problem.mu_g", "problem.L_g", "problem.lam",
-    "problem.sigma_f", "problem.sigma_g", "problem.sin_amp",
-    "problem.train_csv", "problem.val_csv", "problem.p", "problem.n_train",
-    "problem.n_val", "problem.reg", "problem.batch_size",
-    "problem.M", "problem.p_dim", "problem.q", "problem.rho", "problem.m",
-    "run.initial_x", "run.initial_y", "run.record_errors",
-    "schedule.K", "schedule.base_alpha", "schedule.c_eta", "schedule.c_eta_g",
-    "schedule.alpha", "algorithm.ratio", "algorithm.n_inner",
-})
+# the record columns whose last values the summary averages over seeds
+_FINAL_COLUMNS = ("grad_ell_sq", "ell_gap", "upper_loss", "cumulative_samples")
 
 
 class NotReached:
@@ -141,45 +130,37 @@ class ExperimentConfig:
                              f"the float record columns {', '.join(METRIC_COLUMNS)}")
         if self.policy not in {p.value for p in Policy}:
             raise ValueError(f"unknown policy {self.policy!r}")
-        unknown = sorted(set(self.options) - _OPTIONS)
+        columns = [f"samples_to_{e:g}" for e in self.epsilon_targets]
+        if len(set(columns)) < len(columns):
+            raise ValueError(f"epsilon targets share a summary column: {', '.join(columns)}")
+        # the read pass casts every value and runs the checks of RunConfig and
+        # of each baseline kind; a key that it does not read is refused
+        unknown = sorted(set(self.options) - _read(self)[3])
         if unknown:
-            raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
-        # the checks of RunConfig and of each baseline kind, every option cast
-        make_run_config(self, self.seeds[0])
-        for a in self.algorithms:
-            _baseline_kind(self, a)
+            raise ValueError(
+                f"unknown config key {', '.join(map(repr, unknown))} for problem "
+                f"{self.problem}, policy {self.policy}, algorithms {','.join(self.algorithms)}")
 
     @classmethod
     def from_mapping(cls, mapping: Dict[str, str]) -> "ExperimentConfig":
-        known = {
-            "problem.kind": "problem",
-            "run.policy": "policy",
-            "run.T": "T",
-            "run.seeds": "seeds",
-            "run.metric_stride": "metric_stride",
-            "output.dir": "output_dir",
-            "metrics.epsilon_targets": "epsilon_targets",
-            "metrics.epsilon_metric": "epsilon_metric",
-            "experiment.name": "name",
-            "run.algorithms": "algorithms",
+        def split(cast):
+            return lambda value: tuple(cast(s.strip()) for s in value.split(",") if s.strip())
+
+        fields_by_key = {  # config key: (field, cast)
+            "problem.kind": ("problem", str),
+            "run.policy": ("policy", str),
+            "run.T": ("T", int),
+            "run.seeds": ("seeds", split(int)),
+            "run.metric_stride": ("metric_stride", int),
+            "output.dir": ("output_dir", str),
+            "metrics.epsilon_targets": ("epsilon_targets", split(float)),
+            "metrics.epsilon_metric": ("epsilon_metric", str),
+            "experiment.name": ("name", str),
+            "run.algorithms": ("algorithms", split(str)),
         }
-        kwargs: Dict[str, object] = {}
-        options: Dict[str, str] = {}
-        for key, value in mapping.items():
-            if key in known:
-                dest = known[key]
-                if dest in ("T", "metric_stride"):
-                    kwargs[dest] = int(value)
-                elif dest == "seeds":
-                    kwargs[dest] = tuple(int(s) for s in value.split(",") if s.strip())
-                elif dest == "epsilon_targets":
-                    kwargs[dest] = tuple(float(s) for s in value.split(",") if s.strip())
-                elif dest == "algorithms":
-                    kwargs[dest] = tuple(s.strip() for s in value.split(",") if s.strip())
-                else:
-                    kwargs[dest] = value
-            else:
-                options[key] = value
+        kwargs = {fields_by_key[key][0]: fields_by_key[key][1](value)
+                  for key, value in mapping.items() if key in fields_by_key}
+        options = {key: value for key, value in mapping.items() if key not in fields_by_key}
         return cls(options=options, **kwargs)  # type: ignore[arg-type]
 
 
@@ -188,111 +169,117 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _opt(options: Dict[str, str], key: str, default, cast=float):
-    assert key in _OPTIONS, key
-    if key not in options:
-        return default
-    try:
-        return cast(options[key])
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+def _read(cfg: ExperimentConfig):
+    """The one read pass over ``cfg.options``: the problem's builder, the run
+    config, each algorithm's baseline kind and the set of keys read.  Each
+    value is cast as it is read; no problem is built."""
+    read = set()
+
+    def opt(key: str, default, cast=float):
+        read.add(key)
+        if key not in cfg.options:
+            return default
+        try:
+            return cast(cfg.options[key])
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
+    build = _problem_builder(cfg.problem, opt)
+    run = _run_config(cfg, opt)
+    kinds = [_baseline_kind(a, opt) for a in cfg.algorithms]
+    return build, run, kinds, read
 
 
 def _floats(value: str) -> List[float]:
     return [float(s) for s in value.split(",")]
 
 
-def make_problem(cfg: ExperimentConfig) -> Tuple[BilevelOracle, Optional[ExactOracle]]:
-    o = cfg.options
-    if cfg.problem == "quadratic":
-        rng = np.random.default_rng(_opt(o, "problem.spec_seed", 0, int))
-        spec = random_quadratic_spec(
-            rng,
-            d_up=_opt(o, "problem.d_up", 2, int),
-            d_lo=_opt(o, "problem.d_lo", 5, int),
-            mu_g=_opt(o, "problem.mu_g", 1.0),
-            L_g=_opt(o, "problem.L_g", 2.0),
-            lam=_opt(o, "problem.lam", 0.5),
-            sigma_f=_opt(o, "problem.sigma_f", 0.0),
-            sigma_g=_opt(o, "problem.sigma_g", 0.0),
-            sin_amp=_opt(o, "problem.sin_amp", 0.0),
+def make_problem(cfg: ExperimentConfig) -> Problem:
+    return _read(cfg)[0]()
+
+
+def _problem_builder(kind: str, opt: Callable) -> Callable[[], Problem]:
+    """Read the options of problem ``kind``; the closure returned builds it."""
+    if kind == "quadratic":
+        spec_seed = opt("problem.spec_seed", 0, int)
+        shape = dict(
+            d_up=opt("problem.d_up", 2, int),
+            d_lo=opt("problem.d_lo", 5, int),
+            mu_g=opt("problem.mu_g", 1.0),
+            L_g=opt("problem.L_g", 2.0),
+            lam=opt("problem.lam", 0.5),
+            sigma_f=opt("problem.sigma_f", 0.0),
+            sigma_g=opt("problem.sigma_g", 0.0),
+            sin_amp=opt("problem.sin_amp", 0.0),
         )
-        oracle, exact = make_quadratic(spec, rng_seed=_opt(o, "problem.noise_seed", 0, int))
-        return oracle, exact
-    if cfg.problem == "hyperclean":
-        train_csv = _opt(o, "problem.train_csv", None, str)
+        noise_seed = opt("problem.noise_seed", 0, int)
+        return lambda: make_quadratic(
+            random_quadratic_spec(np.random.default_rng(spec_seed), **shape), rng_seed=noise_seed)
+    if kind == "hyperclean":
+        train_csv = opt("problem.train_csv", None, str)
         if train_csv is not None:
-            train = load_dataset_csv(train_csv)
-            val = load_dataset_csv(_opt(o, "problem.val_csv", None, str))
-            p = _opt(o, "problem.p", 0.0)
+            val_csv = opt("problem.val_csv", None, str)
+            if val_csv is None:
+                raise ValueError("problem.train_csv needs problem.val_csv")
+            p = opt("problem.p", 0.0)
+            data = lambda: (load_dataset_csv(train_csv), load_dataset_csv(val_csv))
         else:
-            p = _opt(o, "problem.p", 0.3)
-            train, val = generate_corrupted_dataset(
-                n_train=_opt(o, "problem.n_train", 500, int),
-                n_val=_opt(o, "problem.n_val", 500, int),
-                d_lo=_opt(o, "problem.d_lo", 20, int),
+            p = opt("problem.p", 0.3)
+            data = partial(
+                generate_corrupted_dataset,
+                n_train=opt("problem.n_train", 500, int),
+                n_val=opt("problem.n_val", 500, int),
+                d_lo=opt("problem.d_lo", 20, int),
                 p=p,
-                rng_seed=_opt(o, "problem.data_seed", 0, int),
+                rng_seed=opt("problem.data_seed", 0, int),
             )
-        spec = HyperCleanSpec(
-            train=train,
-            val=val,
-            corruption_rate=p,
-            reg=_opt(o, "problem.reg", 1e-3),
-            batch_size=_opt(o, "problem.batch_size", 1, int),
-        )
-        return make_hyperclean(spec, rng_seed=_opt(o, "problem.noise_seed", 0, int)), None
-    if cfg.problem == "meta_linear":
-        rng = np.random.default_rng(_opt(o, "problem.data_seed", 0, int))
-        M = _opt(o, "problem.M", 4, int)
-        p_dim = _opt(o, "problem.p_dim", 3, int)
-        q = _opt(o, "problem.q", 8, int)
-        w = rng.standard_normal(p_dim)
-        Z, v, D, u = [], [], [], []
-        for _ in range(M):
-            shift = 0.3 * rng.standard_normal(p_dim)
-            for mats, targs in ((Z, v), (D, u)):
-                design = rng.standard_normal((q, p_dim))
-                mats.append(design)
-                targs.append(design @ (w + shift) + 0.05 * rng.standard_normal(q))
-        spec = MetaLinearSpec(
-            Z=Z, v=v, D=D, u=u,
-            rho=_opt(o, "problem.rho", 1.0),
-            m=_opt(o, "problem.m", M, int),
-        )
-        return make_meta_linear(spec, rng_seed=_opt(o, "problem.noise_seed", 0, int)), None
-    raise ValueError(f"unknown problem kind {cfg.problem!r}")
+        reg, batch_size = opt("problem.reg", 1e-3), opt("problem.batch_size", 1, int)
+        noise_seed = opt("problem.noise_seed", 0, int)
+        return lambda: (make_hyperclean(HyperCleanSpec(
+            *data(), corruption_rate=p, reg=reg, batch_size=batch_size), rng_seed=noise_seed), None)
+    if kind == "meta_linear":
+        data_seed = opt("problem.data_seed", 0, int)
+        M = opt("problem.M", 4, int)
+        shape = dict(M=M, p=opt("problem.p_dim", 3, int), q=opt("problem.q", 8, int),
+                     rho=opt("problem.rho", 1.0), m=opt("problem.m", M, int))
+        noise_seed = opt("problem.noise_seed", 0, int)
+        return lambda: (make_meta_linear(random_meta_linear_spec(
+            np.random.default_rng(data_seed), **shape), rng_seed=noise_seed), None)
+    raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def make_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
-    o = cfg.options
+def _run_config(cfg: ExperimentConfig, opt: Callable) -> RunConfig:
+    """The run config of every seed, at seed 0; each schedule key is read only
+    under the policy that uses it."""
+    policy = Policy(cfg.policy)
+    knobs = {}
+    if policy is Policy.PRACTICAL:
+        knobs = dict(base_alpha=opt("schedule.base_alpha", 0.1), c_eta=opt("schedule.c_eta", 1.0),
+                     c_eta_g=opt("schedule.c_eta_g", None))
+    elif policy is Policy.STRONGLY_CONVEX:
+        knobs = dict(alpha_override=opt("schedule.alpha", None))
     return RunConfig(
         T=cfg.T,
-        policy=Policy(cfg.policy),
-        seed=seed,
+        policy=policy,
         metric_stride=cfg.metric_stride,
-        initial_x=_opt(o, "run.initial_x", None, _floats),
-        initial_y=_opt(o, "run.initial_y", None, _floats),
-        K_override=_opt(o, "schedule.K", None, int),
-        base_alpha=_opt(o, "schedule.base_alpha", 0.1),
-        c_eta=_opt(o, "schedule.c_eta", 1.0),
-        c_eta_g=_opt(o, "schedule.c_eta_g", None),
-        alpha_override=_opt(o, "schedule.alpha", None),
-        record_errors=_opt(o, "run.record_errors", "1", str) != "0",
+        initial_x=opt("run.initial_x", None, _floats),
+        initial_y=opt("run.initial_y", None, _floats),
+        K_override=opt("schedule.K", None, int),
+        record_errors=opt("run.record_errors", "1", str) != "0",
+        **knobs,
     )
 
 
-def _baseline_kind(cfg: ExperimentConfig, algorithm: str):
+def _baseline_kind(algorithm: str, opt: Callable):
     """The baseline kind of ``algorithm``; None for SUSTAIN itself."""
-    o = cfg.options
     if algorithm == "sustain":
         return None
     if algorithm == "alternating":
         return AlternatingSGD()
     if algorithm == "two_timescale":
-        return TwoTimescale(ratio=_opt(o, "algorithm.ratio", 2.0))
+        return TwoTimescale(ratio=opt("algorithm.ratio", 2.0))
     if algorithm == "double_loop":
-        return DoubleLoop(n_inner=_opt(o, "algorithm.n_inner", 1, int))
+        return DoubleLoop(n_inner=opt("algorithm.n_inner", 1, int))
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -391,6 +378,7 @@ class GridResult:
     trajectory_paths: Dict[Tuple[str, int], Path]
     summary_path: Path
     summary_rows: List[Dict[str, str]]
+    K: int  # the truncation level of every run
 
 
 def _mean_std(values: List[float]) -> Tuple[Optional[float], Optional[float]]:
@@ -418,19 +406,16 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     before t = T - 1, or whose records lack the epsilon metric, has failed:
     it gets no trajectory CSV."""
     oracle, exact = make_problem(cfg)
-    kinds = [_baseline_kind(cfg, a) for a in cfg.algorithms]
-    run = make_run_config(cfg, cfg.seeds[0])
+    _, run, kinds, _ = _read(cfg)
     _initial_pair(oracle, run)
-    resolve_schedule(oracle, run)
+    _, K = resolve_schedule(oracle, run)
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     paths: Dict[Tuple[str, int], Path] = {}
     summary_rows: List[Dict[str, str]] = []
     for algorithm, kind in zip(cfg.algorithms, kinds):
-        finals: Dict[str, List[Optional[float]]] = {
-            "grad_ell_sq": [], "ell_gap": [], "upper_loss": [], "cumulative_samples": []
-        }
+        finals: Dict[str, List[Optional[float]]] = {name: [] for name in _FINAL_COLUMNS}
         eps_counts: Dict[float, List[Union[int, NotReached]]] = {
             e: [] for e in cfg.epsilon_targets
         }
@@ -458,17 +443,14 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
             path = out_dir / f"{cfg.name}_{algorithm}_seed{seed}.csv"
             write_trajectory_csv(path, records)
             paths[(algorithm, seed)] = path
-            last = records[-1]
-            finals["grad_ell_sq"].append(last.grad_ell_sq)
-            finals["ell_gap"].append(last.ell_gap)
-            finals["upper_loss"].append(last.upper_loss)
-            finals["cumulative_samples"].append(float(last.cumulative_samples))
+            for name in _FINAL_COLUMNS:
+                finals[name].append(getattr(records[-1], name))
             for e, count in zip(cfg.epsilon_targets, reached):
                 eps_counts[e].append(count)
         row: Dict[str, str] = {"algorithm": algorithm,
                                "seeds": str(len(cfg.seeds) - len(errors)),
                                "error": "; ".join(errors)}
-        for name in ("grad_ell_sq", "ell_gap", "upper_loss", "cumulative_samples"):
+        for name in _FINAL_COLUMNS:
             mean, std = _mean_std(finals[name])
             row[f"final_{name}_mean"] = _fmt(mean)
             row[f"final_{name}_std"] = _fmt(std)
@@ -478,10 +460,9 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
         summary_rows.append(row)
 
     summary_path = out_dir / f"{cfg.name}_summary.csv"
-    if summary_rows:
-        with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0].keys()),
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(summary_rows)
-    return GridResult(paths, summary_path, summary_rows)
+    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0].keys()),
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(summary_rows)
+    return GridResult(paths, summary_path, summary_rows, K)

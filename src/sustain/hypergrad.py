@@ -47,11 +47,6 @@ class HyperGradSample:
     hvp_count: int
 
 
-@dataclass(frozen=True)
-class BiasBound:
-    bound: float
-
-
 def draw_k(cfg: NeumannConfig, token: SampleToken) -> int:
     """The uniform truncation index; part of the composite sample, so a
     coupled re-evaluation at another iterate sees the same k."""
@@ -134,11 +129,11 @@ def exact_neumann_expectation(
     return np.asarray(grad_x_f, dtype=float) - matvec(hess_xy, acc / L_g)
 
 
-def bias_bound(c: ProblemConstants, K: int) -> BiasBound:
+def bias_bound(c: ProblemConstants, K: int) -> float:
     """Worst-case estimator bias: (C_gxy C_fy / mu_g) (1 - mu_g/L_g)^K."""
     NeumannConfig.from_constants(c, K)  # checks K
     contraction = 1.0 - c.mu_g / c.L_g
-    return BiasBound(bound=(c.C_gxy * c.C_fy / c.mu_g) * contraction**K)
+    return (c.C_gxy * c.C_fy / c.mu_g) * contraction**K
 
 
 def _choose_k(c: ProblemConstants, log_arg: float, multiplier: float) -> int:

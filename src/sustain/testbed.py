@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidBatch, NotSPD
+from .errors import DimensionMismatch, EmptyDataset, InvalidBatch, NotSPD
 from .hypergrad import exact_neumann_expectation
 from .oracle import (
     BilevelOracle,
@@ -27,6 +27,13 @@ from .oracle import (
 from .sampling import SampleToken
 
 _NOISE_TAG = 101  # salt stream for testbed gradient noise
+
+
+def _dims(d_up: int, d_lo: int) -> Tuple[int, int]:
+    """(d_up, d_lo) of an oracle; a level without a coordinate is refused."""
+    if d_up < 1 or d_lo < 1:
+        raise DimensionMismatch(f"d_up = {d_up} and d_lo = {d_lo} must be at least 1")
+    return d_up, d_lo
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +69,11 @@ class QuadBilevelSpec:
 
 class QuadraticOracle(BilevelOracle):
     def __init__(self, spec: QuadBilevelSpec, rng_seed: int):
+        self.d_up, self.d_lo = _dims(spec.B.shape[1], spec.B.shape[0])
         eigvals = np.linalg.eigvalsh(spec.A)
         if not np.allclose(spec.A, spec.A.T) or eigvals[0] <= 0:
             raise NotSPD("lower-level Hessian A must be symmetric positive-definite")
         self.spec = spec
-        self.d_lo, self.d_up = spec.B.shape
         self.salt = int(rng_seed)
         bnorm = float(np.linalg.norm(spec.B, 2))
         # without the sinusoidal term the outer objective is a quadratic; it
@@ -288,8 +295,7 @@ class HyperCleanOracle(BilevelOracle):
         if m < 1:
             raise InvalidBatch(f"batch_size = {m} must be at least 1")
         self.spec = spec
-        self.d_up = len(spec.train)
-        self.d_lo = spec.train.features.shape[1]
+        self.d_up, self.d_lo = _dims(len(spec.train), spec.train.features.shape[1])
         self.salt = int(rng_seed)
         n_tr, n_val = len(spec.train), len(spec.val)
         self._n_tr, self._n_val = n_tr, n_val
@@ -385,6 +391,8 @@ def generate_corrupted_dataset(
     labels, train labels flipped independently with probability p."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("corruption rate p must lie in [0, 1]")
+    if d_lo < 1:
+        raise DimensionMismatch(f"d_lo = {d_lo} must be at least 1")
     rng = np.random.default_rng(rng_seed)
     w_true = rng.standard_normal(d_lo) * (2.0 / np.sqrt(d_lo))
     datasets = []
@@ -458,8 +466,7 @@ class MetaLinearOracle(BilevelOracle):
         if spec.rho <= 0:
             raise ValueError("rho must be positive")
         self.spec = spec
-        self.d_up = spec.p
-        self.d_lo = spec.M * spec.p
+        self.d_up, self.d_lo = _dims(spec.p, spec.M * spec.p)
         self.salt = int(rng_seed)
         eig_lo, eig_hi = [], []
         for Z in spec.Z:
@@ -545,3 +552,19 @@ class MetaLinearOracle(BilevelOracle):
 
 def make_meta_linear(spec: MetaLinearSpec, rng_seed: int) -> MetaLinearOracle:
     return MetaLinearOracle(spec, rng_seed)
+
+
+def random_meta_linear_spec(
+    rng: np.random.Generator, M: int, p: int, q: int, rho: float, m: int
+) -> MetaLinearSpec:
+    """M related tasks: q-row Gaussian train and held-out designs per task,
+    targets from one shared weight plus a per-task shift, and small noise."""
+    w = rng.standard_normal(p)
+    Z, v, D, u = [], [], [], []
+    for _ in range(M):
+        shift = 0.3 * rng.standard_normal(p)
+        for mats, targs in ((Z, v), (D, u)):
+            design = rng.standard_normal((q, p))
+            mats.append(design)
+            targs.append(design @ (w + shift) + 0.05 * rng.standard_normal(q))
+    return MetaLinearSpec(Z=Z, v=v, D=D, u=u, rho=rho, m=m)

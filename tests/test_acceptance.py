@@ -95,7 +95,7 @@ def test_criterion_01_bias_bound():
         # (a) the truncation bias never exceeds the geometric bound
         expectation = exact.neumann_expectation(pair, K)
         gap = float(np.linalg.norm(expectation - surrogate))
-        bound = bias_bound(c, K).bound
+        bound = bias_bound(c, K)
         if gap > bound + 1e-12:
             ok = False
             detail.append(f"K={K} bias {gap:.3e} > bound {bound:.3e}")
@@ -140,11 +140,11 @@ def test_criterion_02_truncation_selection():
     detail = []
     for T in (100, 1000, 10_000):
         K_nc = choose_K_nonconvex(c, T)
-        if not bias_bound(c, K_nc).bound <= 1.0 / T:
+        if not bias_bound(c, K_nc) <= 1.0 / T:
             ok = False
             detail.append(f"nonconvex T={T}")
         K_sc = choose_K_strongly_convex(c, T)
-        if not bias_bound(c, K_sc).bound ** 2 <= 1.0 / T:
+        if not bias_bound(c, K_sc) ** 2 <= 1.0 / T:
             ok = False
             detail.append(f"strongly convex T={T}")
     _report(2, "truncation-level selection", ok, "; ".join(detail))

@@ -1,7 +1,8 @@
 import pytest
 
 from sustain.cli import main
-from sustain.harness import read_trajectory_csv
+from sustain.harness import ExperimentConfig, make_problem, read_trajectory_csv
+from sustain.hypergrad import choose_K_nonconvex
 
 
 @pytest.mark.parametrize("suite", ["bias", "lipschitz", "gradcheck", "reduction"])
@@ -69,23 +70,58 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--schedule.K=abc", "schedule.K: invalid literal for int()"),
     ("--schedule.c_eta=-1", "c_eta and c_eta_g must be nonnegative"),
     ("--schedule.c_eta_g=-1", "c_eta and c_eta_g must be nonnegative"),
-    ("--schedule.alpha=0", "alpha_override must be positive"),
+    ("--schedule.alpha=0 --run.policy=strongly_convex", "alpha_override must be positive"),
     ("--schedule.K=0", "K_override must be >= 1"),
     ("--schedule.c_eta=nan", "c_eta and c_eta_g must be nonnegative"),
     ("--schedule.c_eta_g=nan", "c_eta and c_eta_g must be nonnegative"),
-    ("--schedule.alpha=nan", "alpha_override must be positive"),
-    ("--schedule.alpha=0.01", "alpha_override applies only to the strongly-convex policy"),
+    ("--schedule.alpha=nan --run.policy=strongly_convex", "alpha_override must be positive"),
+    ("--schedule.alpha=0.01", "unknown config key 'schedule.alpha' for problem quadratic, "
+     "policy practical, algorithms sustain"),
     ("--schedule.base_alpha=nan", "base_alpha must be positive and finite"),
     ("--schedule.base_alpha=inf", "base_alpha must be positive and finite"),
     ("--run.algorithms=double_loop --algorithm.n_inner=abc",
      "algorithm.n_inner: invalid literal for int()"),
     ("--run.algorithms=two_timescale --algorithm.ratio=0.5",
      "two-timescale ratio must exceed 1"),
+    ("--run.algorithms=two_timescale --algorithm.ratio=nan",
+     "two-timescale ratio must exceed 1 and be finite"),
+    ("--run.algorithms=two_timescale --algorithm.ratio=inf",
+     "two-timescale ratio must exceed 1 and be finite"),
     ("--run.algorithms=sustain,newton", "unknown algorithm 'newton'"),
     ("--problem.d_up=abc", "problem.d_up: invalid literal for int()"),
     ("--problem.kind=hyperclean --problem.reg=0", "reg must be positive"),
     ("--problem.mu_g=-1", "lower-level Hessian A must be symmetric positive-definite"),
     ("--metrics.epsilon_targets=nan", "epsilon targets must be positive"),
+    ("--metrics.epsilon_targets=0.1,0.1000001",
+     "epsilon targets share a summary column: samples_to_0.1, samples_to_0.1"),
+    ("--problem.d_up=0", "d_up = 0 and d_lo = 5 must be at least 1"),
+    ("--problem.d_lo=0", "d_up = 2 and d_lo = 0 must be at least 1"),
+    ("--problem.kind=meta_linear --problem.p_dim=0", "d_up = 0 and d_lo = 0 must be at least 1"),
+    ("--problem.kind=hyperclean --problem.d_lo=0", "d_lo = 0 must be at least 1"),
+    ("--problem.kind=hyperclean --problem.train_csv=t.csv",
+     "problem.train_csv needs problem.val_csv"),
+    # a key the chosen problem, policy and algorithms do not read
+    ("--problem.reg=5", "unknown config key 'problem.reg' for problem quadratic, "
+     "policy practical, algorithms sustain"),
+    ("--run.policy=nonconvex --schedule.c_eta=5 --schedule.base_alpha=3",
+     "unknown config key 'schedule.base_alpha', 'schedule.c_eta' for problem quadratic, "
+     "policy nonconvex, algorithms sustain"),
+    ("--algorithm.n_inner=7", "unknown config key 'algorithm.n_inner' for problem quadratic, "
+     "policy practical, algorithms sustain"),
+    ("--run.algorithms=sustain,alternating --algorithm.ratio=3",
+     "unknown config key 'algorithm.ratio' for problem quadratic, policy practical, "
+     "algorithms sustain,alternating"),
+    ("--problem.kind=meta_linear --problem.d_up=9", "unknown config key 'problem.d_up' for "
+     "problem meta_linear, policy practical, algorithms sustain"),
+    ("--problem.kind=hyperclean --problem.val_csv=v.csv", "unknown config key "
+     "'problem.val_csv' for problem hyperclean, policy practical, algorithms sustain"),
+    ("--problem.kind=hyperclean --problem.train_csv=t.csv --problem.val_csv=v.csv "
+     "--problem.n_train=7", "unknown config key 'problem.n_train' for problem hyperclean, "
+     "policy practical, algorithms sustain"),
+    ("--run.policy=strongly_convex --schedule.base_alpha=5", "unknown config key "
+     "'schedule.base_alpha' for problem quadratic, policy strongly_convex, algorithms sustain"),
+    ("--problem.kind=hyperclean --problem.lam=4", "unknown config key 'problem.lam' for "
+     "problem hyperclean, policy practical, algorithms sustain"),
     ("--run.algorithms=", "at least one algorithm is required"),
     ("--config missing.cfg", "[Errno 2] No such file or directory: 'missing.cfg'"),
     ("--run.variant=option_ii", "unknown config key 'run.variant'"),
@@ -106,6 +142,19 @@ def test_run_rejects_bad_options_before_running(tmp_path, capsys, override, mess
     assert err.startswith(f"sustain run: {message}")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_run_prints_the_truncation_level(tmp_path, capsys):
+    # schedule.K unset: the practical policy takes K from the nonconvex rule
+    argv = ["run", "--run.T=5", "--run.seeds=0,1", "--run.algorithms=sustain,alternating",
+            f"--output.dir={tmp_path}"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    oracle, _ = make_problem(ExperimentConfig())
+    K = choose_K_nonconvex(oracle.constants, 5)
+    assert K > 1
+    assert [line for line in lines if "K =" in line] == [f"truncation level K = {K}"]
+    assert lines[0] == f"truncation level K = {K}"
 
 
 def test_run_rejects_invalid_problem_constants_before_running(tmp_path, capsys):

@@ -188,6 +188,9 @@ class TestBaselines:
     def test_invalid_kind_params(self):
         with pytest.raises(ValueError):
             TwoTimescale(ratio=0.5)
+        for ratio in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="ratio must exceed 1 and be finite"):
+                TwoTimescale(ratio=ratio)
         with pytest.raises(ValueError):
             DoubleLoop(n_inner=0)
 

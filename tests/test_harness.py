@@ -14,7 +14,6 @@ from sustain.harness import (
     ExperimentConfig,
     NotReached,
     _fmt,
-    _opt,
     apply_overrides,
     fit_rate_exponent,
     parse_config_file,
@@ -76,6 +75,9 @@ class TestConfigParsing:
             ExperimentConfig(epsilon_targets=(float("nan"),))
         with pytest.raises(ValueError, match="at least one algorithm is required"):
             ExperimentConfig(algorithms=())
+        # refused when the config is made, not when the problem is built
+        with pytest.raises(ValueError, match="unknown problem kind 'cubic'"):
+            ExperimentConfig(problem="cubic")
 
     def test_metric_stride_below_one_rejected(self):
         # the same check and message as RunConfig, made before any run starts
@@ -109,37 +111,84 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="run.initial_y: could not convert"):
             ExperimentConfig(options={"run.initial_y": "1,x"})
 
-    def test_only_listed_keys_are_read(self):
-        with pytest.raises(AssertionError, match="schedule.c_et"):
-            _opt({"schedule.c_et": "10"}, "schedule.c_et", 1.0)
+    @pytest.mark.parametrize("problem,policy,options,unknown", [
+        ("quadratic", "practical", {"problem.reg": "5"}, "'problem.reg'"),
+        ("quadratic", "practical", {"problem.M": "2"}, "'problem.M'"),
+        ("quadratic", "nonconvex", {"schedule.c_eta": "5", "schedule.base_alpha": "3"},
+         "'schedule.base_alpha', 'schedule.c_eta'"),
+        ("quadratic", "strongly_convex", {"schedule.c_eta_g": "5"}, "'schedule.c_eta_g'"),
+        ("quadratic", "practical", {"schedule.alpha": "0.01"}, "'schedule.alpha'"),
+        ("quadratic", "practical", {"algorithm.ratio": "3"}, "'algorithm.ratio'"),
+        ("meta_linear", "nonconvex", {"problem.d_up": "9"}, "'problem.d_up'"),
+        ("hyperclean", "practical", {"problem.val_csv": "v.csv"}, "'problem.val_csv'"),
+        ("hyperclean", "practical", {"problem.train_csv": "t.csv", "problem.val_csv": "v.csv",
+                                     "problem.data_seed": "7"}, "'problem.data_seed'"),
+    ])
+    def test_a_key_its_readers_ignore_is_refused(self, problem, policy, options, unknown):
+        # the keys read for this problem, policy and algorithm list are the
+        # only keys accepted; the line names all three
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(problem=problem, policy=policy, options=options)
+        assert str(info.value) == (f"unknown config key {unknown} for problem {problem}, "
+                                   f"policy {policy}, algorithms sustain")
 
-    def test_every_listed_key_is_read(self, tmp_path, monkeypatch):
-        # building each problem kind, a run config and each baseline reads
-        # every accepted key, so the set lists no key that is silently ignored
+    def test_algorithm_keys_belong_to_their_algorithm(self):
+        cfg = ExperimentConfig(algorithms=("two_timescale", "double_loop"),
+                               options={"algorithm.ratio": "3", "algorithm.n_inner": "4"})
+        assert cfg.options["algorithm.n_inner"] == "4"
+        with pytest.raises(ValueError, match="unknown config key 'algorithm.n_inner' for "
+                           "problem quadratic, policy practical, algorithms sustain,two_timescale"):
+            ExperimentConfig(algorithms=("sustain", "two_timescale"),
+                             options={"algorithm.ratio": "3", "algorithm.n_inner": "4"})
+
+    @pytest.mark.parametrize("problem,policy,options", [
+        ("quadratic", "practical", {
+            "problem.spec_seed": "1", "problem.noise_seed": "2", "problem.d_up": "3",
+            "problem.d_lo": "4", "problem.mu_g": "1", "problem.L_g": "3", "problem.lam": "0.1",
+            "problem.sigma_f": "0.1", "problem.sigma_g": "0.1", "problem.sin_amp": "0.1",
+            "schedule.base_alpha": "0.2", "schedule.c_eta": "2", "schedule.c_eta_g": "3"}),
+        ("quadratic", "strongly_convex", {"schedule.alpha": "0.01", "schedule.K": "2"}),
+        ("quadratic", "nonconvex", {"run.initial_x": "1,2", "run.initial_y": "0,0,0,0,0",
+                                    "run.record_errors": "0"}),
+        ("hyperclean", "practical", {
+            "problem.n_train": "7", "problem.n_val": "5", "problem.d_lo": "3",
+            "problem.data_seed": "1", "problem.p": "0.2", "problem.reg": "0.1",
+            "problem.batch_size": "2", "problem.noise_seed": "3"}),
+        ("hyperclean", "nonconvex", {
+            "problem.train_csv": "t.csv", "problem.val_csv": "v.csv", "problem.p": "0.2",
+            "problem.reg": "0.1", "problem.batch_size": "2", "problem.noise_seed": "3"}),
+        ("meta_linear", "practical", {
+            "problem.data_seed": "1", "problem.M": "3", "problem.p_dim": "2", "problem.q": "5",
+            "problem.rho": "0.5", "problem.m": "2", "problem.noise_seed": "3"}),
+    ])
+    def test_every_key_each_reader_reads_is_accepted(self, problem, policy, options):
+        # no file is opened and no problem is built, so t.csv need not exist
+        cfg = ExperimentConfig(problem=problem, policy=policy, options=options)
+        assert cfg.options == options
+
+    def test_making_a_config_builds_no_problem(self, monkeypatch):
         import sustain.harness as harness
 
-        read = set()
-        real = harness._opt
+        def refuse(*args, **kwargs):
+            raise AssertionError("a problem was built")
 
-        def recording(options, key, default, cast=float):
-            read.add(key)
-            return real(options, key, default, cast)
+        for name in ("random_quadratic_spec", "generate_corrupted_dataset",
+                     "load_dataset_csv", "random_meta_linear_spec"):
+            monkeypatch.setattr(harness, name, refuse)
+        ExperimentConfig()
+        ExperimentConfig(problem="hyperclean")
+        ExperimentConfig(problem="hyperclean", options={"problem.train_csv": "t.csv",
+                                                        "problem.val_csv": "v.csv"})
+        ExperimentConfig(problem="meta_linear")
 
-        monkeypatch.setattr(harness, "_opt", recording)
-        for name, rows in (("train", "1,2,1\n3,4,0\n"), ("val", "0,1,1\n")):
-            (tmp_path / f"{name}.csv").write_text("f1,f2,label\n" + rows)
-        for kind, options in (
-            ("quadratic", {}),
-            ("hyperclean", {}),
-            ("hyperclean", {"problem.train_csv": str(tmp_path / "train.csv"),
-                            "problem.val_csv": str(tmp_path / "val.csv")}),
-            ("meta_linear", {}),
-        ):
-            cfg = ExperimentConfig(problem=kind, options=options)
-            harness.make_problem(cfg)
-            for algorithm in ("two_timescale", "double_loop"):
-                harness._baseline_kind(cfg, algorithm)
-        assert read == harness._OPTIONS
+    def test_epsilon_targets_with_one_summary_column_rejected(self):
+        # 0.1000001 formats as 0.1 under :g, so one count would be dropped
+        with pytest.raises(ValueError, match="epsilon targets share a summary column: "
+                                             "samples_to_0.1, samples_to_0.1"):
+            ExperimentConfig(epsilon_targets=(0.1, 0.1000001))
+        with pytest.raises(ValueError, match="epsilon targets share a summary column"):
+            ExperimentConfig.from_mapping({"metrics.epsilon_targets": "0.01,0.01"})
+        assert ExperimentConfig(epsilon_targets=(0.1, 0.100001)).epsilon_targets == (0.1, 0.100001)
 
     def test_option_i_rejected(self):
         # the momentum variants are gone: run.variant is an unknown key, not an alias

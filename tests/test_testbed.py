@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import DIMS
 from sustain.driver import RunConfig, run_sustain
-from sustain.errors import EmptyDataset, InvalidBatch, NotSPD
+from sustain.errors import DimensionMismatch, EmptyDataset, InvalidBatch, NotSPD
 from sustain.momentum import tracker_errors
 from sustain.oracle import IteratePair
 from sustain.sampling import SampleToken
@@ -19,6 +19,7 @@ from sustain.testbed import (
     make_hyperclean,
     make_meta_linear,
     make_quadratic,
+    random_meta_linear_spec,
     random_quadratic_spec,
 )
 from sustain.testbed import _NOISE_TAG, _sigmoid
@@ -366,6 +367,29 @@ class TestMetaLinear:
                               D=[np.eye(2)], u=[np.zeros(2)], rho=1.0, m=m)
         with pytest.raises(InvalidBatch):
             make_meta_linear(spec, rng_seed=0)
+
+
+@pytest.mark.parametrize("d_up,d_lo", [(0, 3), (2, 0), (0, 0)])
+def test_quadratic_without_a_coordinate_rejected(d_up, d_lo):
+    spec = random_quadratic_spec(np.random.default_rng(0), d_up=d_up, d_lo=d_lo)
+    with pytest.raises(DimensionMismatch,
+                       match=f"d_up = {d_up} and d_lo = {d_lo} must be at least 1"):
+        make_quadratic(spec, rng_seed=0)
+
+
+def test_hyperclean_without_features_rejected():
+    train, val = Dataset(np.zeros((3, 0)), np.zeros(3)), Dataset(np.zeros((2, 0)), np.zeros(2))
+    with pytest.raises(DimensionMismatch, match="d_up = 3 and d_lo = 0 must be at least 1"):
+        make_hyperclean(HyperCleanSpec(train=train, val=val, corruption_rate=0.0), rng_seed=0)
+    # the generated data is refused before its 1/sqrt(d_lo) scale divides by zero
+    with pytest.raises(DimensionMismatch, match="d_lo = 0 must be at least 1"):
+        generate_corrupted_dataset(5, 5, 0, p=0.0, rng_seed=0)
+
+
+def test_meta_linear_without_a_coordinate_rejected():
+    spec = random_meta_linear_spec(np.random.default_rng(0), M=2, p=0, q=3, rho=1.0, m=2)
+    with pytest.raises(DimensionMismatch, match="d_up = 0 and d_lo = 0 must be at least 1"):
+        make_meta_linear(spec, rng_seed=0)
 
 
 def test_csv_roundtrip(tmp_path):
