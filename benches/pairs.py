@@ -21,6 +21,13 @@ pairs, and the medians differ by more than the parent's interquartile range.
 ``--check-seeds`` runs the working tree alone for 2 s with ``--trace 0`` and
 ``--trace 1`` and records each run's ``correct``, ``failed`` and
 ``driver.hvps_count_gap``.
+
+``sustain run`` runs the cells of a grid in forked workers, one per CPU the
+process may use, so the machine block records that CPU count.  When
+grid-records is benchmarked, the report also holds the peak RSS of the
+workers of one grid-records grid per side and seed (``RUSAGE_CHILDREN`` of a
+process that runs only that grid; 0 where the grid runs in one process).
+The benchmark's ``peak_rss_mb`` is the parent process's alone.
 """
 
 from __future__ import annotations
@@ -52,6 +59,34 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+# Runs the grid-records grid of one seed from a checkout and prints the peak
+# RSS of the processes it waited for, in MB.
+_WORKER_PEAK = """
+import io, resource, sys, tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+sys.path[:0] = ["perfbench", "src"]
+import workloads, sustain.cli
+with tempfile.TemporaryDirectory() as tmp:
+    argv, _ = workloads.GridRecords(Path(tmp))._argv(int(sys.argv[1]) % workloads.N_SLOTS)
+    with redirect_stdout(io.StringIO()):
+        code = sustain.cli.main(argv)
+if code:
+    sys.exit(code)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)
+"""
+
+
+def worker_peak_rss_mb(checkout: Path, seed: int) -> float:
+    """Peak RSS of the workers of one grid-records grid run from ``checkout``."""
+    done = subprocess.run([sys.executable, "-c", _WORKER_PEAK, str(seed)], cwd=checkout,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"grid-records worker peak in {checkout} exited "
+                           f"{done.returncode}:\n{done.stderr[-2000:]}")
+    return float(done.stdout.strip().splitlines()[-1])
 
 
 def cpu_model() -> str:
@@ -181,11 +216,20 @@ def main(argv=None) -> int:
             held_out, _, more_bad = run_pairs(parent_dir, args.workloads,
                                               args.held_out_seeds, args.seconds, metrics)
             bad += more_bad
+        workers = {}
+        if "grid-records" in args.workloads:
+            workers = {side: {str(seed): round(worker_peak_rss_mb(checkout, seed), 3)
+                              for seed in args.seeds + args.held_out_seeds}
+                       for side, checkout in (("parent", parent_dir), ("change", ROOT))}
     report = {
         "about": (f"Paired --trace 0 runs of perfbench/run.py: parent commit {base} against "
                   "the working tree, written by benches/pairs.py."),
         "machine": {"cpu": cpu_model(),
-                    "nproc": os.cpu_count(), "python": platform.python_version()},
+                    "nproc": os.cpu_count(),
+                    # the CPUs sustain run may use, and so its grid workers
+                    "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count(),
+                    "python": platform.python_version()},
         "parent": base,
         "run_seconds": args.seconds,
         "seeds": {w: args.seeds for w in args.workloads},
@@ -201,6 +245,8 @@ def main(argv=None) -> int:
         if claim:
             report["held_out_claim_check"] = claim_check(
                 held_out[claim["workload"]][claim["metric"]])
+    if workers:
+        report["grid_records_worker_peak_rss_mb"] = workers
     report["output_checks"] = {"timed_runs_not_correct": bad}
     if args.check_seeds:
         report["output_checks"]["working_tree"] = {

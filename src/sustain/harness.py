@@ -194,6 +194,12 @@ def _floats(value: str) -> List[float]:
     return [float(s) for s in value.split(",")]
 
 
+def _flag(value: str) -> bool:
+    if value not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {value!r}")
+    return value == "1"
+
+
 def make_problem(cfg: ExperimentConfig) -> Problem:
     return _read(cfg)[0]()
 
@@ -265,7 +271,7 @@ def _run_config(cfg: ExperimentConfig, opt: Callable) -> RunConfig:
         initial_x=opt("run.initial_x", None, _floats),
         initial_y=opt("run.initial_y", None, _floats),
         K_override=opt("schedule.K", None, int),
-        record_errors=opt("run.record_errors", "1", str) != "0",
+        record_errors=opt("run.record_errors", True, _flag),
         **knobs,
     )
 
@@ -394,12 +400,85 @@ def _median_samples(counts: List[Union[int, NotReached]]) -> Union[int, NotReach
     return NOT_REACHED if math.isinf(med) else int(med)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_cell(grid: tuple, cell: tuple) -> Union[str, tuple]:
+    """Run one (algorithm, seed) cell of ``grid`` = (oracle, exact, run
+    config, experiment config, output directory) and write its trajectory
+    CSV.  ``cell`` is (algorithm, baseline kind, seed).  The outcome is the
+    error text of a failed run, or the CSV path, the last record's
+    ``_FINAL_COLUMNS`` values and the samples to each epsilon target."""
+    oracle, exact, run, cfg, out_dir = grid
+    algorithm, kind, seed = cell
+    run_cfg = replace(run, seed=seed)
+    try:
+        if kind is None:
+            _, records = run_sustain(oracle, exact, run_cfg)
+        else:
+            _, records = run_baseline(oracle, exact, run_cfg, kind)
+    except Exception as exc:  # recorded per-row, grid continues
+        return f"seed {seed}: {type(exc).__name__}: {exc}"
+    if not records or records[-1].t != run_cfg.T - 1:  # stopped on a non-finite value
+        last = f"last record t = {records[-1].t}" if records else "no records"
+        return f"seed {seed}: run stopped before t = {run_cfg.T - 1} ({last})"
+    try:  # the metric is absent on a problem without its exact oracle
+        reached = [samples_to_epsilon(records, e, cfg.epsilon_metric)
+                   for e in cfg.epsilon_targets]
+    except MissingMetric as exc:
+        return f"seed {seed}: MissingMetric: {exc}"
+    path = out_dir / f"{cfg.name}_{algorithm}_seed{seed}.csv"
+    write_trajectory_csv(path, records)
+    return path, tuple(getattr(records[-1], name) for name in _FINAL_COLUMNS), reached
+
+
+# The grid a pool worker serves, inherited through fork and never pickled: an
+# oracle may carry local closures, which pickle cannot send.
+_served_grid: Optional[tuple] = None
+
+
+def _serve(*grid) -> None:
+    global _served_grid
+    _served_grid = grid
+
+
+def _run_served_cell(cell: tuple) -> Union[str, tuple]:
+    return _run_cell(_served_grid, cell)
+
+
+def _run_cells_in_workers(grid: tuple, cells: List[tuple],
+                          workers: int) -> List[Union[str, tuple]]:
+    """The outcomes of ``cells``, in order, from ``workers`` forked processes;
+    only the cells and their outcomes cross the pipe.  The workers are forked,
+    not spawned, because a spawned worker would need the grid pickled.  The
+    pool is shut down and its workers joined before this returns or raises."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_serve, initargs=grid) as pool:
+        return list(pool.map(_run_served_cell, cells))
+
+
 def run_grid(cfg: ExperimentConfig) -> GridResult:
     """Run every (algorithm, seed) cell, write one trajectory CSV per cell
     and one summary CSV; run failures are recorded per-row, never fatal.
     A problem that cannot be built, an initial iterate of the wrong length or
     a schedule the problem cannot support raises before the output directory
-    is made (the strongly-convex policy needs ``mu_f``).
+    is made (the strongly-convex policy needs ``mu_f``).  K is resolved once,
+    here, and every cell runs at it.
+
+    The cells run in forked worker processes, one per CPU this process may
+    use, up to the number of cells; with one worker, or where the platform
+    cannot fork, they run in this process through the same cell function.
+    Every cell is a pure function of the config and the summary is built here
+    in (algorithm, seed) order, so the outputs are byte-identical to a
+    one-CPU run (``taskset -c 0 sustain run ...`` runs the grid in one
+    process).  A log line from a cell comes from the worker that ran it.
 
     A summary row's ``seeds`` counts the seeds whose run succeeded, and its
     ``error`` joins every failed seed's error with ``"; "``.  A run that stops
@@ -412,39 +491,31 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    grid = (oracle, exact, replace(run, K_override=K), cfg, out_dir)
+    cells = [(algorithm, kind, seed)
+             for algorithm, kind in zip(cfg.algorithms, kinds) for seed in cfg.seeds]
+    workers = min(_cpu_count(), len(cells))
+    if workers > 1 and hasattr(os, "fork"):
+        outcomes = iter(_run_cells_in_workers(grid, cells, workers))
+    else:
+        outcomes = map(partial(_run_cell, grid), cells)
+
     paths: Dict[Tuple[str, int], Path] = {}
     summary_rows: List[Dict[str, str]] = []
-    for algorithm, kind in zip(cfg.algorithms, kinds):
+    for algorithm in cfg.algorithms:
         finals: Dict[str, List[Optional[float]]] = {name: [] for name in _FINAL_COLUMNS}
         eps_counts: Dict[float, List[Union[int, NotReached]]] = {
             e: [] for e in cfg.epsilon_targets
         }
         errors: List[str] = []
         for seed in cfg.seeds:
-            run_cfg = replace(run, seed=seed)
-            try:
-                if kind is None:
-                    _, records = run_sustain(oracle, exact, run_cfg)
-                else:
-                    _, records = run_baseline(oracle, exact, run_cfg, kind)
-            except Exception as exc:  # recorded per-row, grid continues
-                errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+            outcome = next(outcomes)
+            if isinstance(outcome, str):
+                errors.append(outcome)
                 continue
-            if not records or records[-1].t != run_cfg.T - 1:  # stopped on a non-finite value
-                last = f"last record t = {records[-1].t}" if records else "no records"
-                errors.append(f"seed {seed}: run stopped before t = {run_cfg.T - 1} ({last})")
-                continue
-            try:  # the metric is absent on a problem without its exact oracle
-                reached = [samples_to_epsilon(records, e, cfg.epsilon_metric)
-                           for e in cfg.epsilon_targets]
-            except MissingMetric as exc:
-                errors.append(f"seed {seed}: MissingMetric: {exc}")
-                continue
-            path = out_dir / f"{cfg.name}_{algorithm}_seed{seed}.csv"
-            write_trajectory_csv(path, records)
-            paths[(algorithm, seed)] = path
-            for name in _FINAL_COLUMNS:
-                finals[name].append(getattr(records[-1], name))
+            paths[(algorithm, seed)], last, reached = outcome
+            for name, value in zip(_FINAL_COLUMNS, last):
+                finals[name].append(value)
             for e, count in zip(cfg.epsilon_targets, reached):
                 eps_counts[e].append(count)
         row: Dict[str, str] = {"algorithm": algorithm,

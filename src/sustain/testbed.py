@@ -225,6 +225,8 @@ def random_quadratic_spec(
     sin_amp: float = 0.0,
 ) -> QuadBilevelSpec:
     """Random instance with the lower Hessian spectrum pinned to [mu_g, L_g]."""
+    if not mu_g <= L_g:  # NaN fails it too
+        raise ValueError(f"L_g = {L_g:g} is below mu_g = {mu_g:g}")
     Q, _ = np.linalg.qr(rng.standard_normal((d_lo, d_lo)))
     if d_lo == 1:
         eigs = np.array([mu_g])

@@ -98,6 +98,12 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--problem.d_lo=0", "d_up = 2 and d_lo = 0 must be at least 1"),
     ("--problem.kind=meta_linear --problem.p_dim=0", "d_up = 0 and d_lo = 0 must be at least 1"),
     ("--problem.kind=hyperclean --problem.d_lo=0", "d_lo = 0 must be at least 1"),
+    # record_errors is 0 or 1, nothing else
+    ("--run.record_errors=no", "run.record_errors: expected 0 or 1, got 'no'"),
+    ("--run.record_errors=false", "run.record_errors: expected 0 or 1, got 'false'"),
+    ("--run.record_errors=off", "run.record_errors: expected 0 or 1, got 'off'"),
+    ("--run.record_errors=", "run.record_errors: expected 0 or 1, got ''"),
+    ("--problem.L_g=0.5", "L_g = 0.5 is below mu_g = 1"),
     ("--problem.kind=hyperclean --problem.train_csv=t.csv",
      "problem.train_csv needs problem.val_csv"),
     # a key the chosen problem, policy and algorithms do not read

@@ -1,6 +1,10 @@
 import csv
 import io
+import logging
 import math
+import multiprocessing
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from sustain.harness import (
     ExperimentConfig,
     NotReached,
     _fmt,
+    _read,
     apply_overrides,
     fit_rate_exponent,
     parse_config_file,
@@ -22,6 +27,7 @@ from sustain.harness import (
     samples_to_epsilon,
     write_trajectory_csv,
 )
+from sustain.hypergrad import choose_K_nonconvex
 
 
 def _record(t, grad=None, gap=None, samples=0, upper=None):
@@ -110,6 +116,15 @@ class TestConfigParsing:
             ExperimentConfig(options={"schedule.base_alpha": "fast"})
         with pytest.raises(ValueError, match="run.initial_y: could not convert"):
             ExperimentConfig(options={"run.initial_y": "1,x"})
+
+    @pytest.mark.parametrize("value,recorded", [("1", True), ("0", False), (None, True)])
+    def test_record_errors_is_0_or_1(self, value, recorded):
+        options = {} if value is None else {"run.record_errors": value}
+        assert _read(ExperimentConfig(options=options))[1].record_errors is recorded
+        for bad in ("no", "false", "off", "", "yes", "01", "True"):
+            with pytest.raises(ValueError, match=f"^run.record_errors: expected 0 or 1, "
+                                                 f"got {bad!r}$"):
+                ExperimentConfig(options={"run.record_errors": bad})
 
     @pytest.mark.parametrize("problem,policy,options,unknown", [
         ("quadratic", "practical", {"problem.reg": "5"}, "'problem.reg'"),
@@ -296,7 +311,28 @@ class TestTrajectoryCSV:
         assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count ``run_grid`` sees: above 1 the cells of a grid of
+    two or more run in forked workers, at 1 they run in this process."""
+    import sustain.harness as harness
+
+    def set_cpus(n):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: n)
+
+    return set_cpus
+
+
 class TestRunGrid:
+    """Every test here runs its grid in forked workers; the subclass below
+    runs the same tests in one process."""
+
+    CPUS = 4
+
+    @pytest.fixture(autouse=True)
+    def _grid_path(self, cpus):
+        cpus(self.CPUS)
+
     def _cfg(self, tmp_path, **kw):
         base = dict(
             problem="quadratic",
@@ -441,3 +477,90 @@ class TestRunGrid:
         assert row["samples_to_0.5"] == "NotReached"
         assert result.summary_path.exists()
         assert result.trajectory_paths == {}
+
+    def test_the_k_rule_logs_once_per_grid(self, tmp_path, caplog):
+        # q = 0 puts the K rule's argument at 0: it logs and picks K = 1; the
+        # cells run at the grid's K and do not apply the rule again
+        cfg = self._cfg(tmp_path, problem="meta_linear", seeds=(0, 1),
+                        algorithms=("sustain", "alternating"), options={"problem.q": "0"})
+        with caplog.at_level(logging.WARNING, logger="sustain"):
+            result = run_grid(cfg)
+        assert result.K == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "K-selection argument 0 <= 1: bias already within the target at K = 1"]
+
+    def test_every_cell_runs_at_the_grid_k(self, tmp_path, monkeypatch):
+        # schedule.K unset: the grid resolves K and hands it to every cell
+        import sustain.harness as harness
+
+        cfg = self._cfg(tmp_path, seeds=(0, 1), options={"problem.sigma_g": "0.2"})
+        K = choose_K_nonconvex(harness.make_problem(cfg)[0].constants, cfg.T)
+        real = harness.run_sustain
+
+        def k_checked(oracle, exact, run):
+            if run.K_override != K:
+                raise AssertionError(f"K_override {run.K_override}, not {K}")
+            return real(oracle, exact, run)
+
+        monkeypatch.setattr(harness, "run_sustain", k_checked)
+        result = run_grid(cfg)
+        assert result.K == K
+        assert result.summary_rows[0]["error"] == ""
+
+
+class TestRunGridInProcess(TestRunGrid):
+    CPUS = 1
+
+
+def test_workers_and_one_process_write_the_same_bytes(tmp_path, monkeypatch, cpus):
+    # a grid with one failed seed, run in forked workers and in this process
+    import sustain.harness as harness
+
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    real = harness.run_sustain
+
+    def failing_for_seed_1(oracle, exact, cfg):
+        (pids / str(os.getpid())).touch()
+        if cfg.seed == 1:
+            raise RuntimeError("forced failure")
+        return real(oracle, exact, cfg)
+
+    monkeypatch.setattr(harness, "run_sustain", failing_for_seed_1)
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(algorithms=("sustain", "alternating"), T=30, seeds=(0, 1, 2),
+                           output_dir=str(out), epsilon_targets=(10.0, 1e-9),
+                           options={"problem.sigma_g": "0.2"})
+    got = {}
+    for n in (2, 1):
+        cpus(n)
+        shutil.rmtree(out, ignore_errors=True)
+        result = run_grid(cfg)
+        got[n] = result, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert got[2] == got[1]
+    result, files = got[1]
+    assert result.summary_rows[0]["error"] == "seed 1: RuntimeError: forced failure"
+    assert len(files) == 6  # five trajectories and the summary
+    # the worker path ran its cells in other processes than this one
+    noted = {int(p.name) for p in pids.iterdir()}
+    assert os.getpid() in noted and noted - {os.getpid()}
+
+
+@pytest.mark.parametrize("cell_raises", [False, True])
+def test_no_worker_outlives_the_grid(tmp_path, monkeypatch, cpus, cell_raises):
+    import sustain.harness as harness
+
+    def unwritable(path, records):
+        raise OSError(f"cannot write {path.name}")
+
+    if cell_raises:
+        monkeypatch.setattr(harness, "write_trajectory_csv", unwritable)
+    cpus(2)
+    cfg = ExperimentConfig(T=5, seeds=(0, 1, 2), output_dir=str(tmp_path),
+                           options={"schedule.K": "2"})
+    if cell_raises:
+        with pytest.raises(OSError, match="cannot write experiment_sustain_seed0.csv"):
+            run_grid(cfg)
+    else:
+        assert run_grid(cfg).summary_rows[0]["seeds"] == "3"
+    assert multiprocessing.active_children() == []

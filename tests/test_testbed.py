@@ -76,6 +76,18 @@ class TestQuadratic:
             ])
             assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
+    @pytest.mark.parametrize("mu_g,L_g,message", [
+        (1.0, 0.5, "L_g = 0.5 is below mu_g = 1"),
+        (1.0, np.nan, "L_g = nan is below mu_g = 1"),
+        (np.nan, 2.0, "L_g = 2 is below mu_g = nan"),
+    ])
+    def test_spectrum_bounds_out_of_order_rejected(self, mu_g, L_g, message):
+        # the spectrum would run from mu_g down to L_g: the two swapped
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_quadratic_spec(np.random.default_rng(0), d_up=2, d_lo=3, mu_g=mu_g, L_g=L_g)
+        spec = random_quadratic_spec(np.random.default_rng(0), d_up=2, d_lo=3, L_g=1.0)
+        assert np.allclose(np.linalg.eigvalsh(spec.A), 1.0)
+
     def test_not_spd_rejected(self):
         spec = QuadBilevelSpec(A=-np.eye(2), B=np.zeros((2, 1)), b=np.zeros(2),
                                y_target=np.zeros(2))
