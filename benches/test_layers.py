@@ -16,8 +16,8 @@ import pytest
 
 from sustain.driver import Policy, RunConfig, _records, resolve_schedule
 from sustain.harness import write_trajectory_csv
-from sustain.hypergrad import NeumannConfig, draw_k, estimate_coupled
-from sustain.momentum import MomentumState, update_f, update_g
+from sustain.hypergrad import draw_k, estimate_coupled
+from sustain.momentum import update_f, update_g
 from sustain.oracle import IteratePair
 from sustain.sampling import (
     STREAM_LOWER,
@@ -122,46 +122,43 @@ def test_estimate_coupled(benchmark, K, n_points):
     # block, as the run loop does, and evaluates it at one point or at the
     # pair (x_t, x_{t-1}), so k varies over 0..K-1 from round to round
     oracle = _quad_rate()
-    cfg = NeumannConfig.from_constants(oracle.constants, K)
     rng = np.random.default_rng(1)
     points = tuple(IteratePair(rng.standard_normal(3), rng.standard_normal(6))
                    for _ in range(n_points))
     benchmark.pedantic(estimate_coupled,
-                       setup=_fresh_samples(STREAM_UPPER, oracle, points, cfg),
+                       setup=_fresh_samples(STREAM_UPPER, oracle, points, K),
                        rounds=ROUNDS, warmup_rounds=100)
 
 
 def test_draw_k(benchmark):
     # the truncation draw of a fresh composite sample, K 12 as in quad-rate
-    cfg = NeumannConfig.from_constants(_quad_rate().constants, 12)
-    benchmark.pedantic(draw_k, setup=_fresh_samples(STREAM_UPPER, cfg),
+    benchmark.pedantic(draw_k, setup=_fresh_samples(STREAM_UPPER, 12),
                        rounds=ROUNDS, warmup_rounds=100)
 
 
 def _momentum_state():
-    """A tracker state at t >= 1 on the quad-rate shape, and the current iterate."""
+    """The trackers h_f, h_g at t >= 1 on the quad-rate shape, the previous
+    iterate they were built at and the current iterate."""
     rng = np.random.default_rng(5)
-    state = MomentumState(h_f=rng.standard_normal(3), h_g=rng.standard_normal(6),
-                          prev_iterate=IteratePair(rng.standard_normal(3),
-                                                   rng.standard_normal(6)))
-    return state, IteratePair(rng.standard_normal(3), rng.standard_normal(6))
+    h_f, h_g = rng.standard_normal(3), rng.standard_normal(6)
+    prev = IteratePair(rng.standard_normal(3), rng.standard_normal(6))
+    return h_f, h_g, prev, IteratePair(rng.standard_normal(3), rng.standard_normal(6))
 
 
 def test_update_g(benchmark):
     # eta_g < 1: the lower gradient at x_t and x_{t-1} on one fresh sample
     oracle = _quad_rate()
-    state, cur = _momentum_state()
-    benchmark.pedantic(update_g, setup=_fresh_samples(STREAM_LOWER, state, oracle, cur, 0.5),
+    _, h_g, prev, cur = _momentum_state()
+    benchmark.pedantic(update_g, setup=_fresh_samples(STREAM_LOWER, oracle, cur, prev, h_g, 0.5),
                        rounds=ROUNDS, warmup_rounds=100)
 
 
 def test_update_f(benchmark):
     # eta_f < 1 at K 12: the fresh sample evaluated at the pair (x_t, x_{t-1})
     oracle = _quad_rate()
-    cfg = NeumannConfig.from_constants(oracle.constants, 12)
-    state, cur = _momentum_state()
+    h_f, _, prev, cur = _momentum_state()
     benchmark.pedantic(update_f,
-                       setup=_fresh_samples(STREAM_UPPER, state, oracle, cur, 0.5, cfg),
+                       setup=_fresh_samples(STREAM_UPPER, oracle, cur, prev, h_f, 0.5, 12),
                        rounds=ROUNDS, warmup_rounds=100)
 
 

@@ -26,14 +26,13 @@ from .harness import (
     samples_to_epsilon,
 )
 from .hypergrad import (
-    NeumannConfig,
     bias_bound,
     choose_K_nonconvex,
     choose_K_strongly_convex,
     estimate,
     lipschitz_L_K,
 )
-from .momentum import MomentumState, update_f, update_g
+from .momentum import update_f, update_g
 from .oracle import (
     BilevelOracle,
     ExactOracle,

@@ -8,7 +8,6 @@ index is drawn from a dedicated substream so logging cannot perturb it.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import logging
 from dataclasses import dataclass
@@ -17,13 +16,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hypergrad import (
-    NeumannConfig,
-    choose_K_nonconvex,
-    choose_K_strongly_convex,
-    lipschitz_L_K,
-)
-from .momentum import MomentumState, tracker_errors, update_f, update_g
+from .hypergrad import choose_K_nonconvex, choose_K_strongly_convex, lipschitz_L_K
+from .momentum import tracker_errors, update_f, update_g
 from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot
 from .sampling import STREAM_LOWER, STREAM_RETURN, STREAM_UPPER, SampleToken
 from .schedules import (
@@ -122,9 +116,6 @@ class DoubleLoop:
             raise ValueError("n_inner must be >= 1")
 
 
-BaselineKind = Union[AlternatingSGD, TwoTimescale, DoubleLoop]
-
-
 # --- schedule resolution ----------------------------------------------------
 
 
@@ -216,7 +207,7 @@ def _run(
     oracle: BilevelOracle,
     exact: Optional[ExactOracle],
     cfg: RunConfig,
-    kind: Optional[BaselineKind],
+    kind: Union[AlternatingSGD, TwoTimescale, DoubleLoop, None],
 ) -> Tuple[Vector, List[TrajectoryRecord]]:
     """The loop of ``run_sustain`` (kind None) and ``run_baseline``.
 
@@ -229,9 +220,10 @@ def _run(
     ``_BLOCK`` of them.
     """
     schedule, K = resolve_schedule(oracle, cfg)
-    ncfg = NeumannConfig.from_constants(oracle.constants, K)
     pair = _initial_pair(oracle, cfg)
-    state = MomentumState.initial(oracle.d_up, oracle.d_lo)
+    # the trackers and the iterate they were built at; eta = 1 at t = 0, so
+    # the trackers read none of these before the first iteration sets them
+    prev, h_f, h_g = pair, None, None
     n_inner = kind.n_inner if isinstance(kind, DoubleLoop) else 1
     root = SampleToken.root(cfg.seed)
 
@@ -244,8 +236,8 @@ def _run(
 
     for t in range(cfg.T):
         params = schedule(t)
-        if isinstance(kind, TwoTimescale):
-            params = dataclasses.replace(params, beta=kind.ratio * params.alpha ** (2.0 / 3.0))
+        beta = (kind.ratio * params.alpha ** (2.0 / 3.0) if isinstance(kind, TwoTimescale)
+                else params.beta)
         momentum = kind is None and t > 0
         eta_f = params.eta_f if momentum else 1.0
         eta_g = params.eta_g if momentum else 1.0
@@ -254,23 +246,23 @@ def _run(
             rows = []
             block = root.children(t, min(t + _BLOCK, cfg.T))
         it = block[t % _BLOCK]
-        h_g = update_g(state, oracle, pair, eta_g, it.child(STREAM_LOWER))
-        h_f, n_hvp = update_f(state, oracle, pair, eta_f, ncfg, it.child(STREAM_UPPER))
+        h_g = update_g(oracle, pair, prev, h_g, eta_g, it.child(STREAM_LOWER))
+        h_f, n_hvp = update_f(oracle, pair, prev, h_f, eta_f, K, it.child(STREAM_UPPER))
 
-        y_next = pair.y - params.beta * h_g
+        y_next = pair.y - beta * h_g
         for j in range(1, n_inner):
             g = oracle.grad_y_g_sample(IteratePair(pair.x, y_next), it.child(STREAM_LOWER, j))
-            y_next = y_next - params.beta * g
+            y_next = y_next - beta * g
         x_next = pair.x - params.alpha * h_f
         if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
             logger.warning("non-finite iterate at t=%d; aborting run", t)
             break
-        state.commit(pair, h_f, h_g)
+        prev = pair
         samples += per_iter_samples
         hvps += n_hvp
 
         if t % cfg.metric_stride == 0 or t == cfg.T - 1:
-            rows.append((t, params.alpha, params.beta, eta_f, eta_g, pair.x, pair.y,
+            rows.append((t, params.alpha, beta, eta_f, eta_g, pair.x, pair.y,
                          h_f, h_g, samples, hvps))
         pair = IteratePair(x_next, y_next)
         xs.append(pair.x)
@@ -299,7 +291,7 @@ def run_baseline(
     oracle: BilevelOracle,
     exact: Optional[ExactOracle],
     cfg: RunConfig,
-    kind: BaselineKind,
+    kind: Union[AlternatingSGD, TwoTimescale, DoubleLoop],
 ) -> Tuple[Vector, List[TrajectoryRecord]]:
     """Momentum-free baselines: the run_sustain loop with both momentum
     weights pinned to 1 and no tracker errors recorded.

@@ -47,7 +47,6 @@ from .testbed import (
 )
 
 OUTPUT_DIR_ENV = "SUSTAIN_OUTPUT_DIR"
-Problem = Tuple[BilevelOracle, Optional[ExactOracle]]  # sampled oracle, exact oracle or None
 
 TRAJECTORY_SCHEMA = "trajectory-v1"
 TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
@@ -200,11 +199,14 @@ def _flag(value: str) -> bool:
     return value == "1"
 
 
-def make_problem(cfg: ExperimentConfig) -> Problem:
+def make_problem(cfg: ExperimentConfig) -> Tuple[BilevelOracle, Optional[ExactOracle]]:
+    """The sampled oracle of ``cfg``'s problem and its exact oracle, or None."""
     return _read(cfg)[0]()
 
 
-def _problem_builder(kind: str, opt: Callable) -> Callable[[], Problem]:
+def _problem_builder(
+    kind: str, opt: Callable
+) -> Callable[[], Tuple[BilevelOracle, Optional[ExactOracle]]]:
     """Read the options of problem ``kind``; the closure returned builds it."""
     if kind == "quadratic":
         spec_seed = opt("problem.spec_seed", 0, int)

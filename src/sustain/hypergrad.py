@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,87 +21,68 @@ from .sampling import STREAM_K_DRAW, STREAM_XI, STREAM_ZETA, SampleToken
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class NeumannConfig:
-    """Truncation budget and the lower-level Hessian bound that scales it."""
-
-    K: int
-    L_g: float
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise InvalidConstants("K must be >= 1")
-        if not 0 < self.L_g < math.inf:
-            raise InvalidConstants("need 0 < L_g < inf")
-
-    @classmethod
-    def from_constants(cls, c: ProblemConstants, K: int) -> "NeumannConfig":
-        return cls(K=K, L_g=c.L_g)
+def _check_K(K: int) -> None:
+    if K < 1:
+        raise InvalidConstants("K must be >= 1")
 
 
-@dataclass(frozen=True)
-class HyperGradSample:
-    value: Vector
-    k_drawn: int
-    hvp_count: int
-
-
-def draw_k(cfg: NeumannConfig, token: SampleToken) -> int:
-    """The uniform truncation index; part of the composite sample, so a
-    coupled re-evaluation at another iterate sees the same k."""
-    return int(token.draw((STREAM_K_DRAW,), "integers", cfg.K))
+def draw_k(K: int, token: SampleToken) -> int:
+    """The uniform truncation index on 0..K-1; part of the composite sample,
+    so a coupled re-evaluation at another iterate sees the same k."""
+    return int(token.draw((STREAM_K_DRAW,), "integers", K))
 
 
 def estimate(
     oracle: BilevelOracle,
     at: IteratePair,
-    cfg: NeumannConfig,
+    K: int,
     sample: SampleToken,
-) -> HyperGradSample:
-    """One draw of the truncated-series hypergradient estimator.
+) -> Tuple[Vector, int]:
+    """One draw of the truncated-series hypergradient estimator and its k.
 
     Computes grad_x f - (K/L_g) * H_xy * prod_{i=1..k}(I - H_yy^(i)/L_g) *
-    grad_y f, applied right-to-left as k+1 Hessian-vector products.  The
-    empty product (k = 0) is the identity.  Raises ``NonfiniteValue`` if
-    the draw contains NaN/Inf.
+    grad_y f, applied right-to-left as k+1 Hessian-vector products, with
+    L_g = ``oracle.constants.L_g``.  The empty product (k = 0) is the
+    identity.  Raises ``NonfiniteValue`` if the draw contains NaN/Inf.
     """
-    out = estimate_coupled(oracle, (at,), cfg, sample)[0]
-    if not np.all(np.isfinite(out.value)):
+    (value,), k = estimate_coupled(oracle, (at,), K, sample)
+    if not np.all(np.isfinite(value)):
         raise NonfiniteValue("hypergradient sample contains NaN/Inf")
-    return out
+    return value, k
 
 
 def estimate_coupled(
     oracle: BilevelOracle,
     points: Sequence[IteratePair],
-    cfg: NeumannConfig,
+    K: int,
     sample: SampleToken,
-) -> Tuple[HyperGradSample, ...]:
-    """The estimator of ``estimate`` at several iterates, one composite sample.
+) -> Tuple[List[Vector], int]:
+    """The estimator of ``estimate`` at several iterates, one composite sample:
+    one value per point, in point order, and the drawn k.
 
     k, the xi token and the zeta tokens are drawn once and shared by every
-    point, so each point's result equals ``estimate(oracle, point, cfg,
+    point, so each point's value equals ``estimate(oracle, point, K,
     sample)`` bit for bit while the oracle's token draws are made once (the
-    tokens memoize them).  Points are evaluated in order and one at a time.
-    Values are not checked for NaN/Inf: the run loop checks the iterates
-    they feed into.
+    tokens memoize them).  Each point costs k + 1 Hessian-vector products.
+    Points are evaluated in order and one at a time.  Values are not checked
+    for NaN/Inf: the run loop checks the iterates they feed into.
     """
+    _check_K(K)
     for at in points:
         oracle.check_dims(at)
-    k = draw_k(cfg, sample)
+    k = draw_k(K, sample)
     xi = sample.child(STREAM_XI)
     zeta = [sample.child(STREAM_ZETA, i) for i in range(k + 1)]
-    inv_lg = 1.0 / cfg.L_g
-    out = []
+    inv_lg = 1.0 / oracle.constants.L_g
+    values = []
     for at in points:
         p = oracle.grad_y_f_sample(at, xi)
         for i in range(1, k + 1):
             hvp = oracle.hess_yy_g_sample(at, zeta[i])
             p = p - inv_lg * hvp(p)
         cross = oracle.hess_xy_g_sample(at, zeta[0])
-        value = oracle.grad_x_f_sample(at, xi) - (cfg.K * inv_lg) * cross(p)
-        out.append(HyperGradSample(value=value, k_drawn=k, hvp_count=k + 1))
-    return tuple(out)
+        values.append(oracle.grad_x_f_sample(at, xi) - (K * inv_lg) * cross(p))
+    return values, k
 
 
 def exact_neumann_expectation(
@@ -131,7 +111,7 @@ def exact_neumann_expectation(
 
 def bias_bound(c: ProblemConstants, K: int) -> float:
     """Worst-case estimator bias: (C_gxy C_fy / mu_g) (1 - mu_g/L_g)^K."""
-    NeumannConfig.from_constants(c, K)  # checks K
+    _check_K(K)
     contraction = 1.0 - c.mu_g / c.L_g
     return (c.C_gxy * c.C_fy / c.mu_g) * contraction**K
 
@@ -165,7 +145,7 @@ def choose_K_strongly_convex(c: ProblemConstants, T: int) -> int:
 def lipschitz_L_K(c: ProblemConstants, K: int) -> float:
     """Mean-square Lipschitz constant of the sampled estimator w.r.t. the
     iterate, growing as sqrt(K^3) through the product term."""
-    NeumannConfig.from_constants(c, K)  # checks K
+    _check_K(K)
     denom = 2.0 * c.mu_g * c.L_g - c.mu_g**2
     cubic_num = 6.0 * c.C_gxy**2 * c.C_fy**2 * c.L_gyy**2 * K**3
     if c.L_g == c.mu_g:

@@ -2,49 +2,21 @@
 
 Both trackers follow one recursion, h = eta s_cur + (1 - eta)(h_prev + s_cur
 - s_prev), where s_prev re-evaluates the current sample at the previous
-iterate; at eta = 1 it is the plain sample.  The momentum weight eta is the
-caller's: it must lie in [0, 1], and the schedules are the only place that
-clamps it.
+iterate; at eta = 1 it is the plain sample, and neither h_prev nor the
+previous iterate is read.  The trackers are pure functions: the caller holds
+h_f, h_g and the previous iterate.  The momentum weight eta is the caller's:
+it must lie in [0, 1], and the schedules are the only place that clamps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .hypergrad import NeumannConfig, estimate_coupled
+from .hypergrad import estimate_coupled
 from .oracle import BilevelOracle, ExactOracle, IteratePair, Vector, rowdot
 from .sampling import SampleToken
-
-
-@dataclass
-class MomentumState:
-    """Tracker pair (h_f, h_g) plus the previous iterate they were built at.
-
-    The zero sentinels never influence the first update because the momentum
-    weights are forced to 1 at t = 0.
-    """
-
-    h_f: Vector
-    h_g: Vector
-    prev_iterate: IteratePair
-
-    @classmethod
-    def initial(cls, d_up: int, d_lo: int) -> "MomentumState":
-        return cls(
-            h_f=np.zeros(d_up),
-            h_g=np.zeros(d_lo),
-            prev_iterate=IteratePair(np.zeros(d_up), np.zeros(d_lo)),
-        )
-
-    def commit(self, cur: IteratePair, h_f: Vector, h_g: Vector) -> None:
-        """Record the updates for iteration t; both trackers were evaluated
-        at ``cur`` so it becomes the previous iterate of the next step."""
-        self.h_f = h_f
-        self.h_g = h_g
-        self.prev_iterate = cur
 
 
 def _check_eta(eta: float, which: str) -> None:
@@ -63,41 +35,44 @@ def _recursion(eta: float, h_prev: Vector, s_cur: Vector,
 
 
 def update_g(
-    state: MomentumState,
     oracle: BilevelOracle,
     cur: IteratePair,
+    prev: IteratePair,
+    h_g: Optional[Vector],
     eta_g: float,
     sample: SampleToken,
 ) -> Vector:
-    """Lower-level tracker update; both gradient evaluations take the same
-    token object, so the correction telescopes exactly on deterministic
-    oracles and the sample's draws are made once."""
+    """Lower-level tracker update from h_g, built at ``prev``, to ``cur``;
+    both gradient evaluations take the same token object, so the correction
+    telescopes exactly on deterministic oracles and the sample's draws are
+    made once."""
     _check_eta(eta_g, "eta_g")
     g_cur = oracle.grad_y_g_sample(cur, sample)
-    g_prev = oracle.grad_y_g_sample(state.prev_iterate, sample) if eta_g < 1.0 else None
-    return _recursion(eta_g, state.h_g, g_cur, g_prev)
+    g_prev = oracle.grad_y_g_sample(prev, sample) if eta_g < 1.0 else None
+    return _recursion(eta_g, h_g, g_cur, g_prev)
 
 
 def update_f(
-    state: MomentumState,
     oracle: BilevelOracle,
     cur: IteratePair,
+    prev: IteratePair,
+    h_f: Optional[Vector],
     eta_f: float,
-    cfg: NeumannConfig,
+    K: int,
     sample: SampleToken,
 ) -> Tuple[Vector, int]:
-    """Upper-level tracker update; returns the new h_f and the
-    Hessian-vector products consumed.
+    """Upper-level tracker update from h_f, built at ``prev``, to ``cur``;
+    returns the new h_f and the Hessian-vector products consumed.
 
     When eta_f < 1 the composite sample, including its drawn truncation
     index, is evaluated at the pair (x_t, x_{t-1}) and the value at x_{t-1}
     is the recursion's s_prev.
     """
     _check_eta(eta_f, "eta_f")
-    points = (cur, state.prev_iterate) if eta_f < 1.0 else (cur,)
-    s = estimate_coupled(oracle, points, cfg, sample)
-    s_prev = s[1].value if eta_f < 1.0 else None
-    return _recursion(eta_f, state.h_f, s[0].value, s_prev), sum(e.hvp_count for e in s)
+    points = (cur, prev) if eta_f < 1.0 else (cur,)
+    s, k = estimate_coupled(oracle, points, K, sample)
+    s_prev = s[1] if eta_f < 1.0 else None
+    return _recursion(eta_f, h_f, s[0], s_prev), len(points) * (k + 1)
 
 
 def tracker_errors(

@@ -475,13 +475,14 @@ class MetaLinearOracle(BilevelOracle):
             ev = np.linalg.eigvalsh(Z.T @ Z)
             eig_lo.append(ev[0])
             eig_hi.append(ev[-1])
+        L_f = max(float(np.linalg.eigvalsh(D.T @ D)[-1]) for D in spec.D) / spec.m
         self.constants = ProblemConstants(
             mu_g=(min(eig_lo) + spec.rho) / spec.M,
             L_g=(max(eig_hi) + spec.rho) / spec.m,
             C_gxy=max(eig_hi) / spec.m,
             C_fy=100.0,  # operating-box bound for the quadratic upper gradient
-            L_fx=max(float(np.linalg.eigvalsh(D.T @ D)[-1]) for D in spec.D) / spec.m,
-            L_fy=max(float(np.linalg.eigvalsh(D.T @ D)[-1]) for D in spec.D) / spec.m,
+            L_fx=L_f,
+            L_fy=L_f,
             L_gxy=0.0,
             L_gyy=0.0,
         )

@@ -24,7 +24,6 @@ from sustain.driver import (
 )
 from sustain.harness import NotReached, fit_rate_exponent, samples_to_epsilon
 from sustain.hypergrad import (
-    NeumannConfig,
     bias_bound,
     choose_K_nonconvex,
     choose_K_strongly_convex,
@@ -101,11 +100,10 @@ def test_criterion_01_bias_bound():
             detail.append(f"K={K} bias {gap:.3e} > bound {bound:.3e}")
         # cross-check the per-k closed form against the sampled estimator
         vals = _per_k_values(oracle, exact, pair, K)
-        cfg = NeumannConfig.from_constants(c, K)
         root = SampleToken.root(900 + K)
         for i in range(300):
-            draw = estimate(oracle, pair, cfg, root.child(i))
-            if not np.allclose(draw.value, vals[draw.k_drawn], atol=1e-12):
+            value, k = estimate(oracle, pair, K, root.child(i))
+            if not np.allclose(value, vals[k], atol=1e-12):
                 ok = False
                 detail.append(f"K={K} sample {i} disagrees with closed form")
                 break
@@ -204,7 +202,6 @@ def test_criterion_04_estimator_lipschitz():
     oracle, _ = make_quadratic(spec, rng_seed=3)
     c = oracle.constants
     K = 5
-    cfg = NeumannConfig.from_constants(c, K)
     L_K = lipschitz_L_K(c, K)
     n_draws = 10_000
     ok = True
@@ -224,8 +221,8 @@ def test_criterion_04_estimator_lipschitz():
         for i in range(n_draws):
             # one composite sample at both points: the values of two
             # ``estimate`` calls on the token, drawn once
-            s1, s2 = estimate_coupled(oracle, (p1, p2), cfg, root.child(i))
-            d = s1.value - s2.value
+            (s1, s2), _ = estimate_coupled(oracle, (p1, p2), K, root.child(i))
+            d = s1 - s2
             acc += float(d @ d)
         mean_sq = acc / n_draws
         bound = L_K**2 * (np.linalg.norm(dx) + np.linalg.norm(dy)) ** 2

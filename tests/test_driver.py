@@ -22,7 +22,7 @@ from sustain.driver import (
 )
 from sustain.errors import DimensionMismatch, InvalidConstants
 from sustain.hypergrad import lipschitz_L_K
-from sustain.momentum import MomentumState, tracker_errors
+from sustain.momentum import tracker_errors
 from sustain.oracle import IteratePair
 from sustain.sampling import STREAM_LOWER, SampleToken
 from sustain.schedules import strongly_convex_params
@@ -523,21 +523,30 @@ _FLOAT_FIELDS = ("alpha", "beta", "eta_f", "eta_g", *_EXACT_FIELDS, "upper_loss"
 
 
 def _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=None):
-    """Run with the commits and the record blocks watched; every record must
-    equal the per-point formulas at its committed (x_t, y_t, h_f, h_g), and
-    without an exact oracle hold the one-point ``upper_loss`` only."""
-    committed, blocks = [], []
-    commit, records_of = MomentumState.commit, sustain.driver._records
+    """Run with the tracker updates and the record blocks watched; every
+    record must equal the per-point formulas at its committed (x_t, y_t, h_f,
+    h_g), and without an exact oracle hold the one-point ``upper_loss`` only.
+    Iteration t makes the t-th call of each update, so the committed
+    iterations are the first T calls."""
+    lower, upper, blocks = [], [], []
+    update_g, update_f = sustain.driver.update_g, sustain.driver.update_f
+    records_of = sustain.driver._records
 
-    def watched_commit(state, cur, h_f, h_g):
-        committed.append((cur.x, cur.y, h_f, h_g))
-        commit(state, cur, h_f, h_g)
+    def watched_update_g(*args):
+        lower.append(update_g(*args))
+        return lower[-1]
+
+    def watched_update_f(oracle, cur, *args):
+        out = update_f(oracle, cur, *args)
+        upper.append((cur.x, cur.y, out[0]))
+        return out
 
     def watched_records(rows, *args):
         blocks.append(len(rows))
         return records_of(rows, *args)
 
-    monkeypatch.setattr(MomentumState, "commit", watched_commit)
+    monkeypatch.setattr(sustain.driver, "update_g", watched_update_g)
+    monkeypatch.setattr(sustain.driver, "update_f", watched_update_f)
     monkeypatch.setattr(sustain.driver, "_records", watched_records)
     if poison_t is not None:
         clean = oracle.grad_x_f_sample
@@ -550,7 +559,9 @@ def _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=None):
     stride = cfg.metric_stride
     assert [r.t for r in records] == [t for t in range(T)
                                       if t % stride == 0 or t == cfg.T - 1]
-    assert len(committed) == T
+    # a poisoned run also makes the calls of the iteration that it stops at
+    assert len(lower) == len(upper) == T + (poison_t is not None)
+    committed = [(*u, h_g) for u, h_g in zip(upper[:T], lower)]
     assert max(blocks) <= sustain.driver._BLOCK and sum(blocks) == len(records)
     errors = kind is None and cfg.record_errors
     for r in records:

@@ -11,7 +11,6 @@ from sustain.errors import (
     SingularDenominator,
 )
 from sustain.hypergrad import (
-    NeumannConfig,
     bias_bound,
     choose_K_nonconvex,
     choose_K_strongly_convex,
@@ -57,24 +56,22 @@ class _NaNOracle(_ZeroCrossOracle):
 class TestEstimate:
     def test_zero_cross_hessian(self):
         oracle = _ZeroCrossOracle()
-        cfg = NeumannConfig(K=4, L_g=1.0)
         pair = IteratePair([2.0], [3.0])
         for i in range(10):
-            s = estimate(oracle, pair, cfg, SampleToken.root(0).child(i))
-            assert s.value[0] == 3.0
+            value, _ = estimate(oracle, pair, 4, SampleToken.root(0).child(i))
+            assert value[0] == 3.0
 
     def test_onedim_values_by_k(self, onedim_quad):
         # lower y^2 - x*y, upper 0.5*y^2, K=4, y=4: value 8 iff k=0 else 0
         oracle, exact = onedim_quad
-        cfg = NeumannConfig(K=4, L_g=2.0)
+        assert oracle.constants.L_g == 2.0
         pair = IteratePair([0.0], [4.0])
         seen = {}
         root = SampleToken.root(1)
         for i in range(200):
-            s = estimate(oracle, pair, cfg, root.child(i))
-            seen.setdefault(s.k_drawn, set()).add(float(s.value[0]))
-            assert s.hvp_count == s.k_drawn + 1
-            assert 0 <= s.k_drawn <= 3
+            value, k = estimate(oracle, pair, 4, root.child(i))
+            seen.setdefault(k, set()).add(float(value[0]))
+            assert 0 <= k <= 3
         assert seen[0] == {8.0}
         for k in (1, 2, 3):
             assert seen[k] == {0.0}
@@ -91,47 +88,42 @@ class TestEstimate:
     def test_monte_carlo_mean_matches_exact(self, quad5):
         oracle, exact = quad5
         K = 5
-        cfg = NeumannConfig.from_constants(oracle.constants, K)
         pair = IteratePair(np.array([0.5, -0.5]), np.ones(5))
         target = exact.neumann_expectation(pair, K)
         n = 20_000
         root = SampleToken.root(2)
         draws = np.empty((n, 2))
         for i in range(n):
-            draws[i] = estimate(oracle, pair, cfg, root.child(i)).value
+            draws[i] = estimate(oracle, pair, K, root.child(i))[0]
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 3 * se + 1e-12)
 
     def test_k_equals_one_is_deterministic_index(self, quad5):
         oracle, _ = quad5
-        cfg = NeumannConfig.from_constants(oracle.constants, 1)
         pair = IteratePair(np.zeros(2), np.zeros(5))
         for i in range(20):
-            s = estimate(oracle, pair, cfg, SampleToken.root(3).child(i))
-            assert s.k_drawn == 0 and s.hvp_count == 1
+            _, k = estimate(oracle, pair, 1, SampleToken.root(3).child(i))
+            assert k == 0
 
     def test_mean_hvp_count(self, quad5):
         oracle, _ = quad5
         K = 8
-        cfg = NeumannConfig.from_constants(oracle.constants, K)
         pair = IteratePair(np.zeros(2), np.zeros(5))
         root = SampleToken.root(4)
-        counts = [estimate(oracle, pair, cfg, root.child(i)).hvp_count for i in range(4000)]
+        counts = [estimate(oracle, pair, K, root.child(i))[1] + 1 for i in range(4000)]
         assert max(counts) <= K
         assert np.mean(counts) == pytest.approx((K + 1) / 2, rel=0.05)
 
     def test_coupled_reevaluation_shares_k(self, quad5):
         oracle, _ = quad5
-        cfg = NeumannConfig.from_constants(oracle.constants, 6)
         tok = SampleToken.root(5).child(0)
         p1 = IteratePair(np.zeros(2), np.zeros(5))
         p2 = IteratePair(np.ones(2), np.ones(5))
-        assert estimate(oracle, p1, cfg, tok).k_drawn == estimate(oracle, p2, cfg, tok).k_drawn
+        assert estimate(oracle, p1, 6, tok)[1] == estimate(oracle, p2, 6, tok)[1]
 
     def test_nan_raises(self):
         with pytest.raises(NonfiniteValue):
-            estimate(_NaNOracle(), IteratePair([0.0], [0.0]),
-                     NeumannConfig(K=1, L_g=1.0), SampleToken.root(0))
+            estimate(_NaNOracle(), IteratePair([0.0], [0.0]), 1, SampleToken.root(0))
 
 
 @pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
@@ -153,13 +145,12 @@ def test_coupled_estimate_equals_separate_calls(sampled_testbeds, testbed, seed,
                     scale * rng.standard_normal(oracle.d_lo))
         for _ in range(2)
     ]
-    cfg = NeumannConfig.from_constants(oracle.constants, K)
     full = (seed,) + tuple(path)
-    paired = estimate_coupled(oracle, points, cfg, SampleToken(full))
+    paired, k = estimate_coupled(oracle, points, K, SampleToken(full))
     for at, got in zip(points, paired):
-        want = estimate(oracle, at, cfg, SampleToken(full))
-        assert got.value.tobytes() == want.value.tobytes()
-        assert (got.k_drawn, got.hvp_count) == (want.k_drawn, want.hvp_count)
+        want, want_k = estimate(oracle, at, K, SampleToken(full))
+        assert got.tobytes() == want.tobytes()
+        assert k == want_k
 
 
 @pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
@@ -167,38 +158,52 @@ def test_coupled_estimate_equals_separate_calls(sampled_testbeds, testbed, seed,
 def test_hvp_count_is_the_number_of_action_calls(sampled_testbeds, testbed, n_points,
                                                  count_oracle_calls):
     # every Hessian action is called once per point per series term, and
-    # the reported hvp_count is that number of calls
+    # that number of calls is k + 1 per point
     oracle = sampled_testbeds[testbed]
     counts = count_oracle_calls(oracle)
     rng = np.random.default_rng(n_points)
     points = [IteratePair(rng.standard_normal(oracle.d_up), rng.standard_normal(oracle.d_lo))
               for _ in range(n_points)]
-    cfg = NeumannConfig.from_constants(oracle.constants, 6)
     for i in range(20):
         before = counts.copy()
-        out = estimate_coupled(oracle, points, cfg, SampleToken.root(7).child(i))
-        k = out[0].k_drawn
-        assert counts["action"] - before["action"] == sum(e.hvp_count for e in out)
+        _, k = estimate_coupled(oracle, points, 6, SampleToken.root(7).child(i))
+        assert counts["action"] - before["action"] == n_points * (k + 1)
         assert counts["hess_yy_g_sample"] - before["hess_yy_g_sample"] == k * n_points
         assert counts["hess_xy_g_sample"] - before["hess_xy_g_sample"] == n_points
     assert counts["action"] > 20 * n_points  # some draws had k > 0
 
 
-@pytest.mark.parametrize("K,L_g,message", [
-    (0, 1.0, "K must be >= 1"),
-    (1, 0.0, "need 0 < L_g < inf"),
-    (1, float("inf"), "need 0 < L_g < inf"),
-    (1, float("nan"), "need 0 < L_g < inf"),
-])
-def test_neumann_config_rejects_bad_budget(K, L_g, message):
-    with pytest.raises(InvalidConstants, match=message):
-        NeumannConfig(K=K, L_g=L_g)
+def test_K_below_one_rejected(quad5, unit_constants):
+    # L_g comes from the oracle's constants, which check it where they are made
+    oracle, _ = quad5
+    pair = IteratePair(np.zeros(2), np.zeros(5))
+    for call in (lambda: estimate(oracle, pair, 0, SampleToken.root(0)),
+                 lambda: estimate_coupled(oracle, (pair,), 0, SampleToken.root(0)),
+                 lambda: bias_bound(unit_constants, 0),
+                 lambda: lipschitz_L_K(unit_constants, 0)):
+        with pytest.raises(InvalidConstants, match="K must be >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("n_points", [1, 3])
+def test_coupled_k_is_the_drawn_k(quad5, n_points):
+    # one value per point, in point order, and the k that draw_k gives the token
+    oracle, _ = quad5
+    rng = np.random.default_rng(8)
+    points = [IteratePair(rng.standard_normal(2), rng.standard_normal(5))
+              for _ in range(n_points)]
+    root = SampleToken.root(8)
+    for i in range(50):
+        values, k = estimate_coupled(oracle, points, 6, root.child(i))
+        assert k == draw_k(6, root.child(i))
+        assert len(values) == n_points
+        for at, value in zip(points, values):
+            assert value.tobytes() == estimate(oracle, at, 6, root.child(i))[0].tobytes()
 
 
 def test_draw_k_uniform_range():
-    cfg = NeumannConfig(K=5, L_g=2.0)
     root = SampleToken.root(6)
-    ks = [draw_k(cfg, root.child(i)) for i in range(5000)]
+    ks = [draw_k(5, root.child(i)) for i in range(5000)]
     counts = np.bincount(ks, minlength=5)
     assert set(np.unique(ks)) == {0, 1, 2, 3, 4}
     assert np.all(counts > 800)  # loose uniformity check
@@ -280,13 +285,12 @@ def test_estimator_mean_is_the_exact_expectation(eigs, d_up, sin_amp, seed, K):
         lam=0.5, sin_amp=sin_amp,
     )
     oracle, exact = make_quadratic(spec, rng_seed=0)
-    cfg = NeumannConfig.from_constants(oracle.constants, K)
     pair = IteratePair(rng.standard_normal(d_up), rng.standard_normal(d_lo))
     by_k = {}
     root = SampleToken.root(seed)
     for i in range(100 * K):
-        s = estimate(oracle, pair, cfg, root.child(i))
-        by_k.setdefault(s.k_drawn, s.value)
+        value, k = estimate(oracle, pair, K, root.child(i))
+        by_k.setdefault(k, value)
         if len(by_k) == K:
             break
     assert sorted(by_k) == list(range(K))

@@ -53,6 +53,16 @@ class TestValidateConstants:
             ProblemConstants(mu_g=1.0, L_g=np.inf, C_gxy=1.0, C_fy=1.0,
                              L_fx=1.0, L_fy=1.0, L_gxy=1.0, L_gyy=1.0)
 
+    @pytest.mark.parametrize("L_g,message", [
+        (0.0, "mu_g > L_g"),
+        (np.inf, "L_g is not finite"),
+        (np.nan, "L_g is not finite"),
+    ])
+    def test_L_g_out_of_range_invalid(self, unit_constants, L_g, message):
+        # the estimator reads L_g from the constants: no other check of it
+        with pytest.raises(InvalidConstants, match=re.escape(message)):
+            replace(unit_constants, L_g=L_g)
+
     def test_every_violation_listed_in_field_order(self):
         with pytest.raises(InvalidConstants, match=re.escape(
                 "invalid problem constants: mu_g is negative; C_fy is not finite; "
