@@ -174,7 +174,7 @@ def _hyperclean_compare():
     """The hyperclean-compare oracle: 500 training and 500 validation points,
     d = 20, batch 32."""
     train, val = generate_corrupted_dataset(500, 500, 20, p=0.3, rng_seed=0)
-    return make_hyperclean(HyperCleanSpec(train, val, 0.3, reg=1.0, batch_size=32),
+    return make_hyperclean(HyperCleanSpec(train, val, reg=1.0, batch_size=32),
                            rng_seed=0)
 
 

@@ -54,6 +54,8 @@ class RunConfig:
     record_errors: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.policy, Policy):
+            raise ValueError(f"policy must be a Policy, got {self.policy!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.metric_stride < 1:
@@ -135,10 +137,8 @@ def resolve_schedule(
         if cfg.c_eta == 0:  # once per run, not per schedule(t)
             logger.info("c_eta = 0: pure correction-only momentum (degenerate)")
         return lambda t: practical_params(cfg.base_alpha, t, cfg.c_eta, cfg.c_eta_g), K
-    if cfg.policy is Policy.NONCONVEX:
-        consts = nonconvex_constants(c, lipschitz_L_K(c, K))
-        return lambda t: nonconvex_params(consts, t), K
-    raise ValueError(f"unknown policy {cfg.policy}")
+    consts = nonconvex_constants(c, lipschitz_L_K(c, K))
+    return lambda t: nonconvex_params(consts, t), K
 
 
 # --- run loop helpers --------------------------------------------------------

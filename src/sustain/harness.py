@@ -120,6 +120,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"repeated seed in {','.join(map(str, self.seeds))}")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         if not all(e > 0 for e in self.epsilon_targets):  # NaN fails it too
@@ -229,22 +231,20 @@ def _problem_builder(
             val_csv = opt("problem.val_csv", None, str)
             if val_csv is None:
                 raise ValueError("problem.train_csv needs problem.val_csv")
-            p = opt("problem.p", 0.0)
             data = lambda: (load_dataset_csv(train_csv), load_dataset_csv(val_csv))
         else:
-            p = opt("problem.p", 0.3)
             data = partial(
                 generate_corrupted_dataset,
                 n_train=opt("problem.n_train", 500, int),
                 n_val=opt("problem.n_val", 500, int),
                 d_lo=opt("problem.d_lo", 20, int),
-                p=p,
+                p=opt("problem.p", 0.3),
                 rng_seed=opt("problem.data_seed", 0, int),
             )
         reg, batch_size = opt("problem.reg", 1e-3), opt("problem.batch_size", 1, int)
         noise_seed = opt("problem.noise_seed", 0, int)
         return lambda: (make_hyperclean(HyperCleanSpec(
-            *data(), corruption_rate=p, reg=reg, batch_size=batch_size), rng_seed=noise_seed), None)
+            *data(), reg=reg, batch_size=batch_size), rng_seed=noise_seed), None)
     if kind == "meta_linear":
         data_seed = opt("problem.data_seed", 0, int)
         M = opt("problem.M", 4, int)

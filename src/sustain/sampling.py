@@ -24,8 +24,9 @@ scalar definition.  ``children(start, stop)`` keys a block of sibling tokens
 at once, as two uint64 arrays.  A token of the block, and every token made
 from it with ``child``, reads its key from the block's table; the first time
 any of them needs the key of a path suffix, that suffix is keyed for the
-whole block and kept for the siblings.  Any other token hashes its own path
-the first time its key is needed.
+whole block and kept for the siblings, up to ``_MAX_TABLES`` tables a block.
+Past that, a row extends its longest tabled prefix with ``_mix_into``.  Any
+other token hashes its own path the first time its key is needed.
 
 Key quirk, kept on purpose: a path hashes to two 64-bit halves ``(a, b)``,
 and ``Philox(key=(a, b))`` converts the pair through ``np.asarray``.  When
@@ -76,11 +77,20 @@ def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
     return _mix_into(_MIX_INIT, path)
 
 
+# the most suffix tables a block keeps; the benchmark's blocks hold at most 60
+# (hyper-cleaning's DoubleLoop(10) at K = 3), so they stay on the tabled path
+_MAX_TABLES = 128
+
+
 class _KeyBlock:
     """Keys of sibling tokens ``parent.path + (t,)``, one row per token.
 
-    ``halves(suffix)`` holds the two key halves of ``row path + suffix`` for
-    every row, derived from the shorter suffix the first time it is asked for.
+    ``_halves[suffix]`` holds the two key halves of ``row path + suffix`` for
+    every row.  A suffix is tabled from the next shorter one the first time it
+    is asked for, while the block holds fewer than ``_MAX_TABLES`` tables;
+    after that a row keys it from its longest tabled prefix with
+    ``_mix_into``, so the block's memory does not grow with the number of
+    distinct suffixes (a deep Neumann series draws one per term).
     """
 
     __slots__ = ("depth", "_halves")
@@ -89,16 +99,19 @@ class _KeyBlock:
         self.depth = depth  # path length of the block's rows
         self._halves = {(): (a, b)}
 
-    def halves(self, suffix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        found = self._halves.get(suffix)
-        if found is None:
-            a, b = self.halves(suffix[:-1])
-            found = self._halves[suffix] = _mix_step(a, b, suffix[-1] & _MASK64)
-        return found
-
     def key(self, suffix: tuple[int, ...], row: int) -> tuple[int, int]:
-        a, b = self.halves(suffix)
-        return a.item(row), b.item(row)
+        halves = self._halves
+        found = halves.get(suffix)
+        if found is not None:
+            return found[0].item(row), found[1].item(row)
+        n = len(suffix) - 1
+        while suffix[:n] not in halves:
+            n -= 1
+        a, b = halves[suffix[:n]]
+        while n < len(suffix) and len(halves) < _MAX_TABLES:
+            a, b = halves[suffix[:n + 1]] = _mix_step(a, b, suffix[n] & _MASK64)
+            n += 1
+        return _mix_into((a.item(row), b.item(row)), suffix[n:])
 
 
 _BITGEN = np.random.Philox(0)  # seeded so that import pulls no OS entropy

@@ -33,9 +33,6 @@ class NonconvexScheduleConstants:
     c_beta: float
     c_eta_f: float
     c_eta_g: float
-    c_bar_eta_f: float
-    c_bar_eta_g: float
-    L_mu_g: float
 
 
 def nonconvex_constants(c: ProblemConstants, L_K: float) -> NonconvexScheduleConstants:
@@ -69,15 +66,7 @@ def nonconvex_constants(c: ProblemConstants, L_K: float) -> NonconvexScheduleCon
         c_eta_f**1.5,
         c_eta_g**1.5,
     )
-    return NonconvexScheduleConstants(
-        w=w,
-        c_beta=c_beta,
-        c_eta_f=c_eta_f,
-        c_eta_g=c_eta_g,
-        c_bar_eta_f=c_bar_eta_f,
-        c_bar_eta_g=c_bar_eta_g,
-        L_mu_g=d.L_mu_g,
-    )
+    return NonconvexScheduleConstants(w=w, c_beta=c_beta, c_eta_f=c_eta_f, c_eta_g=c_eta_g)
 
 
 def _clamped(eta: float, which: str) -> float:

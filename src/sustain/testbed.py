@@ -269,7 +269,6 @@ class Dataset:
 class HyperCleanSpec:
     train: Dataset
     val: Dataset
-    corruption_rate: float
     reg: float = 1e-3          # ridge coefficient c of the lower problem
     batch_size: int = 1
 

@@ -71,8 +71,7 @@ def sampled_testbeds():
     )
     train, val = generate_corrupted_dataset(40, 30, 4, p=0.3, rng_seed=3)
     hyperclean = make_hyperclean(
-        HyperCleanSpec(train=train, val=val, corruption_rate=0.3, reg=0.5,
-                       batch_size=5),
+        HyperCleanSpec(train=train, val=val, reg=0.5, batch_size=5),
         rng_seed=4,
     )
     M, p_dim, q = 4, 3, 6

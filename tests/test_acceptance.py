@@ -410,8 +410,7 @@ def test_criterion_08_strongly_convex_floor():
 def test_criterion_09_hypercleaning():
     t0 = time.perf_counter()
     train, val = generate_corrupted_dataset(500, 500, 20, 0.3, rng_seed=123)
-    spec = HyperCleanSpec(train=train, val=val, corruption_rate=0.3,
-                          reg=1.0, batch_size=32)
+    spec = HyperCleanSpec(train=train, val=val, reg=1.0, batch_size=32)
     oracle = make_hyperclean(spec, rng_seed=7)
     T = 3000
     base_alpha = 6e-4

@@ -5,16 +5,12 @@ from sustain.harness import ExperimentConfig, make_problem, read_trajectory_csv
 from sustain.hypergrad import choose_K_nonconvex
 
 
-@pytest.mark.parametrize("suite", ["bias", "lipschitz", "gradcheck", "reduction"])
-def test_check_suites_pass(suite, capsys):
-    assert main(["check", "--suite", suite]) == 0
-    assert "pass" in capsys.readouterr().out
-
-
-def test_check_all(capsys):
-    assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("pass") == 4
+def test_check_is_not_a_command(capsys):
+    # the property checks live in the test suite
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
 def test_run_and_fit(tmp_path, capsys):
@@ -128,6 +124,12 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
      "'schedule.base_alpha' for problem quadratic, policy strongly_convex, algorithms sustain"),
     ("--problem.kind=hyperclean --problem.lam=4", "unknown config key 'problem.lam' for "
      "problem hyperclean, policy practical, algorithms sustain"),
+    # the corruption rate only shapes generated data
+    ("--problem.kind=hyperclean --problem.train_csv=t.csv --problem.val_csv=v.csv "
+     "--problem.p=0.9", "unknown config key 'problem.p' for problem hyperclean, "
+     "policy practical, algorithms sustain"),
+    # one run counted twice, two cells writing one CSV
+    ("--run.seeds=0,0", "repeated seed in 0,0"),
     ("--run.algorithms=", "at least one algorithm is required"),
     ("--config missing.cfg", "[Errno 2] No such file or directory: 'missing.cfg'"),
     ("--run.variant=option_ii", "unknown config key 'run.variant'"),

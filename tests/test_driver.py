@@ -426,6 +426,8 @@ def test_strongly_convex_schedule_resolved_once(quad5, monkeypatch, K_override, 
     ("initial_y", [float("nan")] * 5, "initial_x and initial_y must be finite"),
     # the practical policy has no use for it: refused, not dropped
     ("alpha_override", 0.01, "alpha_override applies only to the strongly-convex policy"),
+    # the policy's value, not its enum member
+    ("policy", "practical", "policy must be a Policy, got 'practical'"),
 ])
 def test_run_config_rejects_bad_policy_knobs(field, value, message):
     # rejected when the config is made, not at t = 1 inside the loop

@@ -170,7 +170,7 @@ class TestConfigParsing:
             "problem.data_seed": "1", "problem.p": "0.2", "problem.reg": "0.1",
             "problem.batch_size": "2", "problem.noise_seed": "3"}),
         ("hyperclean", "nonconvex", {
-            "problem.train_csv": "t.csv", "problem.val_csv": "v.csv", "problem.p": "0.2",
+            "problem.train_csv": "t.csv", "problem.val_csv": "v.csv",
             "problem.reg": "0.1", "problem.batch_size": "2", "problem.noise_seed": "3"}),
         ("meta_linear", "practical", {
             "problem.data_seed": "1", "problem.M": "3", "problem.p_dim": "2", "problem.q": "5",

@@ -17,6 +17,7 @@ from sustain.oracle import (
     rowdot,
 )
 from sustain.sampling import SampleToken
+from sustain.testbed import make_quadratic, random_quadratic_spec
 
 
 class TestValidateConstants:
@@ -169,3 +170,45 @@ def test_one_vector_products_keep_the_bits_of_matmul(rows, cols, layout, seed):
     v.flags.writeable = False
     assert matvec(M, v).tobytes() == (M @ v).tobytes()
     assert rowdot(u, v).tobytes() == (u @ v).tobytes()
+
+
+def _steepest(f, x):
+    """The unit vector along which ``f`` changes most from ``x``, judged by
+    unit steps along the axes (exact where ``f`` is affine)."""
+    J = np.column_stack([f(x + e) - f(x) for e in np.eye(len(x))])
+    return np.linalg.svd(J)[2][0]
+
+
+def _assert_lipschitz_constants_hold(spec, rng):
+    # y* is L_y-Lipschitz, grad ell is L_f-Lipschitz and the surrogate is
+    # within L |y*(x) - y| of grad ell, at a random pair and along the
+    # steepest direction of each map; 1e-10 absorbs rounding
+    oracle, exact = make_quadratic(spec, rng_seed=0)
+    d = derive_constants(oracle.constants)
+    x = rng.standard_normal(oracle.d_up)
+    for f, L in ((exact.y_star, d.L_y), (exact.grad_ell, d.L_f)):
+        for x2 in (rng.standard_normal(oracle.d_up), x + _steepest(f, x)):
+            assert np.linalg.norm(f(x) - f(x2)) <= L * np.linalg.norm(x - x2) + 1e-10
+    y_star = exact.y_star(x)
+    gap = lambda y: exact.surrogate_grad(x, y) - exact.grad_ell(x)
+    for y in (rng.standard_normal(oracle.d_lo), y_star + _steepest(gap, y_star)):
+        assert np.linalg.norm(gap(y)) <= d.L * np.linalg.norm(y_star - y) + 1e-10
+
+
+def test_derived_constants_bound_the_quadratic():
+    rng = np.random.default_rng(11)
+    spec = random_quadratic_spec(rng, d_up=3, d_lo=6, mu_g=1.0, L_g=2.0)
+    for _ in range(50):
+        _assert_lipschitz_constants_hold(spec, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d_up=st.integers(1, 8), d_lo=st.integers(1, 8), mu_g=st.floats(0.25, 4.0),
+       spread=st.floats(1.0, 4.0), lam=st.floats(-1.0, 1.0), sin_amp=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_derived_constants_bound_random_quadratics(d_up, d_lo, mu_g, spread, lam, sin_amp,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+    spec = random_quadratic_spec(rng, d_up, d_lo, mu_g=mu_g, L_g=mu_g * spread, lam=lam,
+                                 sin_amp=sin_amp)
+    _assert_lipschitz_constants_hold(spec, rng)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sustain.sampling
-from sustain.sampling import SampleToken, _mix_path, _stream
+from sustain.sampling import _MAX_TABLES, SampleToken, _mix_path, _stream
 
 _ID = st.integers(-(2**70), 2**70)
 
@@ -218,19 +218,28 @@ def test_threads_draw_their_own_streams():
     suffixes=st.lists(st.lists(_ID, max_size=3), max_size=4),
     rows=st.lists(st.integers(0, 39), max_size=4),
     warning_action=st.sampled_from(["default", "error"]),
+    full=st.booleans(),
 )
 @example(base=[0], start=0, size=256, suffixes=[[1], [4, 3], [101, 7]], rows=[0, 255],
-         warning_action="error")
-def test_block_keys_equal_path_hash(base, start, size, suffixes, rows, warning_action):
+         warning_action="error", full=False)
+@example(base=[0], start=0, size=256, suffixes=[[1], [4, 3], [101, 7]], rows=[0, 255],
+         warning_action="error", full=True)
+def test_block_keys_equal_path_hash(base, start, size, suffixes, rows, warning_action, full):
     # keys of block tokens and of every child and draw below them, looked up
     # in the block's tables, equal the scalar definition of the full path;
-    # under "error" the wrapping uint64 steps are shown not to warn
+    # under "error" the wrapping uint64 steps are shown not to warn.  A full
+    # block has no room for another table: its rows key new suffixes alone
     with warnings.catch_warnings():
         warnings.simplefilter(warning_action)
         parent = SampleToken(tuple(base))
         block = parent.children(start, start + size)
         assert [tok.path for tok in block] == [tuple(base) + (t,)
                                                for t in range(start, start + size)]
+        if full and size:
+            tables = block[0]._block._halves
+            for i in range(_MAX_TABLES):
+                assert block[0].child(2**70 + i).key == _mix_path(block[0].path + (2**70 + i,))
+            assert len(tables) == _MAX_TABLES
         for row in rows if size else []:
             tok = block[row % size]
             assert tok.key == _mix_path(tok.path)
@@ -245,6 +254,8 @@ def test_block_keys_equal_path_hash(base, start, size, suffixes, rows, warning_a
             for ids in suffixes:
                 tok = tok.child(*ids)
             assert tok.key == _mix_path(tok.path)
+        if full and size:
+            assert len(tables) == _MAX_TABLES
 
 
 _LOW = st.integers(0, 2**63 - 1)

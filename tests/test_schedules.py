@@ -64,12 +64,10 @@ class TestNonconvexParams:
         from sustain.schedules import NonconvexScheduleConstants
         consts = NonconvexScheduleConstants(
             w=8.0, c_beta=1.0, c_eta_f=1.0, c_eta_g=1.0,
-            c_bar_eta_f=0.0, c_bar_eta_g=0.0, L_mu_g=1.0,
         )
         assert nonconvex_params(consts, 0).alpha == pytest.approx(0.5)
         consts2 = NonconvexScheduleConstants(
             w=2.0, c_beta=1.0, c_eta_f=1.0, c_eta_g=1.0,
-            c_bar_eta_f=0.0, c_bar_eta_g=0.0, L_mu_g=1.0,
         )
         assert nonconvex_params(consts2, 998).alpha == pytest.approx(0.1)
 
@@ -181,8 +179,7 @@ def test_clamp_warns_only_beyond_rounding(caplog):
     # 1.0000000000000002 in floats; that is clamped without a warning
     c_eta = 7.0
     consts = NonconvexScheduleConstants(w=c_eta**1.5, c_beta=1.0, c_eta_f=c_eta,
-                                        c_eta_g=c_eta, c_bar_eta_f=1.0,
-                                        c_bar_eta_g=1.0, L_mu_g=1.0)
+                                        c_eta_g=c_eta)
     assert c_eta * (consts.w ** (-1.0 / 3.0)) ** 2 > 1.0
     with caplog.at_level(logging.WARNING, logger="sustain.schedules"):
         p = nonconvex_params(consts, 0)

@@ -185,8 +185,7 @@ class TestCorruptedDataset:
 class TestHyperClean:
     def _oracle(self, batch_size=4):
         train, val = generate_corrupted_dataset(30, 20, 6, p=0.3, rng_seed=5)
-        spec = HyperCleanSpec(train=train, val=val, corruption_rate=0.3,
-                              reg=1e-3, batch_size=batch_size)
+        spec = HyperCleanSpec(train=train, val=val, reg=1e-3, batch_size=batch_size)
         return make_hyperclean(spec, rng_seed=0)
 
     def test_dimensions(self):
@@ -247,8 +246,7 @@ class TestHyperClean:
         with pytest.raises(EmptyDataset):
             make_hyperclean(
                 HyperCleanSpec(train=Dataset(np.zeros((0, 2)), np.zeros(0)),
-                               val=Dataset(np.zeros((1, 2)), np.zeros(1)),
-                               corruption_rate=0.0),
+                               val=Dataset(np.zeros((1, 2)), np.zeros(1))),
                 rng_seed=0,
             )
 
@@ -392,7 +390,7 @@ def test_quadratic_without_a_coordinate_rejected(d_up, d_lo):
 def test_hyperclean_without_features_rejected():
     train, val = Dataset(np.zeros((3, 0)), np.zeros(3)), Dataset(np.zeros((2, 0)), np.zeros(2))
     with pytest.raises(DimensionMismatch, match="d_up = 3 and d_lo = 0 must be at least 1"):
-        make_hyperclean(HyperCleanSpec(train=train, val=val, corruption_rate=0.0), rng_seed=0)
+        make_hyperclean(HyperCleanSpec(train=train, val=val), rng_seed=0)
     # the generated data is refused before its 1/sqrt(d_lo) scale divides by zero
     with pytest.raises(DimensionMismatch, match="d_lo = 0 must be at least 1"):
         generate_corrupted_dataset(5, 5, 0, p=0.0, rng_seed=0)
@@ -505,7 +503,7 @@ def _upper_loss_oracle(kind, rng, a, b):
     if kind == "hyperclean":
         train, val = generate_corrupted_dataset(a, b, 1 + (a + b) % 40, p=0.3,
                                                 rng_seed=int(rng.integers(2**32)))
-        return make_hyperclean(HyperCleanSpec(train, val, 0.3), rng_seed=0)
+        return make_hyperclean(HyperCleanSpec(train, val), rng_seed=0)
     M = 1 + a % 9
     p, q = 1 + a % 20, b
     designs = [rng.standard_normal((q, p)) for _ in range(2 * M)]
