@@ -1,6 +1,6 @@
 """Per-layer timings of the sample-token layer, the hypergradient estimator
 and its truncation draw, the momentum updates, the schedules, the
-hyper-cleaning oracle, the metric records (with and without an exact oracle)
+hyper-cleaning and meta-learning oracles, the metric records (with and without an exact oracle)
 and the trajectory CSV.
 
     PYTHONPATH=src python -m pytest benches -q --benchmark-only
@@ -33,7 +33,9 @@ from sustain.testbed import (
     _sigmoid,
     generate_corrupted_dataset,
     make_hyperclean,
+    make_meta_linear,
     make_quadratic,
+    random_meta_linear_spec,
     random_quadratic_spec,
 )
 
@@ -195,6 +197,24 @@ def test_hyperclean_training_capability(benchmark, capability):
         benchmark(method, pair, tok)
     else:
         benchmark(lambda: method(pair, tok)(v))
+
+
+@pytest.mark.parametrize("M,m", [(4, 4), (16, 4)], ids=["M4_m4", "M16_m4"])
+@pytest.mark.parametrize("capability", ["grad_y_g_sample", "hess_yy_g_sample"])
+def test_meta_linear_capability(benchmark, capability, M, m):
+    # the make_problem shape (p 3, q 8); with m < M the task draw is a memo
+    # hit after the first round, so a round times the per-task loop, and one
+    # action for the Hessian operator
+    oracle = make_meta_linear(random_meta_linear_spec(np.random.default_rng(0), M=M, p=3,
+                                                      q=8, rho=1.0, m=m), rng_seed=0)
+    rng = np.random.default_rng(3)
+    pair = IteratePair(rng.standard_normal(3), rng.standard_normal(3 * M))
+    v = rng.standard_normal(3 * M)
+    tok = SampleToken.root(0).children(0, BLOCK)[3]
+    if capability == "grad_y_g_sample":
+        benchmark(oracle.grad_y_g_sample, pair, tok)
+    else:
+        benchmark(lambda: oracle.hess_yy_g_sample(pair, tok)(v))
 
 
 def _grid_records_rows(n):

@@ -396,10 +396,12 @@ def _mean_std(values: List[float]) -> Tuple[Optional[float], Optional[float]]:
     return float(np.mean(vals)), float(np.std(vals))
 
 
-def _median_samples(counts: List[Union[int, NotReached]]) -> Union[int, NotReached]:
-    as_float = [math.inf if isinstance(c, NotReached) else float(c) for c in counts]
-    med = float(np.median(as_float))
-    return NOT_REACHED if math.isinf(med) else int(med)
+def _median_samples(counts: List[Union[int, NotReached]]) -> str:
+    """The summary cell of ``counts``: their median, or "NotReached" when the
+    median is not reached or no run succeeded."""
+    med = float(np.median([math.inf if isinstance(c, NotReached) else float(c)
+                           for c in counts])) if counts else math.inf
+    return "NotReached" if math.isinf(med) else str(int(med))
 
 
 def _cpu_count() -> int:
@@ -498,38 +500,24 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
              for algorithm, kind in zip(cfg.algorithms, kinds) for seed in cfg.seeds]
     workers = min(_cpu_count(), len(cells))
     if workers > 1 and hasattr(os, "fork"):
-        outcomes = iter(_run_cells_in_workers(grid, cells, workers))
+        outcomes = _run_cells_in_workers(grid, cells, workers)
     else:
-        outcomes = map(partial(_run_cell, grid), cells)
+        outcomes = list(map(partial(_run_cell, grid), cells))
 
-    paths: Dict[Tuple[str, int], Path] = {}
+    paths = {(algorithm, seed): outcome[0]
+             for (algorithm, _, seed), outcome in zip(cells, outcomes)
+             if not isinstance(outcome, str)}
     summary_rows: List[Dict[str, str]] = []
-    for algorithm in cfg.algorithms:
-        finals: Dict[str, List[Optional[float]]] = {name: [] for name in _FINAL_COLUMNS}
-        eps_counts: Dict[float, List[Union[int, NotReached]]] = {
-            e: [] for e in cfg.epsilon_targets
-        }
-        errors: List[str] = []
-        for seed in cfg.seeds:
-            outcome = next(outcomes)
-            if isinstance(outcome, str):
-                errors.append(outcome)
-                continue
-            paths[(algorithm, seed)], last, reached = outcome
-            for name, value in zip(_FINAL_COLUMNS, last):
-                finals[name].append(value)
-            for e, count in zip(cfg.epsilon_targets, reached):
-                eps_counts[e].append(count)
-        row: Dict[str, str] = {"algorithm": algorithm,
-                               "seeds": str(len(cfg.seeds) - len(errors)),
-                               "error": "; ".join(errors)}
-        for name in _FINAL_COLUMNS:
-            mean, std = _mean_std(finals[name])
-            row[f"final_{name}_mean"] = _fmt(mean)
-            row[f"final_{name}_std"] = _fmt(std)
-        for e in cfg.epsilon_targets:
-            med = _median_samples(eps_counts[e]) if eps_counts[e] else NOT_REACHED
-            row[f"samples_to_{e:g}"] = _fmt(med) if not isinstance(med, NotReached) else "NotReached"
+    for i, algorithm in enumerate(cfg.algorithms):
+        runs = outcomes[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]
+        done = [outcome for outcome in runs if not isinstance(outcome, str)]
+        row = {"algorithm": algorithm, "seeds": str(len(done)),
+               "error": "; ".join(outcome for outcome in runs if isinstance(outcome, str))}
+        for j, name in enumerate(_FINAL_COLUMNS):
+            mean, std = _mean_std([last[j] for _, last, _ in done])
+            row[f"final_{name}_mean"], row[f"final_{name}_std"] = _fmt(mean), _fmt(std)
+        for j, e in enumerate(cfg.epsilon_targets):
+            row[f"samples_to_{e:g}"] = _median_samples([reached[j] for _, _, reached in done])
         summary_rows.append(row)
 
     summary_path = out_dir / f"{cfg.name}_summary.csv"

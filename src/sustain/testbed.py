@@ -290,8 +290,8 @@ class HyperCleanOracle(BilevelOracle):
     def __init__(self, spec: HyperCleanSpec, rng_seed: int):
         if len(spec.train) == 0 or len(spec.val) == 0:
             raise EmptyDataset("train and validation sets must be nonempty")
-        if spec.reg <= 0:
-            raise ValueError("reg must be positive")
+        if not 0 < spec.reg < np.inf:
+            raise ValueError("reg must be positive and finite")
         m = spec.batch_size
         if m < 1:
             raise InvalidBatch(f"batch_size = {m} must be at least 1")
@@ -464,24 +464,37 @@ class MetaLinearOracle(BilevelOracle):
             raise InvalidBatch(f"m = {spec.m} exceeds the task count M = {spec.M}")
         if spec.m < 1:
             raise InvalidBatch(f"m = {spec.m} must be at least 1")
-        if spec.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < spec.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
         self.spec = spec
         self.d_up, self.d_lo = _dims(spec.p, spec.M * spec.p)
         self.salt = int(rng_seed)
-        eig_lo, eig_hi = [], []
-        for Z in spec.Z:
-            ev = np.linalg.eigvalsh(Z.T @ Z)
-            eig_lo.append(ev[0])
-            eig_hi.append(ev[-1])
-        L_f = max(float(np.linalg.eigvalsh(D.T @ D)[-1]) for D in spec.D) / spec.m
+        ZtZ = [Z.T @ Z for Z in spec.Z]
+        DtD = [D.T @ D for D in spec.D]
+        z_eigs = [np.linalg.eigvalsh(B) for B in ZtZ]
+
+        def drawn_sum(mats) -> float:
+            """A bound on the top eigenvalue of the sum of any m of the PSD
+            ``mats``: the least of the sum over all M (a PSD term only adds)
+            and the sum of the m largest top eigenvalues."""
+            tops = sorted(float(np.linalg.eigvalsh(A)[-1]) for A in mats)
+            return min(float(np.linalg.eigvalsh(sum(mats))[-1]), sum(tops[-spec.m:]))
+
+        # Each drawn task's term is weighted 1/m.  In (x, y), the Jacobian of
+        # grad_x f puts sum_S D_i'D_i and the D_i'D_i side by side; that of
+        # grad_y f puts the D_i'D_i stacked and block-diagonal side by side;
+        # the cross Hessian of g puts the Z_i'Z_i side by side.  Blocks side
+        # by side have a squared norm of at most the sum of theirs, and the
+        # B_i side by side have that of sum_S B_i^2.
+        f_sq = drawn_sum([A @ A for A in DtD])
+        f_block = max(float(np.linalg.eigvalsh(A)[-1]) for A in DtD)
         self.constants = ProblemConstants(
-            mu_g=(min(eig_lo) + spec.rho) / spec.M,
-            L_g=(max(eig_hi) + spec.rho) / spec.m,
-            C_gxy=max(eig_hi) / spec.m,
+            mu_g=(min(ev[0] for ev in z_eigs) + spec.rho) / spec.M,
+            L_g=(max(ev[-1] for ev in z_eigs) + spec.rho) / spec.m,
+            C_gxy=np.sqrt(drawn_sum([B @ B for B in ZtZ])) / spec.m,
             C_fy=100.0,  # operating-box bound for the quadratic upper gradient
-            L_fx=L_f,
-            L_fy=L_f,
+            L_fx=np.sqrt(drawn_sum(DtD) ** 2 + f_sq) / spec.m,
+            L_fy=np.sqrt(f_sq + f_block**2) / spec.m,
             L_gxy=0.0,
             L_gyy=0.0,
         )

@@ -86,6 +86,8 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     ("--run.algorithms=sustain,newton", "unknown algorithm 'newton'"),
     ("--problem.d_up=abc", "problem.d_up: invalid literal for int()"),
     ("--problem.kind=hyperclean --problem.reg=0", "reg must be positive"),
+    ("--problem.kind=hyperclean --problem.reg=nan", "reg must be positive and finite"),
+    ("--problem.kind=meta_linear --problem.rho=nan", "rho must be positive and finite"),
     ("--problem.mu_g=-1", "lower-level Hessian A must be symmetric positive-definite"),
     ("--metrics.epsilon_targets=nan", "epsilon targets must be positive"),
     ("--metrics.epsilon_targets=0.1,0.1000001",

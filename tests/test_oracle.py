@@ -17,7 +17,7 @@ from sustain.oracle import (
     rowdot,
 )
 from sustain.sampling import SampleToken
-from sustain.testbed import make_quadratic, random_quadratic_spec
+from sustain.testbed import QuadraticOracle, make_quadratic, random_quadratic_spec
 
 
 class TestValidateConstants:
@@ -125,6 +125,26 @@ class TestConsistency:
         probes = [IteratePair(np.ones(2), -np.ones(5))]
         report = check_oracle_consistency(oracle, exact, probes, num_samples=10_000, rng_seed=3)
         assert report.passed
+
+    def test_biased_lower_gradient_fails(self, quad5_noisy):
+        # a constant offset on the sampled lower gradient is a bias no number
+        # of samples averages away: that capability's deviation exceeds its
+        # band, and the unbiased oracle passes at the same probes and seed
+        oracle, exact = quad5_noisy
+
+        class Offset(QuadraticOracle):
+            def grad_y_g_sample(self, pair, token):
+                return super().grad_y_g_sample(pair, token) + 0.1
+
+        probes = [IteratePair(np.ones(2), -np.ones(5))]
+        biased = Offset(oracle.spec, rng_seed=oracle.salt)
+        report = check_oracle_consistency(biased, exact, probes, num_samples=2000, rng_seed=3)
+        assert not report.passed
+        assert report.max_deviation["grad_y_g"] > report.tolerance["grad_y_g"]
+        for name in ("grad_x_f", "grad_y_f"):
+            assert report.max_deviation[name] <= report.tolerance[name] + 1e-12
+        assert check_oracle_consistency(oracle, exact, probes, num_samples=2000,
+                                        rng_seed=3).passed
 
     def test_dimension_mismatch_probe(self, quad5):
         oracle, exact = quad5

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +259,12 @@ class TestHyperClean:
         with pytest.raises(InvalidBatch):
             self._oracle(batch_size=batch_size)
 
+    @pytest.mark.parametrize("reg", [0.0, -1.0, np.nan, np.inf])
+    def test_reg_not_positive_and_finite_rejected(self, reg):
+        train, val = generate_corrupted_dataset(30, 20, 6, p=0.3, rng_seed=5)
+        with pytest.raises(ValueError, match="^reg must be positive and finite$"):
+            make_hyperclean(HyperCleanSpec(train=train, val=val, reg=reg), rng_seed=0)
+
     @pytest.mark.parametrize("batch_size", [1, 4, 30, 50])
     def test_sampled_capabilities_match_per_capability_formulas(self, batch_size):
         # the shared training batch and the scales precomputed from the set
@@ -377,6 +386,37 @@ class TestMetaLinear:
                               D=[np.eye(2)], u=[np.zeros(2)], rho=1.0, m=m)
         with pytest.raises(InvalidBatch):
             make_meta_linear(spec, rng_seed=0)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_rho_not_positive_and_finite_rejected(self, rho):
+        spec = random_meta_linear_spec(np.random.default_rng(0), M=2, p=2, q=3, rho=rho, m=2)
+        with pytest.raises(ValueError, match="^rho must be positive and finite$"):
+            make_meta_linear(spec, rng_seed=0)
+
+    @pytest.mark.parametrize("M,m", [(3, 1), (4, 2), (4, 4), (5, 3)])
+    def test_constants_bound_every_drawn_task_set(self, monkeypatch, M, m):
+        # with zero targets every sampled gradient is linear in (x, y), so the
+        # capabilities at the unit vectors give the columns of its Jacobian;
+        # each task set S of size m is drawn in turn, and the norms of the
+        # Jacobians of grad_x f and grad_y f in (x, y), of the cross Hessian
+        # and of the lower Hessian stay within L_fx, L_fy, C_gxy and L_g
+        spec = random_meta_linear_spec(np.random.default_rng(M + m), M=M, p=3, q=8,
+                                       rho=1.0, m=m)
+        spec = replace(spec, v=[0.0 * v for v in spec.v], u=[0.0 * u for u in spec.u])
+        oracle = make_meta_linear(spec, rng_seed=0)
+        c = oracle.constants
+        d_up, d_lo = oracle.d_up, oracle.d_lo
+        units = [IteratePair(e[:d_up], e[d_up:]) for e in np.eye(d_up + d_lo)]
+        for S in combinations(range(M), m):
+            monkeypatch.setattr(oracle, "_tasks", lambda token, tag, S=S: np.array(S))
+            J_x = np.column_stack([oracle.grad_x_f_sample(u, TOK) for u in units])
+            J_y = np.column_stack([oracle.grad_y_f_sample(u, TOK) for u in units])
+            xy, yy = (h(units[0], TOK) for h in (oracle.hess_xy_g_sample, oracle.hess_yy_g_sample))
+            H_xy = np.column_stack([xy(e) for e in np.eye(d_lo)])
+            H_yy = np.column_stack([yy(e) for e in np.eye(d_lo)])
+            # 1e-12 relative absorbs the rounding of the norms
+            for J, bound in ((J_x, c.L_fx), (J_y, c.L_fy), (H_xy, c.C_gxy), (H_yy, c.L_g)):
+                assert np.linalg.norm(J, 2) <= bound * (1 + 1e-12), (S, bound)
 
 
 @pytest.mark.parametrize("d_up,d_lo", [(0, 3), (2, 0), (0, 0)])
