@@ -1,20 +1,23 @@
 """Per-layer timings of the sample-token layer, the hypergradient estimator
 and its truncation draw, the momentum updates, the schedules, the
 hyper-cleaning and meta-learning oracles, the metric records (with and without an exact oracle)
-and the trajectory CSV.
+and the trajectory CSV, and of one whole block of the quad-rate run.
 
     PYTHONPATH=src python -m pytest benches -q --benchmark-only
 
 These cases sit outside ``tests/`` so that the test suite does not run them.
 A fresh draw is timed one call per round: each round's setup hands over a
-token whose memo is empty and whose own key is already known, so the timed
-call derives the child key, resets the shared generator and draws.
+token whose memo is empty and whose own key is already known.  On a block
+token the timed call draws from the shared generator for rows 1 .. _RUN - 2,
+fills the block's column at row _RUN - 1 and reads it after that, so the mean
+is the cost per draw of a whole block; on a scalar token every call derives
+the child key, resets the shared generator and draws.
 """
 
 import numpy as np
 import pytest
 
-from sustain.driver import Policy, RunConfig, _records, resolve_schedule
+from sustain.driver import Policy, RunConfig, _records, resolve_schedule, run_sustain
 from sustain.harness import write_trajectory_csv
 from sustain.hypergrad import draw_k, estimate_coupled
 from sustain.momentum import update_f, update_g
@@ -22,6 +25,7 @@ from sustain.oracle import IteratePair
 from sustain.sampling import (
     STREAM_LOWER,
     STREAM_UPPER,
+    _RUN,
     SampleToken,
     _mix_into,
     _mix_path,
@@ -30,6 +34,7 @@ from sustain.sampling import (
 from sustain.testbed import (
     _NOISE_TAG,
     HyperCleanSpec,
+    QuadraticExact,
     _sigmoid,
     generate_corrupted_dataset,
     make_hyperclean,
@@ -94,6 +99,22 @@ def test_block_plus_one_suffix(benchmark):
     root = SampleToken.root(0)
     root.key
     benchmark(lambda: [tok.child(STREAM_UPPER).key for tok in root.children(0, BLOCK)])
+
+
+def test_column_fill(benchmark):
+    # the draw of row _RUN - 1 of a fresh block, which fills the column of
+    # the quadratic's noise draw for rows _RUN - 1 .. BLOCK - 1
+    root = SampleToken.root(0)
+    starts = iter(range(0, 10**9, BLOCK))
+
+    def setup():
+        start = next(starts)
+        tokens = root.children(start, start + BLOCK)
+        for tok in tokens[:_RUN - 1]:
+            tok.draw(*DRAW)
+        return (tokens[_RUN - 1],), {}
+
+    benchmark.pedantic(lambda tok: tok.draw(*DRAW), setup=setup, rounds=200, warmup_rounds=5)
 
 
 def test_sigmoid_32(benchmark):
@@ -170,6 +191,16 @@ def test_schedule(benchmark, policy):
     cfg = RunConfig(T=1000, policy=policy, K_override=12, base_alpha=0.15)
     schedule, _ = resolve_schedule(_quad_rate(sin_amp=0.0), cfg)
     benchmark(schedule, 500)
+
+
+def test_run_sustain_block(benchmark):
+    # one whole block of quad-rate's run_sustain: T 256, K 12, base_alpha
+    # 0.15, metric_stride 200 with the exact oracle, no tracker errors
+    oracle = _quad_rate()
+    cfg = RunConfig(T=BLOCK, policy=Policy.PRACTICAL, metric_stride=200, K_override=12,
+                    base_alpha=0.15, record_errors=False)
+    x, records = benchmark(run_sustain, oracle, QuadraticExact(oracle), cfg)
+    assert [r.t for r in records] == [0, 200, BLOCK - 1]
 
 
 def _hyperclean_compare():

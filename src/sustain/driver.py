@@ -225,6 +225,7 @@ def _run(
     # the trackers read none of these before the first iteration sets them
     prev, h_f, h_g = pair, None, None
     n_inner = kind.n_inner if isinstance(kind, DoubleLoop) else 1
+    ratio = kind.ratio if isinstance(kind, TwoTimescale) else None
     root = SampleToken.root(cfg.seed)
 
     xs: List[Vector] = [pair.x]
@@ -235,12 +236,11 @@ def _run(
     per_iter_samples = n_inner + (K + 3)
 
     for t in range(cfg.T):
-        params = schedule(t)
-        beta = (kind.ratio * params.alpha ** (2.0 / 3.0) if isinstance(kind, TwoTimescale)
-                else params.beta)
-        momentum = kind is None and t > 0
-        eta_f = params.eta_f if momentum else 1.0
-        eta_g = params.eta_g if momentum else 1.0
+        alpha, beta, eta_f, eta_g = schedule(t)
+        if ratio is not None:
+            beta = ratio * alpha ** (2.0 / 3.0)
+        if kind is not None or t == 0:  # no momentum
+            eta_f = eta_g = 1.0
         if t % _BLOCK == 0:
             records += _records(rows, exact, oracle, K, tracker_errs)
             rows = []
@@ -253,8 +253,11 @@ def _run(
         for j in range(1, n_inner):
             g = oracle.grad_y_g_sample(IteratePair(pair.x, y_next), it.child(STREAM_LOWER, j))
             y_next = y_next - beta * g
-        x_next = pair.x - params.alpha * h_f
-        if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
+        x_next = pair.x - alpha * h_f
+        # a count of isfinite is exact and cheaper than .all(); no sum or dot
+        # product, which could overflow on a finite iterate
+        if (np.count_nonzero(np.isfinite(x_next)) < x_next.size
+                or np.count_nonzero(np.isfinite(y_next)) < y_next.size):
             logger.warning("non-finite iterate at t=%d; aborting run", t)
             break
         prev = pair
@@ -262,7 +265,7 @@ def _run(
         hvps += n_hvp
 
         if t % cfg.metric_stride == 0 or t == cfg.T - 1:
-            rows.append((t, params.alpha, beta, eta_f, eta_g, pair.x, pair.y,
+            rows.append((t, alpha, beta, eta_f, eta_g, pair.x, pair.y,
                          h_f, h_g, samples, hvps))
         pair = IteratePair(x_next, y_next)
         xs.append(pair.x)

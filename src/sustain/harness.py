@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -430,6 +431,14 @@ def _run_cell(grid: tuple, cell: tuple) -> Union[str, tuple]:
     if not records or records[-1].t != run_cfg.T - 1:  # stopped on a non-finite value
         last = f"last record t = {records[-1].t}" if records else "no records"
         return f"seed {seed}: run stopped before t = {run_cfg.T - 1} ({last})"
+    # a sum of every recorded number is NaN or inf when one of them is (or when
+    # it overflows); only then are the records scanned for the first
+    numbers = chain.from_iterable(map(dict.values, map(vars, records)))
+    if not math.isfinite(sum(filter(None, numbers))):
+        for r in records:
+            bad = [name for name, v in vars(r).items() if v is not None and not math.isfinite(v)]
+            if bad:
+                return f"seed {seed}: non-finite {bad[0]} at t = {r.t}"
     try:  # the metric is absent on a problem without its exact oracle
         reached = [samples_to_epsilon(records, e, cfg.epsilon_metric)
                    for e in cfg.epsilon_targets]

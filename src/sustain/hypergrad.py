@@ -74,14 +74,15 @@ def estimate_coupled(
     xi = sample.child(STREAM_XI)
     zeta = [sample.child(STREAM_ZETA, i) for i in range(k + 1)]
     inv_lg = 1.0 / oracle.constants.L_g
+    scale = K * inv_lg
+    hess_yy, hess_xy = oracle.hess_yy_g_sample, oracle.hess_xy_g_sample
     values = []
     for at in points:
         p = oracle.grad_y_f_sample(at, xi)
         for i in range(1, k + 1):
-            hvp = oracle.hess_yy_g_sample(at, zeta[i])
-            p = p - inv_lg * hvp(p)
-        cross = oracle.hess_xy_g_sample(at, zeta[0])
-        values.append(oracle.grad_x_f_sample(at, xi) - (K * inv_lg) * cross(p))
+            p = p - inv_lg * hess_yy(at, zeta[i])(p)
+        cross = hess_xy(at, zeta[0])
+        values.append(oracle.grad_x_f_sample(at, xi) - scale * cross(p))
     return values, k
 
 

@@ -71,8 +71,8 @@ def update_f(
     _check_eta(eta_f, "eta_f")
     points = (cur, prev) if eta_f < 1.0 else (cur,)
     s, k = estimate_coupled(oracle, points, K, sample)
-    s_prev = s[1] if eta_f < 1.0 else None
-    return _recursion(eta_f, h_f, s[0], s_prev), len(points) * (k + 1)
+    # s[-1] is s_prev when eta_f < 1, and unread otherwise
+    return _recursion(eta_f, h_f, s[0], s[-1]), len(points) * (k + 1)
 
 
 def tracker_errors(

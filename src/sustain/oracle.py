@@ -81,17 +81,16 @@ class ProblemConstants:
             raise InvalidConstants(f"invalid problem constants: {'; '.join(violations)}")
 
 
-@dataclass(frozen=True)
 class IteratePair:
     """One point (x, y) of the product space, or, for the stacked calls, one
-    point per row of x and y (``ExactOracle``, ``BilevelOracle``)."""
+    point per row of x and y (``ExactOracle``, ``BilevelOracle``).  Slotted,
+    not a frozen dataclass, because the run loop makes one per iteration."""
 
-    x: Vector
-    y: Vector
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
 
     @property
     def d_up(self) -> int:
@@ -117,7 +116,10 @@ class BilevelOracle(ABC):
     token's key, so draws are not re-entrant.  The momentum updates evaluate
     one token object at x_t and x_{t-1}; ``draw`` memoizes on the token, so
     the second evaluation reuses the first one's draws instead of drawing
-    them again.
+    them again.  A call that the first rows of an iteration block all make
+    is drawn for the block's later rows at once and served from that column,
+    at most ``sampling._MAX_COLUMNS`` columns a block; calls that vary by
+    row are drawn row by row.
 
     Cost: the estimator calls a Hessian action once per row per series term,
     on one vector.  ``ndarray.dot`` is the cheap one-vector product: ``A @ v``
@@ -149,7 +151,7 @@ class BilevelOracle(ABC):
         """Action v (d_lo) -> (d2 g / dy dy) v (d_lo)."""
 
     def check_dims(self, pair: IteratePair) -> None:
-        if pair.d_up != self.d_up or pair.d_lo != self.d_lo:
+        if pair.x.shape[-1] != self.d_up or pair.y.shape[-1] != self.d_lo:
             raise DimensionMismatch(
                 f"oracle is ({self.d_up}, {self.d_lo}), "
                 f"iterate is ({pair.d_up}, {pair.d_lo})"

@@ -15,7 +15,10 @@ one lock it writes the child's key into a prebuilt Philox state (counter 0,
 empty buffer), assigns that state to one module-wide Philox and calls
 ``method`` on it.  Draws are therefore not re-entrant; the lock serialises
 them across threads.  ``rng()`` still returns a fresh generator for callers
-that hold one.
+that hold one.  Once rows 0 .. ``_RUN - 1`` of a key block (below) have made
+a call, it is drawn for the block's later rows in one loop, from the same
+keys, so with the same values, and kept as the block's column; a block keeps
+at most ``_MAX_COLUMNS`` columns of one value a row, released with its tokens.
 
 Keys: ``_mix_step`` is the one splitmix64 step (one per path id, masked to
 64 bits after every add and multiply, so it gives the same bits on Python
@@ -77,13 +80,16 @@ def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
     return _mix_into(_MIX_INIT, path)
 
 
-# the most suffix tables a block keeps; the benchmark's blocks hold at most 60
-# (hyper-cleaning's DoubleLoop(10) at K = 3), so they stay on the tabled path
+# the most suffix tables and value columns a block keeps; the benchmark's
+# blocks need at most 60 and 13 (hyper-cleaning's DoubleLoop(10) at K = 3)
 _MAX_TABLES = 128
+_MAX_COLUMNS = 16
+_RUN = 8  # a call gets a column once rows 0 .. _RUN - 1 have asked for it
 
 
 class _KeyBlock:
-    """Keys of sibling tokens ``parent.path + (t,)``, one row per token.
+    """Keys of sibling tokens ``parent.path + (t,)``, one row per token, and
+    columns of the values drawn from them.
 
     ``_halves[suffix]`` holds the two key halves of ``row path + suffix`` for
     every row.  A suffix is tabled from the next shorter one the first time it
@@ -91,13 +97,21 @@ class _KeyBlock:
     after that a row keys it from its longest tabled prefix with
     ``_mix_into``, so the block's memory does not grow with the number of
     distinct suffixes (a deep Neumann series draws one per term).
+
+    ``_columns[(suffix, method, args)]`` holds a call's values for rows
+    ``_RUN - 1`` on, drawn in one loop from a table once rows 0 .. ``_RUN -
+    1`` have all asked for the call, for at most ``_MAX_COLUMNS`` calls.  A
+    call that rows skip, such as a Neumann term past their truncation index,
+    is drawn row by row: no stream is drawn that no row asks for.
     """
 
-    __slots__ = ("depth", "_halves")
+    __slots__ = ("depth", "_halves", "_columns", "_asked")
 
     def __init__(self, depth: int, a: np.ndarray, b: np.ndarray):
         self.depth = depth  # path length of the block's rows
         self._halves = {(): (a, b)}
+        self._columns = {}
+        self._asked = {}  # call: how many of rows 0 .. _RUN - 1 asked for it
 
     def key(self, suffix: tuple[int, ...], row: int) -> tuple[int, int]:
         halves = self._halves
@@ -112,6 +126,24 @@ class _KeyBlock:
             a, b = halves[suffix[:n + 1]] = _mix_step(a, b, suffix[n] & _MASK64)
             n += 1
         return _mix_into((a.item(row), b.item(row)), suffix[n:])
+
+    def draw(self, suffix: tuple[int, ...], row: int, method: str, args: tuple):
+        """Row ``row``'s values of ``method(*args)`` on its stream ``suffix``."""
+        call = (suffix, method, args)
+        if row >= _RUN - 1:
+            column = self._columns.get(call)
+            if column is not None:
+                return column[row - _RUN + 1]
+        key = self.key(suffix, row)
+        if row < _RUN:  # only the first rows' asks can open a column
+            asked = self._asked[call] = self._asked.get(call, 0) + 1
+            halves = self._halves.get(suffix)
+            if (asked == row + 1 == _RUN and halves is not None
+                    and len(self._columns) < _MAX_COLUMNS):
+                keys = zip(halves[0][row:].tolist(), halves[1][row:].tolist())
+                column = self._columns[call] = _draws(keys, method, args)
+                return column[0]
+        return _draws((key,), method, args)[0]
 
 
 _BITGEN = np.random.Philox(0)  # seeded so that import pulls no OS entropy
@@ -146,6 +178,20 @@ def _stream(key: tuple[int, int]) -> np.random.Generator:
     return _GEN
 
 
+def _draws(keys, method: str, args: tuple) -> list:
+    """``method(*args)`` on each key's stream, under one hold of the lock;
+    arrays are read-only, as every later call with the same arguments shares them."""
+    with _STREAM_LOCK:
+        values = [getattr(_stream(key), method)(*args) for key in keys]
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return values
+
+
+_new_token = object.__new__
+
+
 class SampleToken:
     """Opaque handle identifying one stochastic sample draw.
 
@@ -170,7 +216,12 @@ class SampleToken:
         return cls((int(seed),))
 
     def child(self, *ids: int) -> "SampleToken":
-        return SampleToken(self.path + ids, self._block, self._row)
+        # filled in place, at half the cost of a call of the class
+        tok = _new_token(SampleToken)
+        tok.path = self.path + ids
+        tok._key = tok._memo = None
+        tok._block, tok._row = self._block, self._row
+        return tok
 
     def children(self, start: int, stop: int) -> list["SampleToken"]:
         """The tokens ``self.child(t)`` for t in ``range(start, stop)``, keyed
@@ -181,22 +232,15 @@ class SampleToken:
         block = _KeyBlock(len(self.path) + 1, *_mix_step(a, b, v))
         return [SampleToken(self.path + (t,), block, row) for row, t in enumerate(ts)]
 
-    def _key_of(self, ids: tuple[int, ...]) -> tuple[int, int]:
-        block = self._block
-        if block is None:
-            return _mix_into(self.key, ids)
-        return block.key(self.path[block.depth:] + ids, self._row)
-
     @property
     def key(self) -> tuple[int, int]:
         """The 128-bit path hash; always equal to ``_mix_path(self.path)``.
         Philox takes it through ``np.asarray``, which may round it (see the
         module docstring)."""
         if self._key is None:
-            if self._block is None:
-                self._key = _mix_path(self.path)
-            else:
-                self._key = self._key_of(())
+            block = self._block
+            self._key = (_mix_path(self.path) if block is None
+                         else block.key(self.path[block.depth:], self._row))
         return self._key
 
     def rng(self) -> np.random.Generator:
@@ -206,19 +250,19 @@ class SampleToken:
     def draw(self, ids: tuple[int, ...], method: str, *args):
         """The values of ``getattr(self.child(*ids).rng(), method)(*args)``,
         computed once per token object and per distinct call from the shared
-        generator reset to the child's key.  Arrays are returned read-only
-        because every later call with the same arguments shares them."""
+        generator reset to the child's key, or taken from its block's column
+        (see the module docstring).  Arrays are returned read-only."""
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
         call = (ids, method, args)
         value = memo.get(call)
         if value is None:
-            key = self._key_of(ids)
-            with _STREAM_LOCK:
-                value = getattr(_stream(key), method)(*args)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            block = self._block
+            if block is None:
+                value = _draws((_mix_into(self.key, ids),), method, args)[0]
+            else:
+                value = block.draw(self.path[block.depth:] + ids, self._row, method, args)
             memo[call] = value
         return value
 

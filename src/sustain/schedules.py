@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DivisionByZero
 from .oracle import ProblemConstants, derive_constants
@@ -17,8 +18,7 @@ from .oracle import ProblemConstants, derive_constants
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
+class ScheduleParams(NamedTuple):
     alpha: float
     beta: float
     eta_f: float
@@ -137,10 +137,8 @@ def practical_params(
     if base_alpha <= 0:
         raise ValueError("base_alpha must be positive")
     alpha = base_alpha / (1.0 + t) ** (1.0 / 3.0)
-    c_g = c_eta if c_eta_g is None else c_eta_g
-    return ScheduleParams(
-        alpha=alpha,
-        beta=alpha,
-        eta_f=min(1.0, c_eta * alpha**2),
-        eta_g=min(1.0, c_g * alpha**2),
-    )
+    eta_f = c_eta * alpha**2
+    eta_g = (c_eta if c_eta_g is None else c_eta_g) * alpha**2
+    # min(1.0, eta): NaN, which fails every comparison, becomes 1 as with min
+    return ScheduleParams(alpha, alpha, eta_f if eta_f < 1.0 else 1.0,
+                          eta_g if eta_g < 1.0 else 1.0)

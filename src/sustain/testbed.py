@@ -100,6 +100,7 @@ class QuadraticOracle(BilevelOracle):
         )
         # the Hessians do not depend on the point or the sample
         self._hess_yy, self._hess_xy = spec.A.dot, (-spec.B.T).dot
+        self._noise_ids = (_NOISE_TAG, self.salt)
 
     # -- deterministic parts -------------------------------------------------
     def _grad_x_f(self, pair: IteratePair) -> Vector:
@@ -111,26 +112,23 @@ class QuadraticOracle(BilevelOracle):
     def _grad_y_f(self, pair: IteratePair) -> Vector:
         return pair.y - self.spec.y_target
 
-    def _grad_y_g(self, pair: IteratePair) -> Vector:
-        return matvec(self.spec.A, pair.y) - matvec(self.spec.B, pair.x) - self.spec.b
-
     # -- sampled capabilities (additive Gaussian noise on the y-gradients) ----
-    def _noise(self, token: SampleToken) -> Vector:
-        return token.draw((_NOISE_TAG, self.salt), "standard_normal", self.d_lo)
-
+    # each takes one point, so its products are the ``ndarray.dot`` calls
+    # that ``matvec`` makes for one vector
     def grad_x_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         return self._grad_x_f(pair)
 
     def grad_y_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         g = self._grad_y_f(pair)
         if self.spec.sigma_f:
-            g = g + self.spec.sigma_f * self._noise(token)
+            g = g + self.spec.sigma_f * token.draw(self._noise_ids, "standard_normal", self.d_lo)
         return g
 
     def grad_y_g_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
-        g = self._grad_y_g(pair)
-        if self.spec.sigma_g:
-            g = g + self.spec.sigma_g * self._noise(token)
+        s = self.spec
+        g = s.A.dot(pair.y) - s.B.dot(pair.x) - s.b
+        if s.sigma_g:
+            g = g + s.sigma_g * token.draw(self._noise_ids, "standard_normal", self.d_lo)
         return g
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
@@ -188,7 +186,8 @@ class QuadraticExact(ExactOracle):
         return self._ell_star
 
     def grad_y_g_mean(self, pair: IteratePair) -> Vector:
-        return self._o._grad_y_g(pair)
+        s = self._o.spec
+        return matvec(s.A, pair.y) - matvec(s.B, pair.x) - s.b
 
     def grad_x_f_mean(self, pair: IteratePair) -> Vector:
         return self._o._grad_x_f(pair)

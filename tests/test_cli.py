@@ -58,6 +58,18 @@ def test_run_with_missing_epsilon_metric_writes_summary(tmp_path, capsys):
     assert (tmp_path / "hc_summary.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_run_that_diverges_fails(tmp_path, capsys):
+    argv = ["run", "--run.T=40", "--run.seeds=0,1", "--schedule.base_alpha=1e6",
+            f"--output.dir={tmp_path}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAILED sustain: seed 0: non-finite grad_ell_sq at t = 27; "
+        "seed 1: non-finite grad_ell_sq at t = 27"]
+    summary = (tmp_path / "experiment_summary.csv").read_text().splitlines()
+    assert summary[1].startswith("sustain,0,")
+
+
 @pytest.mark.parametrize("override,message", [
     ("--run.metric_stride=0", "metric_stride must be >= 1"),
     ("--metrics.epsilon_metric=grad_ell", "epsilon metric 'grad_ell' is not one of"),

@@ -251,12 +251,13 @@ def test_cumulative_hvps_count_every_action_call(sampled_testbeds, testbed, kind
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, 1e308])
+@pytest.mark.parametrize("bad", [np.nan, 1e308, -np.inf])
 @pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
 def test_nonfinite_stops_before_record(quad5_noisy, kind, bad, monkeypatch):
     # a bad sample at iteration t_bad: from the upper gradient, or for
     # DoubleLoop from the inner lower step j = 2.  NaN makes the tracker
-    # non-finite, 1e308 only the step it scales; every kind stops the same way
+    # non-finite, 1e308 only the step it scales, -inf an iterate entry +inf
+    # with no NaN (eta = 1 at base_alpha 10); every kind stops the same way
     seed, T, t_bad = 5, 20, 7
     oracle, exact = quad5_noisy
     if isinstance(kind, DoubleLoop):
@@ -285,6 +286,21 @@ def test_nonfinite_stops_before_record(quad5_noisy, kind, bad, monkeypatch):
     [(n, a)] = draws
     assert n == t_bad and 1 <= a <= t_bad
     assert x is seen[a]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
+def test_finite_iterate_with_overflowing_norm_runs_to_T(quad5_noisy, kind):
+    # an upper gradient of 1e200 drives the iterates to the order of 1e200:
+    # every entry is finite while ||x||^2 overflows, so the run must not stop
+    oracle, _ = quad5_noisy
+    clean = oracle.grad_x_f_sample
+    oracle.grad_x_f_sample = lambda pair, token: np.full_like(clean(pair, token), 1e200)
+    cfg = RunConfig(T=20, policy=Policy.PRACTICAL, seed=5, metric_stride=1, base_alpha=0.5)
+    x, records = (run_sustain(oracle, None, cfg) if kind is None
+                  else run_baseline(oracle, None, cfg, kind))
+    assert [r.t for r in records] == list(range(cfg.T))
+    assert np.all(np.isfinite(x)) and np.isinf(x.dot(x))
 
 
 def _watch_return_index(monkeypatch):

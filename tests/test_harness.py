@@ -462,6 +462,22 @@ class TestRunGrid:
         assert (result.trajectory_paths[("sustain", 0)].read_bytes()
                 == complete.trajectory_paths[("sustain", 0)].read_bytes())
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_run_with_non_finite_records_is_a_failed_seed(self, tmp_path):
+        # base_alpha 1e6 diverges: the iterates stay finite, so no run stops,
+        # but grad_ell_sq overflows to inf; no inf may reach the summary
+        cfg = self._cfg(tmp_path, T=40, seeds=(0, 1), algorithms=("sustain", "alternating"),
+                        options={"problem.sigma_g": "0.2", "schedule.K": "2",
+                                 "schedule.base_alpha": "1e6"})
+        result = run_grid(cfg)
+        for row in result.summary_rows:
+            assert row["seeds"] == "0"
+            assert row["error"] == ("seed 0: non-finite grad_ell_sq at t = 27; "
+                                    "seed 1: non-finite grad_ell_sq at t = 27")
+            assert row["final_grad_ell_sq_mean"] == row["final_grad_ell_sq_std"] == ""
+        assert result.trajectory_paths == {}
+        assert list(tmp_path.glob("*_seed*.csv")) == []
+
     def test_missing_epsilon_metric_is_a_failed_seed(self, tmp_path):
         # hyper-cleaning has no exact oracle, so grad_ell_sq is never recorded
         cfg = self._cfg(tmp_path, problem="hyperclean", T=3, seeds=(0, 1),

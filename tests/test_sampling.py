@@ -9,7 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sustain.sampling
-from sustain.sampling import _MAX_TABLES, SampleToken, _mix_path, _stream
+from sustain.sampling import (
+    _MAX_COLUMNS,
+    _MAX_TABLES,
+    _RUN,
+    SampleToken,
+    _mix_path,
+    _stream,
+)
 
 _ID = st.integers(-(2**70), 2**70)
 
@@ -256,6 +263,48 @@ def test_block_keys_equal_path_hash(base, start, size, suffixes, rows, warning_a
             assert tok.key == _mix_path(tok.path)
         if full and size:
             assert len(tables) == _MAX_TABLES
+
+
+_ROWS = _RUN + 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.permutations(range(_ROWS)), sub=st.lists(_ID, max_size=2),
+       which=st.sampled_from(range(len(_DRAWS))), full=st.booleans())
+@example(order=list(range(_ROWS)), sub=[], which=0, full=False)
+@example(order=list(range(_ROWS)), sub=[1, 4], which=2, full=False)
+@example(order=list(range(_ROWS)), sub=[3], which=1, full=True)
+def test_block_draws_equal_fresh_child_generator(order, sub, which, full):
+    # the rows of a block draw, in any order, the values of a fresh generator
+    # on the full path, also through tokens made with child and past the
+    # table budget.  A call gets a column when row _RUN - 1 asks for it after
+    # rows 0 .. _RUN - 2 (in order in the run loop); the column's values,
+    # like the others, are read-only and kept in the token's memo
+    method, args = _DRAWS[which]
+    block = SampleToken.root(9).children(0, _ROWS)
+    if full:
+        for i in range(_MAX_TABLES):
+            block[0].child(2**70 + i).key
+    ids = (101, 7)
+    for row in order:
+        tok = block[row].child(*sub)
+        value = tok.draw(ids, method, *args)
+        assert _same_bits(value, getattr(tok.child(*ids).rng(), method)(*args))
+        assert tok.draw(ids, method, *args) is value
+        assert not isinstance(value, np.ndarray) or not value.flags.writeable
+    columns = block[0]._block._columns
+    before = order[:order.index(_RUN - 1)]
+    assert len(columns) == (not full and set(before) >= set(range(_RUN - 1)))
+
+
+def test_block_columns_are_bounded():
+    # past _MAX_COLUMNS calls the rows draw alone, with the same values
+    block = SampleToken.root(4).children(0, _ROWS)
+    for n in range(_MAX_COLUMNS + 3):
+        for tok in block:
+            assert _same_bits(tok.draw((101, n), "standard_normal", 2),
+                              tok.child(101, n).rng().standard_normal(2))
+    assert len(block[0]._block._columns) == _MAX_COLUMNS
 
 
 _LOW = st.integers(0, 2**63 - 1)
