@@ -6,12 +6,13 @@ and the trajectory CSV, and of one whole block of the quad-rate run.
     PYTHONPATH=src python -m pytest benches -q --benchmark-only
 
 These cases sit outside ``tests/`` so that the test suite does not run them.
-A fresh draw is timed one call per round: each round's setup hands over a
-token whose memo is empty and whose own key is already known.  On a block
-token the timed call draws from the shared generator for rows 1 .. _RUN - 2,
-fills the block's column at row _RUN - 1 and reads it after that, so the mean
-is the cost per draw of a whole block; on a scalar token every call derives
-the child key, resets the shared generator and draws.
+A fresh draw is timed one call per round: each round's setup hands over the
+next row of a block, rows in order as the run loop takes them, with an empty
+memo and its own key already known.  On a block token the timed call draws
+from the shared generator for rows 0 .. _RUN - 2 (row 0 also tables the drawn
+suffix), fills the block's column at row _RUN - 1 and reads it after that, so
+the mean is the cost per draw of a whole block; on a scalar token every call
+derives the child key, resets the shared generator and draws.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from sustain.hypergrad import draw_k, estimate_coupled
 from sustain.momentum import update_f, update_g
 from sustain.oracle import IteratePair
 from sustain.sampling import (
+    STREAM_K_DRAW,
     STREAM_LOWER,
     STREAM_UPPER,
     _RUN,
@@ -50,17 +52,14 @@ ROUNDS = 5000
 
 
 def _fresh_tokens(make_block):
-    """Endless fresh tokens, one per call, taken from successive blocks.
-
-    Row 0 of each block draws first, so the block's key table for the drawn
-    suffix exists before the timed rows 1..BLOCK-1 draw."""
+    """Endless fresh tokens, one per call: every row of successive blocks,
+    in order."""
     root = SampleToken.root(0)
     start = 0
     while True:
         tokens = make_block(root, start, start + BLOCK)
         start += BLOCK
-        tokens[0].draw(*DRAW)
-        for tok in tokens[1:]:
+        for tok in tokens:
             tok.key
             yield tok
 
@@ -101,9 +100,15 @@ def test_block_plus_one_suffix(benchmark):
     benchmark(lambda: [tok.child(STREAM_UPPER).key for tok in root.children(0, BLOCK)])
 
 
-def test_column_fill(benchmark):
-    # the draw of row _RUN - 1 of a fresh block, which fills the column of
-    # the quadratic's noise draw for rows _RUN - 1 .. BLOCK - 1
+@pytest.mark.parametrize("call", [
+    DRAW,
+    ((_NOISE_TAG, 0, 1), "integers", 0, 500, 32),  # the hyper-cleaning batch
+    ((STREAM_K_DRAW,), "integers", 12),  # draw_k at K 12
+], ids=["standard_normal_6", "integers_0_500_32", "integers_12"])
+def test_column_fill(benchmark, call):
+    # the draw of row _RUN - 1 of a fresh block, which fills the call's
+    # column for rows _RUN - 1 .. BLOCK - 1; integers on plain ints take every
+    # row's raw words and NumPy's bounded-integer rule at once
     root = SampleToken.root(0)
     starts = iter(range(0, 10**9, BLOCK))
 
@@ -111,10 +116,10 @@ def test_column_fill(benchmark):
         start = next(starts)
         tokens = root.children(start, start + BLOCK)
         for tok in tokens[:_RUN - 1]:
-            tok.draw(*DRAW)
+            tok.draw(*call)
         return (tokens[_RUN - 1],), {}
 
-    benchmark.pedantic(lambda tok: tok.draw(*DRAW), setup=setup, rounds=200, warmup_rounds=5)
+    benchmark.pedantic(lambda tok: tok.draw(*call), setup=setup, rounds=200, warmup_rounds=5)
 
 
 def test_sigmoid_32(benchmark):

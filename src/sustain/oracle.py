@@ -119,7 +119,9 @@ class BilevelOracle(ABC):
     them again.  A call that the first rows of an iteration block all make
     is drawn for the block's later rows at once and served from that column,
     at most ``sampling._MAX_COLUMNS`` columns a block; calls that vary by
-    row are drawn row by row.
+    row are drawn row by row.  An ``integers`` column is filled in one pass
+    from the rows' raw words, with NumPy's values (Tier-1's hypothesis test
+    pins them to the installed NumPy).
 
     Cost: the estimator calls a Hessian action once per row per series term,
     on one vector.  ``ndarray.dot`` is the cheap one-vector product: ``A @ v``

@@ -19,6 +19,11 @@ that hold one.  Once rows 0 .. ``_RUN - 1`` of a key block (below) have made
 a call, it is drawn for the block's later rows in one loop, from the same
 keys, so with the same values, and kept as the block's column; a block keeps
 at most ``_MAX_COLUMNS`` columns of one value a row, released with its tokens.
+A column of ``integers`` on plain ints with 1 < high - low < 2**32 - 1 is
+filled in one pass: each row's raw Philox words, then NumPy's bounded-integer
+rule (Lemire 2019) on all rows at once, so with NumPy's values; a row where
+NumPy would reject a word is drawn by NumPy's own call.  Tier-1's hypothesis
+test pins these columns to the installed NumPy.
 
 Keys: ``_mix_step`` is the one splitmix64 step (one per path id, masked to
 64 bits after every add and multiply, so it gives the same bits on Python
@@ -141,7 +146,7 @@ class _KeyBlock:
             if (asked == row + 1 == _RUN and halves is not None
                     and len(self._columns) < _MAX_COLUMNS):
                 keys = zip(halves[0][row:].tolist(), halves[1][row:].tolist())
-                column = self._columns[call] = _draws(keys, method, args)
+                column = self._columns[call] = _column(keys, method, args)
                 return column[0]
         return _draws((key,), method, args)[0]
 
@@ -187,6 +192,38 @@ def _draws(keys, method: str, args: tuple) -> list:
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return values
+
+
+def _column(keys, method: str, args: tuple) -> list:
+    """``_draws(keys, method, args)``, for ``integers`` with plain int ``low``,
+    ``high`` and ``size >= 1`` and 1 < r = high - low < 2**32 - 1 computed as
+    NumPy computes it: the value of a uint32 word u is ``low + (u * r >> 32)``,
+    and a row where NumPy rejects a word, ``(u * r) % 2**32 < 2**32 % r``,
+    is drawn again by NumPy's call."""
+    if method != "integers" or not 0 < len(args) < 4 or any(type(a) is not int for a in args):
+        return _draws(keys, method, args)
+    low, high, size = (0, *args, None) if len(args) == 1 else (*args, None)[:3]
+    r, n = high - low, 1 if size is None else size
+    if not (1 < r < 2**32 - 1 and n > 0 and -2**63 <= low and high <= 2**63):
+        return _draws(keys, method, args)
+    keys = list(keys)
+    n_raw = (n + 1) // 2 if n > 2 else None  # None: one word, as a Python int
+    with _STREAM_LOCK:
+        raw = []
+        for key in keys:
+            _stream(key)
+            raw.append(_BITGEN.random_raw(n_raw))
+        words = np.array(raw, dtype=np.uint64).reshape(len(keys), -1)
+        # NumPy takes each 64-bit word's low 32 bits first, then its high ones;
+        # all in uint64, as a uint32 view cast to uint64 raised peak RSS 0.5 MB
+        u = np.stack((words & 0xFFFFFFFF, words >> 32), axis=-1).reshape(len(keys), -1)
+        m = u[:, :n] * r
+        values = (m >> 32).view(np.int64)  # below 2**32, so the same numbers
+        values += low
+        for i in np.flatnonzero(((m & 0xFFFFFFFF) < 2**32 % r).any(axis=1)):
+            values[i] = _stream(keys[i]).integers(*args)
+    values.setflags(write=False)
+    return list(values[:, 0]) if size is None else list(values)
 
 
 _new_token = object.__new__

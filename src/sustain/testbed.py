@@ -274,8 +274,12 @@ class HyperCleanSpec:
 
 def _sigmoid(z):
     # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below; e^min(z,0) is e^-|z| for
-    # z < 0 and exactly 1 otherwise, and neither exponent overflows
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+    # z < 0 and exactly 1 otherwise, and neither exponent overflows.  The
+    # float array z is not written: the ufuncs after the first two run in place
+    num, den = np.minimum(z, 0.0), np.abs(z)
+    np.exp(num, out=num)
+    np.exp(np.negative(den, out=den), out=den)
+    return np.divide(num, np.add(1.0, den, out=den), out=num)
 
 
 class HyperCleanOracle(BilevelOracle):
@@ -298,15 +302,22 @@ class HyperCleanOracle(BilevelOracle):
         self.d_up, self.d_lo = _dims(len(spec.train), spec.train.features.shape[1])
         self.salt = int(rng_seed)
         n_tr, n_val = len(spec.train), len(spec.val)
-        self._n_tr, self._n_val = n_tr, n_val
         # minibatch sums scaled up to the full-set sums
         self._tr_scale, self._val_scale = n_tr / min(m, n_tr), n_val / min(m, n_val)
+        # the arguments of each tag's batch draw: validation for tag 0, else training
+        self._draws = [((_NOISE_TAG, self.salt, tag), "integers", 0, n, min(m, n))
+                       for tag, n in enumerate((n_val, n_tr, n_tr, n_tr))]
+        self._tr_a, self._tr_b = spec.train.features, spec.train.labels
+        self._val_a, self._val_b = spec.val.features, spec.val.labels
+        self._two_reg = 2.0 * spec.reg
+        self._zero_x = np.zeros(self.d_up)
+        self._zero_x.setflags(write=False)
         a_sq = float(np.max(np.sum(spec.train.features**2, axis=1)))
         a_nm = float(np.sqrt(a_sq))
         av_sq = float(np.max(np.sum(spec.val.features**2, axis=1)))
         self.constants = ProblemConstants(
-            mu_g=2.0 * spec.reg,
-            L_g=2.0 * spec.reg + self._tr_scale * min(m, n_tr) * 0.25 * a_sq,
+            mu_g=self._two_reg,
+            L_g=self._two_reg + self._tr_scale * min(m, n_tr) * 0.25 * a_sq,
             C_gxy=self._tr_scale * np.sqrt(min(m, n_tr)) * 0.25 * a_nm,
             C_fy=n_val * np.sqrt(av_sq),
             L_fx=0.0,
@@ -315,47 +326,42 @@ class HyperCleanOracle(BilevelOracle):
             L_gyy=n_tr * 0.25 * a_sq * a_nm,
         )
 
-    def _batch(self, token: SampleToken, n: int, tag: int) -> np.ndarray:
-        m = min(self.spec.batch_size, n)
-        return token.draw((_NOISE_TAG, self.salt, tag), "integers", 0, n, m)
-
     def _train_batch(self, pair: IteratePair, token: SampleToken, tag: int):
         """The training minibatch for ``tag``: indices ``idx``, features ``a``,
         and ``w = sigmoid(x[idx])``, ``s = sigmoid(a y)`` from one sigmoid."""
-        idx = self._batch(token, self._n_tr, tag)
-        a = self.spec.train.features[idx]
+        idx = token.draw(*self._draws[tag])
+        a = self._tr_a.take(idx, 0)
         ws = _sigmoid(np.concatenate((pair.x[idx], a.dot(pair.y))))
         return idx, a, ws[:len(idx)], ws[len(idx):]
 
     # Upper-level sample: a validation minibatch shared by both f-gradients.
     def grad_x_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
-        return np.zeros(self.d_up)
+        return self._zero_x
 
     def grad_y_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
-        val = self.spec.val
-        idx = self._batch(token, self._n_val, 0)
-        a = val.features[idx]
-        resid = _sigmoid(a.dot(pair.y)) - val.labels[idx]
+        idx = token.draw(*self._draws[0])
+        a = self._val_a.take(idx, 0)
+        resid = _sigmoid(a.dot(pair.y)) - self._val_b[idx]
         return self._val_scale * resid.dot(a)
 
     def grad_y_g_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         idx, a, w, s = self._train_batch(pair, token, 1)
-        resid = s - self.spec.train.labels[idx]
-        return 2.0 * self.spec.reg * pair.y + self._tr_scale * (w * resid).dot(a)
+        resid = s - self._tr_b[idx]
+        return self._two_reg * pair.y + self._tr_scale * (w * resid).dot(a)
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
         _, a, w, s = self._train_batch(pair, token, 2)
         coef = w * s * (1.0 - s) * self._tr_scale
 
         def action(v: Vector) -> Vector:
-            return 2.0 * self.spec.reg * v + (coef * a.dot(v)).dot(a)
+            return self._two_reg * v + (coef * a.dot(v)).dot(a)
 
         return action
 
     def hess_xy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
         idx, a, w, s = self._train_batch(pair, token, 3)
         dw = w * (1.0 - w)  # derivative of the sigmoid weight
-        resid = s - self.spec.train.labels[idx]
+        resid = s - self._tr_b[idx]
 
         def action(v: Vector) -> Vector:
             # nonzero rows only at sampled points; repeats add in index order

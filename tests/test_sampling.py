@@ -307,6 +307,107 @@ def test_block_columns_are_bounded():
     assert len(block[0]._block._columns) == _MAX_COLUMNS
 
 
+# a column of integers(low, high[, size]) on plain ints with 1 < r = high -
+# low < 2**32 - 1 is computed from raw words by NumPy's bounded-integer rule;
+# these ranges put every word on the rule's edges or send other forms to
+# NumPy's call: half the words are rejected at r = 2**31 + 1, a quarter land
+# exactly on the threshold 2**32 % r at r = 3 * 2**30, and r = 1, 2**32 - 1
+# and r >= 2**32 are drawn by NumPy's own call
+_COLUMN_ROWS = _RUN + 24
+_RANGES = [2, 3, 500, 2**31 + 1, 3 * 2**30, 2**32 - 2, 1, 2**32 - 1, 2**32, 2**40]
+
+
+def _numpy_rejects(tok, args):
+    """Whether NumPy's ``integers(*args)`` on ``tok``'s stream rejects a word:
+    it then stands further along the stream than ``size`` words."""
+    n = args[2] if len(args) == 3 else 1
+    a, b = tok.rng(), tok.rng()
+    a.integers(*args)
+    b.integers(0, 2**32, n, dtype=np.uint32)  # reads exactly n words
+    return (a.integers(0, 2**32, 4, dtype=np.uint32).tolist()
+            != b.integers(0, 2**32, 4, dtype=np.uint32).tolist())
+
+
+def _check_integer_column(block, args):
+    """Every row of ``block`` draws, in order, the values of NumPy's call on
+    its stream, read-only; each row's stream is reset once, and a second time
+    only for a column row of a filled form where NumPy rejects a word."""
+    calls = {}
+    stream = sustain.sampling._stream
+
+    def counting_stream(key):
+        calls[key] = calls.get(key, 0) + 1
+        return stream(key)
+
+    ids = (101, 7)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sustain.sampling, "_stream", counting_stream)
+        values = [tok.draw(ids, "integers", *args) for tok in block]
+    low, high = (0, args[0]) if len(args) == 1 else args[:2]
+    filled = all(type(a) is int for a in args) and 1 < high - low < 2**32 - 1
+    for row, (tok, value) in enumerate(zip(block, values)):
+        child = tok.child(*ids)
+        assert _same_bits(value, getattr(child.rng(), "integers")(*args))
+        assert not isinstance(value, np.ndarray) or not value.flags.writeable
+        redrawn = filled and row >= _RUN - 1 and _numpy_rejects(child, args)
+        assert calls[child.key] == 1 + redrawn
+    assert len(block[0]._block._columns) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64), form=st.sampled_from([1, 2, 3]),
+       r=st.one_of(st.sampled_from(_RANGES), st.integers(2, 2**32 - 2)),
+       low=st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**62), 2**62)),
+       size=st.one_of(st.sampled_from([1, 2, 3, 31, 32, 33]), st.integers(1, 70)),
+       wrap=st.booleans())
+@example(seed=0, form=3, r=500, low=0, size=32, wrap=False)
+@example(seed=0, form=1, r=12, low=0, size=1, wrap=False)
+@example(seed=1, form=3, r=2**31 + 1, low=-5, size=7, wrap=False)
+@example(seed=2, form=3, r=3 * 2**30, low=3, size=1, wrap=False)
+@example(seed=3, form=3, r=500, low=0, size=32, wrap=True)
+def test_integer_columns_equal_numpy(seed, form, r, low, size, wrap):
+    # the one-, two- and three-argument forms, with np.int64 arguments too,
+    # which NumPy's call draws; the rows' keys fall in all three half orders
+    # around 2**63 (pinned for the examples' seeds by the next test)
+    args = {1: (r,), 2: (low, low + r), 3: (low, low + r, size)}[form]
+    if wrap:
+        args = tuple(np.int64(a) for a in args)
+    block = SampleToken.root(seed).children(0, _COLUMN_ROWS)
+    _check_integer_column(block, args)
+
+
+def test_integer_column_rows_cover_every_half_order():
+    # the examples above draw rows keyed with both halves below 2**63, one on
+    # each side (rounded by Philox's float conversion) and both above
+    for seed in range(4):
+        block = SampleToken.root(seed).children(0, _COLUMN_ROWS)
+        orders = {sum(h >= _HALF for h in tok.child(101, 7).key) for tok in block[_RUN - 1:]}
+        assert orders == {0, 1, 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64), on=st.booleans(), size=st.sampled_from([1, 2, 5]))
+def test_integer_column_follows_numpy_threshold_exactly(seed, on, size):
+    # r picked from a column row's first word u so that u * r % 2**32 is the
+    # threshold 2**32 % r (kept) or one below it (rejected, drawn again);
+    # for r > 2**31 the threshold is 2**32 - r
+    block = SampleToken.root(seed).children(0, _COLUMN_ROWS)
+    for tok in block[_RUN - 1:]:
+        u = int(tok.child(101, 7).rng().integers(0, 2**32, dtype=np.uint32))
+        if on and u % 4 == 3:
+            r = 3 * 2**30
+        elif not on and u % 2 == 0:
+            r = -pow(u + 1, -1, 2**32) % 2**32
+        else:
+            continue
+        if 2**31 < r < 2**32 - 1:
+            break
+    else:
+        return
+    assert u * r % 2**32 == 2**32 % r - (not on)
+    _check_integer_column(block, (0, r, size))
+
+
 _LOW = st.integers(0, 2**63 - 1)
 _HIGH = st.one_of(st.integers(2**63, 2**64 - 1), st.integers(2**64 - 1024, 2**64 - 1))
 

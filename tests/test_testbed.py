@@ -241,9 +241,12 @@ class TestHyperClean:
         assert np.all(np.abs(draws.mean(axis=0) - full) <= 4 * se + 1e-9)
 
     def test_upper_grad_x_is_zero(self):
+        # one read-only vector of +0.0, whatever the pair and the token
         oracle = self._oracle()
-        pair = IteratePair(np.zeros(30), np.zeros(6))
-        assert np.all(oracle.grad_x_f_sample(pair, TOK) == 0.0)
+        pair = IteratePair(np.ones(30), np.ones(6))
+        g = oracle.grad_x_f_sample(pair, TOK)
+        assert g.tobytes() == np.zeros(30).tobytes() and not g.flags.writeable
+        assert oracle.grad_x_f_sample(IteratePair(np.zeros(30), np.zeros(6)), TOK.child(1)) is g
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
@@ -466,14 +469,30 @@ def _masked_sigmoid(z):
     return out
 
 
+def _out_of_place_sigmoid(z):
+    # _sigmoid's seven ufuncs, each writing a new array
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+
+_MASKED_EDGES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0, 1e-300,
+                 -1e-300, 36.0, -36.0]
+
+
 @pytest.mark.parametrize("n", [1, 32, 500])
 @pytest.mark.parametrize("scale", [1.0, 40.0, 800.0])
 def test_sigmoid_matches_masked_formula(n, scale):
-    # the stable two-branch sigmoid, bit for bit, without boolean indexing
-    z = np.random.default_rng(n).uniform(-scale, scale, n)
-    assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
-    edges = np.array([800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0])
-    assert _sigmoid(edges).tobytes() == _masked_sigmoid(edges).tobytes()
+    # the stable two-branch sigmoid, bit for bit, without boolean indexing;
+    # it runs in place on its own temporaries, so it leaves z as it was and
+    # gives the out-of-place form's bits, NaN bits too.  The masked formula
+    # gives NaN where z is NaN, with a sign bit of its own
+    for z in (np.random.default_rng(n).uniform(-scale, scale, n), np.array(_MASKED_EDGES)):
+        before = z.tobytes()
+        got = _sigmoid(z)
+        assert z.tobytes() == before
+        assert got.tobytes() == _out_of_place_sigmoid(z).tobytes()
+        nan = np.isnan(z)
+        assert np.isnan(got[nan]).all() and np.isnan(_masked_sigmoid(z)[nan]).all()
+        assert got[~nan].tobytes() == _masked_sigmoid(z)[~nan].tobytes()
 
 
 def _where_sigmoid(z):
