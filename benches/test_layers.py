@@ -8,11 +8,11 @@ and the trajectory CSV, and of one whole block of the quad-rate run.
 These cases sit outside ``tests/`` so that the test suite does not run them.
 A fresh draw is timed one call per round: each round's setup hands over the
 next row of a block, rows in order as the run loop takes them, with an empty
-memo and its own key already known.  On a block token the timed call draws
-from the shared generator for rows 0 .. _RUN - 2 (row 0 also tables the drawn
-suffix), fills the block's column at row _RUN - 1 and reads it after that, so
-the mean is the cost per draw of a whole block; on a scalar token every call
-derives the child key, resets the shared generator and draws.
+memo and its own key already known.  On a block token the timed call of row 0
+tables the drawn suffix and fills the call's column for the whole block, and
+every later row reads it, so the mean is the cost per draw of a whole block;
+on a scalar token every call derives the child key, resets the shared
+generator and draws.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ from sustain.sampling import (
     STREAM_K_DRAW,
     STREAM_LOWER,
     STREAM_UPPER,
-    _RUN,
+    STREAM_ZETA,
     SampleToken,
     _mix_into,
     _mix_path,
@@ -53,7 +53,7 @@ ROUNDS = 5000
 
 def _fresh_tokens(make_block):
     """Endless fresh tokens, one per call: every row of successive blocks,
-    in order."""
+    in order, each with its key known and an empty memo."""
     root = SampleToken.root(0)
     start = 0
     while True:
@@ -100,26 +100,34 @@ def test_block_plus_one_suffix(benchmark):
     benchmark(lambda: [tok.child(STREAM_UPPER).key for tok in root.children(0, BLOCK)])
 
 
-@pytest.mark.parametrize("call", [
-    DRAW,
-    ((_NOISE_TAG, 0, 1), "integers", 0, 500, 32),  # the hyper-cleaning batch
-    ((STREAM_K_DRAW,), "integers", 12),  # draw_k at K 12
-], ids=["standard_normal_6", "integers_0_500_32", "integers_12"])
-def test_column_fill(benchmark, call):
-    # the draw of row _RUN - 1 of a fresh block, which fills the call's
-    # column for rows _RUN - 1 .. BLOCK - 1; integers on plain ints take every
-    # row's raw words and NumPy's bounded-integer rule at once
+_BATCH = ((_NOISE_TAG, 0, 1), "integers", 0, 500, 32)  # the hyper-cleaning batch
+
+
+@pytest.mark.parametrize("call,step", [
+    (DRAW, BLOCK),
+    (_BATCH, BLOCK),
+    (((STREAM_K_DRAW,), "integers", 12), BLOCK),  # draw_k at K 12
+    (((STREAM_UPPER, STREAM_ZETA, 2) + _BATCH[0], *_BATCH[1:]), 8),
+], ids=["standard_normal_6", "integers_0_500_32", "integers_12", "sparse_term_integers"])
+def test_column_fill(benchmark, call, step):
+    # the asks of every step-th row of a fresh block, starting at row 0: the
+    # first fills the call's column for all BLOCK rows, the rest read it.
+    # Integers on plain ints take every row's raw words and NumPy's
+    # bounded-integer rule at once.  The sparse case is a Neumann term's
+    # batch that only every eighth row reaches, so it also draws the rows
+    # that never ask
     root = SampleToken.root(0)
     starts = iter(range(0, 10**9, BLOCK))
 
     def setup():
         start = next(starts)
-        tokens = root.children(start, start + BLOCK)
-        for tok in tokens[:_RUN - 1]:
-            tok.draw(*call)
-        return (tokens[_RUN - 1],), {}
+        tokens = root.children(start, start + BLOCK)[::step]
+        for tok in tokens:
+            tok.key
+        return (tokens,), {}
 
-    benchmark.pedantic(lambda tok: tok.draw(*call), setup=setup, rounds=200, warmup_rounds=5)
+    benchmark.pedantic(lambda tokens: [tok.draw(*call) for tok in tokens], setup=setup,
+                       rounds=200, warmup_rounds=5)
 
 
 def test_sigmoid_32(benchmark):

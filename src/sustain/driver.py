@@ -120,16 +120,24 @@ class DoubleLoop:
 
 # --- schedule resolution ----------------------------------------------------
 
+# the largest K the K rule may choose (an iteration makes up to K HVPs); the
+# default hyper-cleaning problem asks 67,011,488, every other default <= 150
+_K_RULE_MAX = 10_000
+
 
 def resolve_schedule(
     oracle: BilevelOracle, cfg: RunConfig
 ) -> Tuple[Callable[[int], ScheduleParams], int]:
     """Build the per-iteration schedule callable and the truncation level K,
-    the one K that both the schedule's L_K and the estimator use."""
+    the one K that both the schedule's L_K and the estimator use; a K from
+    the rule past ``_K_RULE_MAX`` raises ``ValueError``."""
     c = oracle.constants
     choose_K = (choose_K_strongly_convex if cfg.policy is Policy.STRONGLY_CONVEX
                 else choose_K_nonconvex)
     K = cfg.K_override if cfg.K_override is not None else choose_K(c, cfg.T)
+    if cfg.K_override is None and K > _K_RULE_MAX:
+        raise ValueError(f"the K rule chose K = {K} at T = {cfg.T}, above {_K_RULE_MAX}; "
+                         "set schedule.K to run at a K of your choice")
     if cfg.policy is Policy.STRONGLY_CONVEX:
         params = strongly_convex_params(c, lipschitz_L_K(c, K), cfg.alpha_override)
         return lambda t: params, K

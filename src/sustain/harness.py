@@ -47,8 +47,6 @@ from .testbed import (
     random_quadratic_spec,
 )
 
-OUTPUT_DIR_ENV = "SUSTAIN_OUTPUT_DIR"
-
 TRAJECTORY_SCHEMA = "trajectory-v1"
 TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
 # the columns a threshold can be compared with: every one that holds a float
@@ -501,7 +499,7 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     _, run, kinds, _ = _read(cfg)
     _initial_pair(oracle, run)
     _, K = resolve_schedule(oracle, run)
-    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     grid = (oracle, exact, replace(run, K_override=K), cfg, out_dir)

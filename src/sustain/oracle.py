@@ -116,12 +116,8 @@ class BilevelOracle(ABC):
     token's key, so draws are not re-entrant.  The momentum updates evaluate
     one token object at x_t and x_{t-1}; ``draw`` memoizes on the token, so
     the second evaluation reuses the first one's draws instead of drawing
-    them again.  A call that the first rows of an iteration block all make
-    is drawn for the block's later rows at once and served from that column,
-    at most ``sampling._MAX_COLUMNS`` columns a block; calls that vary by
-    row are drawn row by row.  An ``integers`` column is filled in one pass
-    from the rows' raw words, with NumPy's values (Tier-1's hypothesis test
-    pins them to the installed NumPy).
+    them again.  The ``sampling`` module docstring says how ``draw`` batches
+    the draws of an iteration block; the values stay the child token's own.
 
     Cost: the estimator calls a Hessian action once per row per series term,
     on one vector.  ``ndarray.dot`` is the cheap one-vector product: ``A @ v``

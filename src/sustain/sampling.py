@@ -15,15 +15,19 @@ one lock it writes the child's key into a prebuilt Philox state (counter 0,
 empty buffer), assigns that state to one module-wide Philox and calls
 ``method`` on it.  Draws are therefore not re-entrant; the lock serialises
 them across threads.  ``rng()`` still returns a fresh generator for callers
-that hold one.  Once rows 0 .. ``_RUN - 1`` of a key block (below) have made
-a call, it is drawn for the block's later rows in one loop, from the same
-keys, so with the same values, and kept as the block's column; a block keeps
-at most ``_MAX_COLUMNS`` columns of one value a row, released with its tokens.
-A column of ``integers`` on plain ints with 1 < high - low < 2**32 - 1 is
-filled in one pass: each row's raw Philox words, then NumPy's bounded-integer
-rule (Lemire 2019) on all rows at once, so with NumPy's values; a row where
-NumPy would reject a word is drawn by NumPy's own call.  Tier-1's hypothesis
-test pins these columns to the installed NumPy.
+that hold one.
+
+Columns: the first time any row of a key block (below) makes a call
+``(suffix, method, args)``, the block draws it for all its rows, those that
+never make it included, in one loop under one hold of the lock and from the
+rows' keys (so with the values each row would draw alone); every later ask
+reads that column.  A row draws alone only when the block has no key table
+for the suffix or already keeps ``_MAX_COLUMNS`` columns.  A column of
+``integers`` on plain ints with 1 < high - low < 2**32 - 1 is filled in one
+pass: each row's raw Philox words, then NumPy's bounded-integer rule (Lemire
+2019) on all rows at once, so with NumPy's values; a row where NumPy would
+reject a word is drawn by NumPy's own call.  Tier-1's hypothesis test pins
+these columns to the installed NumPy.
 
 Keys: ``_mix_step`` is the one splitmix64 step (one per path id, masked to
 64 bits after every add and multiply, so it gives the same bits on Python
@@ -86,10 +90,9 @@ def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
 
 
 # the most suffix tables and value columns a block keeps; the benchmark's
-# blocks need at most 60 and 13 (hyper-cleaning's DoubleLoop(10) at K = 3)
+# blocks need at most 60 and 15 (hyper-cleaning's DoubleLoop(10) at K = 3)
 _MAX_TABLES = 128
 _MAX_COLUMNS = 16
-_RUN = 8  # a call gets a column once rows 0 .. _RUN - 1 have asked for it
 
 
 class _KeyBlock:
@@ -103,20 +106,16 @@ class _KeyBlock:
     ``_mix_into``, so the block's memory does not grow with the number of
     distinct suffixes (a deep Neumann series draws one per term).
 
-    ``_columns[(suffix, method, args)]`` holds a call's values for rows
-    ``_RUN - 1`` on, drawn in one loop from a table once rows 0 .. ``_RUN -
-    1`` have all asked for the call, for at most ``_MAX_COLUMNS`` calls.  A
-    call that rows skip, such as a Neumann term past their truncation index,
-    is drawn row by row: no stream is drawn that no row asks for.
+    ``_columns[(suffix, method, args)]`` holds a call's values for every row,
+    drawn at the call's first ask (see the module docstring).
     """
 
-    __slots__ = ("depth", "_halves", "_columns", "_asked")
+    __slots__ = ("depth", "_halves", "_columns")
 
     def __init__(self, depth: int, a: np.ndarray, b: np.ndarray):
         self.depth = depth  # path length of the block's rows
         self._halves = {(): (a, b)}
         self._columns = {}
-        self._asked = {}  # call: how many of rows 0 .. _RUN - 1 asked for it
 
     def key(self, suffix: tuple[int, ...], row: int) -> tuple[int, int]:
         halves = self._halves
@@ -135,20 +134,15 @@ class _KeyBlock:
     def draw(self, suffix: tuple[int, ...], row: int, method: str, args: tuple):
         """Row ``row``'s values of ``method(*args)`` on its stream ``suffix``."""
         call = (suffix, method, args)
-        if row >= _RUN - 1:
-            column = self._columns.get(call)
-            if column is not None:
-                return column[row - _RUN + 1]
-        key = self.key(suffix, row)
-        if row < _RUN:  # only the first rows' asks can open a column
-            asked = self._asked[call] = self._asked.get(call, 0) + 1
+        column = self._columns.get(call)
+        if column is None:
+            key = self.key(suffix, row)  # tables the suffix while there is room
             halves = self._halves.get(suffix)
-            if (asked == row + 1 == _RUN and halves is not None
-                    and len(self._columns) < _MAX_COLUMNS):
-                keys = zip(halves[0][row:].tolist(), halves[1][row:].tolist())
-                column = self._columns[call] = _column(keys, method, args)
-                return column[0]
-        return _draws((key,), method, args)[0]
+            if halves is None or len(self._columns) >= _MAX_COLUMNS:
+                return _draws((key,), method, args)[0]
+            keys = zip(halves[0].tolist(), halves[1].tolist())
+            column = self._columns[call] = _column(keys, method, args)
+        return column[row]
 
 
 _BITGEN = np.random.Philox(0)  # seeded so that import pulls no OS entropy
@@ -262,7 +256,8 @@ class SampleToken:
 
     def children(self, start: int, stop: int) -> list["SampleToken"]:
         """The tokens ``self.child(t)`` for t in ``range(start, stop)``, keyed
-        from one table of the block (see the module docstring)."""
+        from one table of the block; a draw call's column covers every row
+        (see the module docstring)."""
         a, b = self.key
         ts = range(start, stop)
         v = np.array([t & _MASK64 for t in ts], dtype=np.uint64)

@@ -58,7 +58,6 @@ class QuadBilevelSpec:
     sigma_f: float = 0.0
     sigma_g: float = 0.0
     sin_amp: float = 0.0
-    c_fy_bound: float = 10.0  # sup ||y - y_target|| over the operating box
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -89,7 +88,7 @@ class QuadraticOracle(BilevelOracle):
             mu_g=float(eigvals[0]),
             L_g=float(eigvals[-1]),
             C_gxy=bnorm,
-            C_fy=spec.c_fy_bound,
+            C_fy=10.0,  # sup ||y - y_target|| over the operating box
             L_fx=abs(spec.lam) + abs(spec.sin_amp),  # of lam x + a cos x
             L_fy=1.0,
             L_gxy=0.0,
@@ -227,11 +226,7 @@ def random_quadratic_spec(
     if not mu_g <= L_g:  # NaN fails it too
         raise ValueError(f"L_g = {L_g:g} is below mu_g = {mu_g:g}")
     Q, _ = np.linalg.qr(rng.standard_normal((d_lo, d_lo)))
-    if d_lo == 1:
-        eigs = np.array([mu_g])
-    else:
-        eigs = np.linspace(mu_g, L_g, d_lo)
-    A = Q @ np.diag(eigs) @ Q.T
+    A = Q @ np.diag(np.linspace(mu_g, L_g, d_lo)) @ Q.T
     A = 0.5 * (A + A.T)
     B = rng.standard_normal((d_lo, d_up)) / np.sqrt(d_lo)
     return QuadBilevelSpec(

@@ -218,10 +218,11 @@ def test_criterion_04_estimator_lipschitz():
         p2 = IteratePair(x + dx, y + dy)
         root = SampleToken.root(5000 + pair_idx)
         acc = 0.0
-        for i in range(n_draws):
+        # row i of the block is root.child(i), on the same path and key
+        for tok in root.children(0, n_draws):
             # one composite sample at both points: the values of two
             # ``estimate`` calls on the token, drawn once
-            (s1, s2), _ = estimate_coupled(oracle, (p1, p2), K, root.child(i))
+            (s1, s2), _ = estimate_coupled(oracle, (p1, p2), K, tok)
             d = s1 - s2
             acc += float(d @ d)
         mean_sq = acc / n_draws

@@ -190,6 +190,18 @@ def test_run_rejects_invalid_problem_constants_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_refuses_an_impractical_K_from_the_rule(tmp_path, capsys):
+    # at the default T = 100 the rule asks K = 67,011,488 of the default
+    # hyper-cleaning problem: one line and exit 2, before any file
+    out = tmp_path / "out"
+    assert main(["run", "--problem.kind=hyperclean", f"--output.dir={out}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("sustain run: the K rule chose K = 67011488 at T = 100, above "
+                            "10000; set schedule.K to run at a K of your choice\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _fit_failure(argv, capsys):
     assert main(["fit", *argv]) == 2
     err = capsys.readouterr().err

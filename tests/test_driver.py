@@ -21,6 +21,7 @@ from sustain.driver import (
     run_sustain,
 )
 from sustain.errors import DimensionMismatch, InvalidConstants
+from sustain.harness import ExperimentConfig, make_problem
 from sustain.hypergrad import lipschitz_L_K
 from sustain.momentum import tracker_errors
 from sustain.oracle import IteratePair
@@ -420,6 +421,17 @@ def test_strongly_convex_schedule_resolved_once(quad5, monkeypatch, K_override, 
         if policy is Policy.STRONGLY_CONVEX:
             expected = strongly_convex_params(c, lipschitz_L_K(c, K), alpha_override)
             assert schedule(0) == expected and schedule(T - 1) == expected
+
+
+def test_k_rule_past_its_bound_is_refused():
+    # the default hyper-cleaning problem's rule asks K = 67,011,488 at T = 100;
+    # an explicit K of any size is taken as given
+    oracle, _ = make_problem(ExperimentConfig.from_mapping({"problem.kind": "hyperclean"}))
+    cfg = RunConfig(T=100, policy=Policy.PRACTICAL)
+    with pytest.raises(ValueError, match=r"^the K rule chose K = 67011488 at T = 100, "
+                                         r"above 10000; set schedule\.K"):
+        resolve_schedule(oracle, cfg)
+    assert resolve_schedule(oracle, replace(cfg, K_override=67_011_488))[1] == 67_011_488
 
 
 @pytest.mark.parametrize("field,value,message", [

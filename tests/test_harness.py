@@ -374,12 +374,14 @@ class TestRunGrid:
             assert row["seeds"] == "2"
             assert "samples_to_10" in row
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
+    def test_output_dir_env_is_ignored(self, tmp_path, monkeypatch):
+        # the outputs are a function of the config alone: the environment
+        # variable that once redirected them changes nothing
         other = tmp_path / "redirected"
         monkeypatch.setenv("SUSTAIN_OUTPUT_DIR", str(other))
-        cfg = self._cfg(tmp_path / "ignored")
-        result = run_grid(cfg)
-        assert result.summary_path.parent == other
+        result = run_grid(self._cfg(tmp_path / "out"))
+        assert result.summary_path.parent == tmp_path / "out"
+        assert not other.exists()
 
     def test_bad_algorithm_option_is_a_config_error(self, tmp_path):
         # the baseline kinds are built when the config is made, so an invalid

@@ -12,7 +12,6 @@ import sustain.sampling
 from sustain.sampling import (
     _MAX_COLUMNS,
     _MAX_TABLES,
-    _RUN,
     SampleToken,
     _mix_path,
     _stream,
@@ -265,36 +264,40 @@ def test_block_keys_equal_path_hash(base, start, size, suffixes, rows, warning_a
             assert len(tables) == _MAX_TABLES
 
 
-_ROWS = _RUN + 4
+_ROWS = 12
 
 
 @settings(max_examples=100, deadline=None)
-@given(order=st.permutations(range(_ROWS)), sub=st.lists(_ID, max_size=2),
-       which=st.sampled_from(range(len(_DRAWS))), full=st.booleans())
-@example(order=list(range(_ROWS)), sub=[], which=0, full=False)
-@example(order=list(range(_ROWS)), sub=[1, 4], which=2, full=False)
-@example(order=list(range(_ROWS)), sub=[3], which=1, full=True)
-def test_block_draws_equal_fresh_child_generator(order, sub, which, full):
-    # the rows of a block draw, in any order, the values of a fresh generator
-    # on the full path, also through tokens made with child and past the
-    # table budget.  A call gets a column when row _RUN - 1 asks for it after
-    # rows 0 .. _RUN - 2 (in order in the run loop); the column's values,
-    # like the others, are read-only and kept in the token's memo
+@given(order=st.permutations(range(_ROWS)), asks=st.integers(1, _ROWS),
+       sub=st.lists(_ID, max_size=2), which=st.sampled_from(range(len(_DRAWS))),
+       full=st.booleans())
+@example(order=list(range(_ROWS)), asks=_ROWS, sub=[], which=0, full=False)
+@example(order=list(range(_ROWS)), asks=_ROWS, sub=[1, 4], which=2, full=False)
+@example(order=list(range(_ROWS)), asks=_ROWS, sub=[3], which=1, full=True)
+@example(order=[_ROWS - 1, 5, 0], asks=3, sub=[], which=3, full=False)
+def test_block_draws_equal_fresh_child_generator(order, asks, sub, which, full):
+    # only the first ``asks`` rows of ``order`` make the call, as only the
+    # rows whose truncation index reaches a Neumann term draw its samples;
+    # each gets the values of a fresh generator on the full path, also
+    # through tokens made with child and past the table budget.  The first
+    # ask opens the call's column for every row, unless the table budget is
+    # full; the column's values, like the others, are read-only and kept in
+    # the token's memo
     method, args = _DRAWS[which]
     block = SampleToken.root(9).children(0, _ROWS)
     if full:
         for i in range(_MAX_TABLES):
             block[0].child(2**70 + i).key
+    columns = block[0]._block._columns
     ids = (101, 7)
-    for row in order:
+    for row in order[:asks]:
         tok = block[row].child(*sub)
         value = tok.draw(ids, method, *args)
         assert _same_bits(value, getattr(tok.child(*ids).rng(), method)(*args))
         assert tok.draw(ids, method, *args) is value
         assert not isinstance(value, np.ndarray) or not value.flags.writeable
-    columns = block[0]._block._columns
-    before = order[:order.index(_RUN - 1)]
-    assert len(columns) == (not full and set(before) >= set(range(_RUN - 1)))
+        assert len(columns) == (not full)
+    assert all(len(column) == _ROWS for column in columns.values())
 
 
 def test_block_columns_are_bounded():
@@ -313,7 +316,7 @@ def test_block_columns_are_bounded():
 # NumPy's call: half the words are rejected at r = 2**31 + 1, a quarter land
 # exactly on the threshold 2**32 % r at r = 3 * 2**30, and r = 1, 2**32 - 1
 # and r >= 2**32 are drawn by NumPy's own call
-_COLUMN_ROWS = _RUN + 24
+_COLUMN_ROWS = 32
 _RANGES = [2, 3, 500, 2**31 + 1, 3 * 2**30, 2**32 - 2, 1, 2**32 - 1, 2**32, 2**40]
 
 
@@ -330,8 +333,9 @@ def _numpy_rejects(tok, args):
 
 def _check_integer_column(block, args):
     """Every row of ``block`` draws, in order, the values of NumPy's call on
-    its stream, read-only; each row's stream is reset once, and a second time
-    only for a column row of a filled form where NumPy rejects a word."""
+    its stream, read-only; each row's stream is reset once, at the first
+    row's ask, and for a filled form a second time where NumPy rejects a
+    word."""
     calls = {}
     stream = sustain.sampling._stream
 
@@ -342,14 +346,17 @@ def _check_integer_column(block, args):
     ids = (101, 7)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sustain.sampling, "_stream", counting_stream)
-        values = [tok.draw(ids, "integers", *args) for tok in block]
+        first = block[0].draw(ids, "integers", *args)
+        resets = sum(calls.values())
+        values = [first] + [tok.draw(ids, "integers", *args) for tok in block[1:]]
+    assert sum(calls.values()) == resets
     low, high = (0, args[0]) if len(args) == 1 else args[:2]
     filled = all(type(a) is int for a in args) and 1 < high - low < 2**32 - 1
-    for row, (tok, value) in enumerate(zip(block, values)):
+    for tok, value in zip(block, values):
         child = tok.child(*ids)
         assert _same_bits(value, getattr(child.rng(), "integers")(*args))
         assert not isinstance(value, np.ndarray) or not value.flags.writeable
-        redrawn = filled and row >= _RUN - 1 and _numpy_rejects(child, args)
+        redrawn = filled and _numpy_rejects(child, args)
         assert calls[child.key] == 1 + redrawn
     assert len(block[0]._block._columns) == 1
 
@@ -381,7 +388,7 @@ def test_integer_column_rows_cover_every_half_order():
     # each side (rounded by Philox's float conversion) and both above
     for seed in range(4):
         block = SampleToken.root(seed).children(0, _COLUMN_ROWS)
-        orders = {sum(h >= _HALF for h in tok.child(101, 7).key) for tok in block[_RUN - 1:]}
+        orders = {sum(h >= _HALF for h in tok.child(101, 7).key) for tok in block}
         assert orders == {0, 1, 2}
 
 
@@ -392,7 +399,7 @@ def test_integer_column_follows_numpy_threshold_exactly(seed, on, size):
     # threshold 2**32 % r (kept) or one below it (rejected, drawn again);
     # for r > 2**31 the threshold is 2**32 - r
     block = SampleToken.root(seed).children(0, _COLUMN_ROWS)
-    for tok in block[_RUN - 1:]:
+    for tok in block:
         u = int(tok.child(101, 7).rng().integers(0, 2**32, dtype=np.uint32))
         if on and u % 4 == 3:
             r = 3 * 2**30

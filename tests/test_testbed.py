@@ -91,6 +91,21 @@ class TestQuadratic:
         spec = random_quadratic_spec(np.random.default_rng(0), d_up=2, d_lo=3, L_g=1.0)
         assert np.allclose(np.linalg.eigvalsh(spec.A), 1.0)
 
+    @pytest.mark.parametrize("mu_g,L_g", [(1.0, 2.0), (0.3, 7.5), (2.0, 2.0), (1e-3, 1e3),
+                                          (0.1, 0.1000001)])
+    def test_one_dim_lower_level_keeps_its_bytes(self, mu_g, L_g):
+        # with d_lo = 1 the spectrum is mu_g alone: the one-point linspace
+        # gives the bytes of the spec built with eigenvalue [mu_g] by hand
+        spec = random_quadratic_spec(np.random.default_rng(5), d_up=3, d_lo=1, mu_g=mu_g,
+                                     L_g=L_g)
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((1, 1)))
+        A = Q @ np.diag(np.array([mu_g])) @ Q.T
+        expected = [0.5 * (A + A.T), rng.standard_normal((1, 3)) / np.sqrt(1)]
+        expected += [rng.standard_normal(1) * 0.5, rng.standard_normal(1) * 0.5]
+        got = [spec.A, spec.B, spec.b, spec.y_target]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
     def test_not_spd_rejected(self):
         spec = QuadBilevelSpec(A=-np.eye(2), B=np.zeros((2, 1)), b=np.zeros(2),
                                y_target=np.zeros(2))
