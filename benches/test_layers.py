@@ -8,11 +8,12 @@ and the trajectory CSV, and of one whole block of the quad-rate run.
 These cases sit outside ``tests/`` so that the test suite does not run them.
 A fresh draw is timed one call per round: each round's setup hands over the
 next row of a block, rows in order as the run loop takes them, with an empty
-memo and its own key already known.  On a block token the timed call of row 0
-tables the drawn suffix and fills the call's column for the whole block, and
-every later row reads it, so the mean is the cost per draw of a whole block;
-on a scalar token every call derives the child key, resets the shared
-generator and draws.
+memo.  On a token of ``children`` the timed call of row 0 tables the drawn
+suffix and fills the call's column for the whole block, and every later row
+reads it, so the mean is the cost per draw of a whole block.  Past its caps
+(``_MAX_TABLES`` tables, ``_MAX_COLUMNS`` columns) a block serves a draw row by
+row: the call derives the child key from the longest tabled prefix, resets
+the shared generator and draws.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from sustain.sampling import (
     STREAM_LOWER,
     STREAM_UPPER,
     STREAM_ZETA,
+    _MAX_TABLES,
     SampleToken,
     _mix_into,
     _mix_path,
@@ -53,15 +55,12 @@ ROUNDS = 5000
 
 def _fresh_tokens(make_block):
     """Endless fresh tokens, one per call: every row of successive blocks,
-    in order, each with its key known and an empty memo."""
+    in order, each with an empty memo."""
     root = SampleToken.root(0)
     start = 0
     while True:
-        tokens = make_block(root, start, start + BLOCK)
+        yield from make_block(root, start, start + BLOCK)
         start += BLOCK
-        for tok in tokens:
-            tok.key
-            yield tok
 
 
 def _bench_fresh_draw(benchmark, make_block):
@@ -74,8 +73,17 @@ def test_fresh_draw_block_token(benchmark):
     _bench_fresh_draw(benchmark, lambda root, a, b: root.children(a, b))
 
 
-def test_fresh_draw_scalar_token(benchmark):
-    _bench_fresh_draw(benchmark, lambda root, a, b: [root.child(t) for t in range(a, b)])
+def _past_caps(root, start, stop):
+    """Children of the root, which share its one-row block; before the first
+    block the root's draws fill that block's tables and columns."""
+    if start == 0:
+        for t in range(-_MAX_TABLES, 0):
+            root.child(t).draw(*DRAW)
+    return [root.child(t) for t in range(start, stop)]
+
+
+def test_fresh_draw_past_block_caps(benchmark):
+    _bench_fresh_draw(benchmark, _past_caps)
 
 
 def test_memo_hit(benchmark):
@@ -96,7 +104,6 @@ def test_mix_into_two_ids(benchmark):
 def test_block_plus_one_suffix(benchmark):
     # 256 iteration tokens and the key of (t, STREAM_UPPER) for every t
     root = SampleToken.root(0)
-    root.key
     benchmark(lambda: [tok.child(STREAM_UPPER).key for tok in root.children(0, BLOCK)])
 
 
@@ -121,10 +128,7 @@ def test_column_fill(benchmark, call, step):
 
     def setup():
         start = next(starts)
-        tokens = root.children(start, start + BLOCK)[::step]
-        for tok in tokens:
-            tok.key
-        return (tokens,), {}
+        return (root.children(start, start + BLOCK)[::step],), {}
 
     benchmark.pedantic(lambda tokens: [tok.draw(*call) for tok in tokens], setup=setup,
                        rounds=200, warmup_rounds=5)

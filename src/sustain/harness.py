@@ -298,8 +298,8 @@ def _baseline_kind(algorithm: str, opt: Callable):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # NumPy's float64 too, whose repr names its type
+        return repr(float(value))
     return str(value)
 
 

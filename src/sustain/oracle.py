@@ -176,11 +176,13 @@ class ExactOracle(ABC):
     def ell(self, x: Vector) -> float: ...
 
     @abstractmethod
-    def grad_ell(self, x: Vector) -> Vector: ...
-
-    @abstractmethod
     def surrogate_grad(self, x: Vector, y: Vector) -> Vector:
         """Hypergradient formula evaluated at an approximate inner solution."""
+
+    def grad_ell(self, x: Vector) -> Vector:
+        """The implicit-function identity the hypergradient rests on:
+        grad ell(x) is the surrogate at y*(x)."""
+        return self.surrogate_grad(x, self.y_star(x))
 
     @property
     def ell_star(self) -> Optional[float]:

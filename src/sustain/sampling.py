@@ -32,13 +32,14 @@ these columns to the installed NumPy.
 Keys: ``_mix_step`` is the one splitmix64 step (one per path id, masked to
 64 bits after every add and multiply, so it gives the same bits on Python
 ints and on uint64 arrays), and ``_mix_into`` loops it over a path as the
-scalar definition.  ``children(start, stop)`` keys a block of sibling tokens
-at once, as two uint64 arrays.  A token of the block, and every token made
-from it with ``child``, reads its key from the block's table; the first time
-any of them needs the key of a path suffix, that suffix is keyed for the
-whole block and kept for the siblings, up to ``_MAX_TABLES`` tables a block.
-Past that, a row extends its longest tabled prefix with ``_mix_into``.  Any
-other token hashes its own path the first time its key is needed.
+scalar definition.  Every token is a row of a key block: ``children(start,
+stop)`` keys a block of sibling tokens at once, as two uint64 arrays, and a
+token made from a path alone is the only row of its own block, keyed by
+``_mix_path``.  A token of a block, and every token made from it with
+``child``, reads its key from the block's table; the first time any of them
+needs the key of a path suffix, that suffix is keyed for the whole block and
+kept for the other rows, up to ``_MAX_TABLES`` tables a block.  Past that, a
+row extends its longest tabled prefix with ``_mix_into``.
 
 Key quirk, kept on purpose: a path hashes to two 64-bit halves ``(a, b)``,
 and ``Philox(key=(a, b))`` converts the pair through ``np.asarray``.  When
@@ -96,8 +97,8 @@ _MAX_COLUMNS = 16
 
 
 class _KeyBlock:
-    """Keys of sibling tokens ``parent.path + (t,)``, one row per token, and
-    columns of the values drawn from them.
+    """Keys of sibling tokens ``parent.path + (t,)``, or of one token made
+    from its path, one row per token, and columns of the values drawn from them.
 
     ``_halves[suffix]`` holds the two key halves of ``row path + suffix`` for
     every row.  A suffix is tabled from the next shorter one the first time it
@@ -226,19 +227,20 @@ _new_token = object.__new__
 class SampleToken:
     """Opaque handle identifying one stochastic sample draw.
 
-    Equality and hashing go by ``path``.  The Philox key is computed on first
-    use, from the key table of the block the token descends from or else by
-    hashing the path, so a token whose stream is never drawn costs one tuple
-    concatenation.
+    Equality and hashing go by ``path``.  The token is row ``_row`` of the
+    key block ``_block``; made from a path alone, it is the only row of its
+    own block.  Its Philox key is read from the block's tables when it is
+    used, so a child whose stream is never drawn costs one tuple concatenation.
     """
 
-    __slots__ = ("path", "_key", "_memo", "_block", "_row")
+    __slots__ = ("path", "_memo", "_block", "_row")
 
     def __init__(self, path: tuple[int, ...], _block: Optional[_KeyBlock] = None,
                  _row: int = 0):
         self.path = path
-        self._key: Optional[tuple[int, int]] = None
         self._memo: Optional[dict] = None
+        if _block is None:
+            _block = _KeyBlock(len(path), *np.array([_mix_path(path)], dtype=np.uint64).T)
         self._block = _block
         self._row = _row
 
@@ -250,7 +252,7 @@ class SampleToken:
         # filled in place, at half the cost of a call of the class
         tok = _new_token(SampleToken)
         tok.path = self.path + ids
-        tok._key = tok._memo = None
+        tok._memo = None
         tok._block, tok._row = self._block, self._row
         return tok
 
@@ -266,14 +268,10 @@ class SampleToken:
 
     @property
     def key(self) -> tuple[int, int]:
-        """The 128-bit path hash; always equal to ``_mix_path(self.path)``.
-        Philox takes it through ``np.asarray``, which may round it (see the
-        module docstring)."""
-        if self._key is None:
-            block = self._block
-            self._key = (_mix_path(self.path) if block is None
-                         else block.key(self.path[block.depth:], self._row))
-        return self._key
+        """The 128-bit path hash, from the block's tables; always equal to
+        ``_mix_path(self.path)``.  Philox takes it through ``np.asarray``,
+        which may round it (see the module docstring)."""
+        return self._block.key(self.path[self._block.depth:], self._row)
 
     def rng(self) -> np.random.Generator:
         """Fresh generator; identical tokens always yield identical streams."""
@@ -281,9 +279,9 @@ class SampleToken:
 
     def draw(self, ids: tuple[int, ...], method: str, *args):
         """The values of ``getattr(self.child(*ids).rng(), method)(*args)``,
-        computed once per token object and per distinct call from the shared
-        generator reset to the child's key, or taken from its block's column
-        (see the module docstring).  Arrays are returned read-only."""
+        computed once per token object and per distinct call: taken from the
+        block's column, or drawn alone from the shared generator reset to the
+        child's key (see the module docstring).  Arrays are returned read-only."""
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
@@ -291,11 +289,7 @@ class SampleToken:
         value = memo.get(call)
         if value is None:
             block = self._block
-            if block is None:
-                value = _draws((_mix_into(self.key, ids),), method, args)[0]
-            else:
-                value = block.draw(self.path[block.depth:] + ids, self._row, method, args)
-            memo[call] = value
+            value = memo[call] = block.draw(self.path[block.depth:] + ids, self._row, method, args)
         return value
 
     def __eq__(self, other: object) -> bool:

@@ -134,8 +134,8 @@ def practical_params(
     c_eta_g: float | None = None,
 ) -> ScheduleParams:
     """Tuned schedule: alpha_t = beta_t = base_alpha / (1+t)^(1/3)."""
-    if base_alpha <= 0:
-        raise ValueError("base_alpha must be positive")
+    if not 0 < base_alpha < math.inf:
+        raise ValueError("base_alpha must be positive and finite")
     alpha = base_alpha / (1.0 + t) ** (1.0 / 3.0)
     eta_f = c_eta * alpha**2
     eta_g = (c_eta if c_eta_g is None else c_eta_g) * alpha**2

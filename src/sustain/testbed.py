@@ -167,18 +167,12 @@ class QuadraticExact(ExactOracle):
     def ell(self, x: Vector) -> float:
         return self._o.upper_loss(IteratePair(x, self.y_star(x)))
 
-    def grad_ell(self, x: Vector) -> Vector:
+    def surrogate_grad(self, x: Vector, y: Vector) -> Vector:
         s = self._o.spec
-        g = s.lam * x + matvec(s.B.T, matvec(self._A_inv, self.y_star(x) - s.y_target))
+        g = s.lam * x + matvec(s.B.T, matvec(self._A_inv, y - s.y_target))
         if s.sin_amp:
             g = g + s.sin_amp * np.cos(x)
         return g
-
-    def surrogate_grad(self, x: Vector, y: Vector) -> Vector:
-        s = self._o.spec
-        pair = IteratePair(x, y)
-        back = matvec(self._A_inv, self._o._grad_y_f(pair))
-        return self._o._grad_x_f(pair) + matvec(s.B.T, back)
 
     @property
     def ell_star(self) -> Optional[float]:

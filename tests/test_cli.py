@@ -70,6 +70,23 @@ def test_run_that_diverges_fails(tmp_path, capsys):
     assert summary[1].startswith("sustain,0,")
 
 
+@pytest.mark.parametrize("problem", [
+    ["--problem.kind=meta_linear"],
+    ["--problem.kind=hyperclean", "--problem.reg=1.0", "--problem.batch_size=32"],
+], ids=["meta_linear", "hyperclean"])
+def test_nonconvex_grid_writes_plain_numbers(tmp_path, capsys, problem):
+    # the nonconvex schedule's step sizes come from NumPy-scalar constants;
+    # every CSV holds them as plain numbers, which sustain fit reads back
+    argv = ["run", "--experiment.name=nc", *problem, "--run.policy=nonconvex",
+            "--schedule.K=3", "--run.T=12", "--run.seeds=0", f"--output.dir={tmp_path}"]
+    assert main(argv) == 0
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in csvs] == ["nc_summary.csv", "nc_sustain_seed0.csv"]
+    assert not [p.name for p in csvs if "np." in p.read_text()]
+    assert main(["fit", "--input", str(tmp_path / "nc_sustain_seed0.csv"),
+                 "--metric", "upper_loss", "--tmin", "1", "--tmax", "11"]) == 0
+
+
 @pytest.mark.parametrize("override,message", [
     ("--run.metric_stride=0", "metric_stride must be >= 1"),
     ("--metrics.epsilon_metric=grad_ell", "epsilon metric 'grad_ell' is not one of"),

@@ -97,8 +97,8 @@ def test_incremental_key_equals_path_hash(path, cuts):
 
 
 def test_child_holds_no_reference_to_its_parent():
-    # a token outside a block keys itself from its own path, so a child does
-    # not keep its parent, or the arrays the parent drew, alive
+    # a child shares its parent's key block, not the parent, so it does not
+    # keep the parent or the parent's memo alive
     parent = SampleToken.root(5).child(1)
     parent.draw((101, 2), "standard_normal", 3)
     child = parent.child(2, 3)
@@ -176,14 +176,17 @@ def test_draw_equals_fresh_child_generator(path, split, which):
 
 def test_interleaved_draws_leave_no_buffered_state():
     # B's 32-bit integers leave half a 64-bit word buffered in the shared
-    # generator; the next draw must start from its own key's fresh state
+    # generator; the next draw must start from its own key's fresh state.
+    # The np.int64 bound sends the draws to NumPy's own call, as a column of
+    # integers on plain ints is filled from raw words
     a, b = SampleToken.root(11).child(2), SampleToken.root(12).child(2)
-    first = a.draw((1,), "integers", 0, 10, 3)
+    high = np.int64(10)
+    first = a.draw((1,), "integers", 0, high, 3)
     assert _same_bits(first, a.child(1).rng().integers(0, 10, 3))
-    mid = b.draw((1,), "integers", 0, 10, 3)
+    mid = b.draw((1,), "integers", 0, high, 3)
     assert _same_bits(mid, b.child(1).rng().integers(0, 10, 3))
     assert sustain.sampling._BITGEN.state["has_uint32"] == 1
-    again = SampleToken((11, 2)).draw((1,), "integers", 0, 10, 3)
+    again = SampleToken((11, 2)).draw((1,), "integers", 0, high, 3)
     assert again is not first and _same_bits(again, first)
     normal = a.draw((1,), "standard_normal", 4)
     assert _same_bits(normal, a.child(1).rng().standard_normal(4))
@@ -298,6 +301,20 @@ def test_block_draws_equal_fresh_child_generator(order, asks, sub, which, full):
         assert not isinstance(value, np.ndarray) or not value.flags.writeable
         assert len(columns) == (not full)
     assert all(len(column) == _ROWS for column in columns.values())
+
+
+def test_token_from_a_path_keeps_its_block_bounded():
+    # a token made from its path is the one row of its own block; asked for
+    # 300 distinct child suffixes it keeps at most _MAX_TABLES tables and
+    # _MAX_COLUMNS columns, and draws each value of the fresh child generator
+    tok = SampleToken((6, 2))
+    assert tok._block._halves[()][0].shape == (1,)
+    for i in range(300):
+        for method, args in (("integers", (0, 1000, 3)), ("standard_normal", (2,))):
+            assert _same_bits(tok.draw((i,), method, *args),
+                              getattr(tok.child(i).rng(), method)(*args))
+    assert len(tok._block._halves) == _MAX_TABLES
+    assert len(tok._block._columns) == _MAX_COLUMNS
 
 
 def test_block_columns_are_bounded():

@@ -173,6 +173,11 @@ class TestPracticalParams:
         with pytest.raises(ValueError):
             practical_params(0.0, 0, 1.0)
 
+    @pytest.mark.parametrize("base_alpha", [float("nan"), float("inf")])
+    def test_nonfinite_alpha_rejected(self, base_alpha):
+        with pytest.raises(ValueError, match="base_alpha must be positive and finite"):
+            practical_params(base_alpha, 0, 1.0)
+
 
 def test_clamp_warns_only_beyond_rounding(caplog):
     # w = c_eta^1.5 makes c_eta * alpha_0^2 exactly 1 on paper and
