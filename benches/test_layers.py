@@ -10,16 +10,24 @@ A fresh draw is timed one call per round: each round's setup hands over the
 next row of a block, rows in order as the run loop takes them, with an empty
 memo.  On a token of ``children`` the timed call of row 0 tables the drawn
 suffix and fills the call's column for the whole block, and every later row
-reads it, so the mean is the cost per draw of a whole block.  Past its caps
-(``_MAX_TABLES`` tables, ``_MAX_COLUMNS`` columns) a block serves a draw row by
-row: the call derives the child key from the longest tabled prefix, resets
-the shared generator and draws.
+reads it, so the mean is the cost per draw of a whole block.  Past its column
+cap (``_MAX_COLUMNS``) a block serves a draw row by row: the call derives the
+child key from the longest tabled prefix, resets the shared generator and
+draws.  A token made from a path alone, such as a run's root, is a block of
+one row and always draws alone.
 """
 
 import numpy as np
 import pytest
 
-from sustain.driver import Policy, RunConfig, _records, resolve_schedule, run_sustain
+from sustain.driver import (
+    Policy,
+    RunConfig,
+    _draw_return_index,
+    _records,
+    resolve_schedule,
+    run_sustain,
+)
 from sustain.harness import write_trajectory_csv
 from sustain.hypergrad import draw_k, estimate_coupled
 from sustain.momentum import update_f, update_g
@@ -29,7 +37,7 @@ from sustain.sampling import (
     STREAM_LOWER,
     STREAM_UPPER,
     STREAM_ZETA,
-    _MAX_TABLES,
+    _MAX_COLUMNS,
     SampleToken,
     _mix_into,
     _mix_path,
@@ -74,12 +82,13 @@ def test_fresh_draw_block_token(benchmark):
 
 
 def _past_caps(root, start, stop):
-    """Children of the root, which share its one-row block; before the first
-    block the root's draws fill that block's tables and columns."""
-    if start == 0:
-        for t in range(-_MAX_TABLES, 0):
-            root.child(t).draw(*DRAW)
-    return [root.child(t) for t in range(start, stop)]
+    """A block of the root's children whose column budget is filled first,
+    by draws below a token its rows never use, so every row draws alone."""
+    block = root.children(start, stop)
+    filler = block[0].child(-1)
+    for i in range(_MAX_COLUMNS):
+        filler.draw((i,), "integers", 2)
+    return block
 
 
 def test_fresh_draw_past_block_caps(benchmark):
@@ -102,9 +111,17 @@ def test_mix_into_two_ids(benchmark):
 
 
 def test_block_plus_one_suffix(benchmark):
-    # 256 iteration tokens and the key of (t, STREAM_UPPER) for every t
+    # 256 iteration tokens and the draw that opens a call's column below
+    # (t, STREAM_UPPER): row 0's first ask tables the suffix for every t and
+    # draws the call for every row
     root = SampleToken.root(0)
-    benchmark(lambda: [tok.child(STREAM_UPPER).key for tok in root.children(0, BLOCK)])
+    benchmark(lambda: root.children(0, BLOCK)[0].child(STREAM_UPPER).draw(*DRAW))
+
+
+def test_run_root_and_return_index(benchmark):
+    # a run's fixed sampling cost: its root token, a block of one row, and
+    # the returned-index draw, which that block draws alone
+    benchmark(lambda: _draw_return_index(SampleToken.root(0), 1000))
 
 
 _BATCH = ((_NOISE_TAG, 0, 1), "integers", 0, 500, 32)  # the hyper-cleaning batch

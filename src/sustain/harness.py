@@ -158,7 +158,7 @@ class ExperimentConfig:
             "experiment.name": ("name", str),
             "run.algorithms": ("algorithms", split(str)),
         }
-        kwargs = {fields_by_key[key][0]: fields_by_key[key][1](value)
+        kwargs = {fields_by_key[key][0]: _cast(key, fields_by_key[key][1], value)
                   for key, value in mapping.items() if key in fields_by_key}
         options = {key: value for key, value in mapping.items() if key not in fields_by_key}
         return cls(options=options, **kwargs)  # type: ignore[arg-type]
@@ -169,6 +169,14 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _cast(key: str, cast: Callable, value: str):
+    """``cast(value)``; a ValueError it raises names ``key``."""
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _read(cfg: ExperimentConfig):
     """The one read pass over ``cfg.options``: the problem's builder, the run
     config, each algorithm's baseline kind and the set of keys read.  Each
@@ -177,12 +185,7 @@ def _read(cfg: ExperimentConfig):
 
     def opt(key: str, default, cast=float):
         read.add(key)
-        if key not in cfg.options:
-            return default
-        try:
-            return cast(cfg.options[key])
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+        return _cast(key, cast, cfg.options[key]) if key in cfg.options else default
 
     build = _problem_builder(cfg.problem, opt)
     run = _run_config(cfg, opt)

@@ -56,8 +56,6 @@ class ProblemConstants:
     L_gxy: float = 0.0
     L_gyy: float = 0.0
     mu_f: Optional[float] = None
-    sigma_f: float = 0.0
-    sigma_g: float = 0.0
 
     def __post_init__(self):
         violations = []

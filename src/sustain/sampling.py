@@ -17,17 +17,17 @@ empty buffer), assigns that state to one module-wide Philox and calls
 them across threads.  ``rng()`` still returns a fresh generator for callers
 that hold one.
 
-Columns: the first time any row of a key block (below) makes a call
-``(suffix, method, args)``, the block draws it for all its rows, those that
-never make it included, in one loop under one hold of the lock and from the
-rows' keys (so with the values each row would draw alone); every later ask
-reads that column.  A row draws alone only when the block has no key table
-for the suffix or already keeps ``_MAX_COLUMNS`` columns.  A column of
-``integers`` on plain ints with 1 < high - low < 2**32 - 1 is filled in one
-pass: each row's raw Philox words, then NumPy's bounded-integer rule (Lemire
-2019) on all rows at once, so with NumPy's values; a row where NumPy would
-reject a word is drawn by NumPy's own call.  Tier-1's hypothesis test pins
-these columns to the installed NumPy.
+Columns: the first time any row of a key block (below) of more than one
+row makes a call ``(suffix, method, args)``, the block draws it for all its
+rows, those that never make it included, in one loop under one hold of the
+lock and from the rows' keys (so with the values each row would draw alone);
+every later ask reads that column.  A row draws alone when its block has one
+row, no key table for the suffix or already ``_MAX_COLUMNS`` columns.  A
+column of ``integers`` on plain ints with 1 < high - low < 2**32 - 1 is
+filled in one pass: each row's raw Philox words, then NumPy's bounded-integer
+rule (Lemire 2019) on all rows at once, so with NumPy's values; a row where
+NumPy would reject a word is drawn by NumPy's own call.  Tier-1's hypothesis
+test pins these columns to the installed NumPy.
 
 Keys: ``_mix_step`` is the one splitmix64 step (one per path id, masked to
 64 bits after every add and multiply, so it gives the same bits on Python
@@ -36,10 +36,10 @@ scalar definition.  Every token is a row of a key block: ``children(start,
 stop)`` keys a block of sibling tokens at once, as two uint64 arrays, and a
 token made from a path alone is the only row of its own block, keyed by
 ``_mix_path``.  A token of a block, and every token made from it with
-``child``, reads its key from the block's table; the first time any of them
-needs the key of a path suffix, that suffix is keyed for the whole block and
-kept for the other rows, up to ``_MAX_TABLES`` tables a block.  Past that, a
-row extends its longest tabled prefix with ``_mix_into``.
+``child``, extends the longest tabled prefix of its path suffix with
+``_mix_into``; ``key`` (so also ``rng`` and ``children``) only reads.  Only a
+draw writes a block: on a block of more than one row, a call's first ask
+tables its suffix for every row, up to ``_MAX_TABLES`` tables a block.
 
 Key quirk, kept on purpose: a path hashes to two 64-bit halves ``(a, b)``,
 and ``Philox(key=(a, b))`` converts the pair through ``np.asarray``.  When
@@ -90,8 +90,8 @@ def _mix_path(path: tuple[int, ...]) -> tuple[int, int]:
     return _mix_into(_MIX_INIT, path)
 
 
-# the most suffix tables and value columns a block keeps; the benchmark's
-# blocks need at most 60 and 15 (hyper-cleaning's DoubleLoop(10) at K = 3)
+# the most tables and columns a block keeps; the benchmark needs at most 60
+# and 15 (hyper-cleaning's DoubleLoop(10) at K = 3)
 _MAX_TABLES = 128
 _MAX_COLUMNS = 16
 
@@ -101,14 +101,11 @@ class _KeyBlock:
     from its path, one row per token, and columns of the values drawn from them.
 
     ``_halves[suffix]`` holds the two key halves of ``row path + suffix`` for
-    every row.  A suffix is tabled from the next shorter one the first time it
-    is asked for, while the block holds fewer than ``_MAX_TABLES`` tables;
-    after that a row keys it from its longest tabled prefix with
-    ``_mix_into``, so the block's memory does not grow with the number of
-    distinct suffixes (a deep Neumann series draws one per term).
-
-    ``_columns[(suffix, method, args)]`` holds a call's values for every row,
-    drawn at the call's first ask (see the module docstring).
+    every row, and ``_columns[(suffix, method, args)]`` a call's values for
+    every row.  Only ``draw`` writes them, on a block of more than one row: a
+    call's first ask tables its suffix while the block has fewer than
+    ``_MAX_TABLES`` tables (a deep Neumann series draws one suffix per term),
+    and opens the call's column while it has fewer than ``_MAX_COLUMNS``.
     """
 
     __slots__ = ("depth", "_halves", "_columns")
@@ -118,32 +115,34 @@ class _KeyBlock:
         self._halves = {(): (a, b)}
         self._columns = {}
 
-    def key(self, suffix: tuple[int, ...], row: int) -> tuple[int, int]:
-        halves = self._halves
-        found = halves.get(suffix)
-        if found is not None:
-            return found[0].item(row), found[1].item(row)
-        n = len(suffix) - 1
-        while suffix[:n] not in halves:
+    def _tabled(self, suffix: tuple[int, ...]):
+        """The length of ``suffix``'s longest tabled prefix, and its halves."""
+        n = len(suffix)
+        while suffix[:n] not in self._halves:
             n -= 1
-        a, b = halves[suffix[:n]]
-        while n < len(suffix) and len(halves) < _MAX_TABLES:
-            a, b = halves[suffix[:n + 1]] = _mix_step(a, b, suffix[n] & _MASK64)
-            n += 1
+        return n, self._halves[suffix[:n]]
+
+    def key(self, suffix: tuple[int, ...], row: int) -> tuple[int, int]:
+        """Row ``row``'s key of ``suffix``, its longest tabled prefix extended
+        with ``_mix_into``.  It writes nothing: only ``draw`` tables a suffix."""
+        n, (a, b) = self._tabled(suffix)
         return _mix_into((a.item(row), b.item(row)), suffix[n:])
 
     def draw(self, suffix: tuple[int, ...], row: int, method: str, args: tuple):
         """Row ``row``'s values of ``method(*args)`` on its stream ``suffix``."""
         call = (suffix, method, args)
         column = self._columns.get(call)
-        if column is None:
-            key = self.key(suffix, row)  # tables the suffix while there is room
-            halves = self._halves.get(suffix)
-            if halves is None or len(self._columns) >= _MAX_COLUMNS:
-                return _draws((key,), method, args)[0]
-            keys = zip(halves[0].tolist(), halves[1].tolist())
-            column = self._columns[call] = _column(keys, method, args)
-        return column[row]
+        if column is not None:
+            return column[row]
+        n, (a, b) = self._tabled(suffix)
+        if len(a) > 1:  # a block of one row draws alone
+            while n < len(suffix) and len(self._halves) < _MAX_TABLES:
+                a, b = self._halves[suffix[:n + 1]] = _mix_step(a, b, suffix[n] & _MASK64)
+                n += 1
+            if n == len(suffix) and len(self._columns) < _MAX_COLUMNS:
+                column = self._columns[call] = _column(zip(a.tolist(), b.tolist()), method, args)
+                return column[row]
+        return _draws((_mix_into((a.item(row), b.item(row)), suffix[n:]),), method, args)[0]
 
 
 _BITGEN = np.random.Philox(0)  # seeded so that import pulls no OS entropy
@@ -268,9 +267,9 @@ class SampleToken:
 
     @property
     def key(self) -> tuple[int, int]:
-        """The 128-bit path hash, from the block's tables; always equal to
-        ``_mix_path(self.path)``.  Philox takes it through ``np.asarray``,
-        which may round it (see the module docstring)."""
+        """The 128-bit path hash, read from the block's tables (it writes
+        nothing); always equal to ``_mix_path(self.path)``.  Philox takes it
+        through ``np.asarray``, which may round it (see the module docstring)."""
         return self._block.key(self.path[self._block.depth:], self._row)
 
     def rng(self) -> np.random.Generator:

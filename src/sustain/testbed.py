@@ -94,8 +94,6 @@ class QuadraticOracle(BilevelOracle):
             L_gxy=0.0,
             L_gyy=0.0,
             mu_f=mu_f,
-            sigma_f=spec.sigma_f,
-            sigma_g=spec.sigma_g,
         )
         # the Hessians do not depend on the point or the sample
         self._hess_yy, self._hess_xy = spec.A.dot, (-spec.B.T).dot

@@ -90,7 +90,11 @@ def test_nonconvex_grid_writes_plain_numbers(tmp_path, capsys, problem):
 @pytest.mark.parametrize("override,message", [
     ("--run.metric_stride=0", "metric_stride must be >= 1"),
     ("--metrics.epsilon_metric=grad_ell", "epsilon metric 'grad_ell' is not one of"),
-    ("--run.T=three", "invalid literal for int()"),
+    ("--run.T=three", "run.T: invalid literal for int()"),
+    ("--run.seeds=0,x", "run.seeds: invalid literal for int()"),
+    ("--run.metric_stride=x", "run.metric_stride: invalid literal for int()"),
+    ("--metrics.epsilon_targets=0.1,abc",
+     "metrics.epsilon_targets: could not convert string to float: 'abc'"),
     ("--schedule.c_et=10", "unknown config key 'schedule.c_et'"),
     ("--schedule.K=abc", "schedule.K: invalid literal for int()"),
     ("--schedule.c_eta=-1", "c_eta and c_eta_g must be nonnegative"),
@@ -197,12 +201,12 @@ def test_run_prints_the_truncation_level(tmp_path, capsys):
 
 
 def test_run_rejects_invalid_problem_constants_before_running(tmp_path, capsys):
-    # the quadratic accepts a negative noise scale; its constants do not
+    # the quadratic accepts an infinite sinusoid amplitude; its constants do not
     out = tmp_path / "out"
-    argv = ["run", "--run.T=3", "--problem.sigma_g=-1", f"--output.dir={out}"]
+    argv = ["run", "--run.T=3", "--problem.sin_amp=inf", f"--output.dir={out}"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "sustain run: invalid problem constants: sigma_g is negative\n"
+    assert captured.err == "sustain run: invalid problem constants: L_fx is not finite\n"
     assert captured.out == ""
     assert not out.exists()
 

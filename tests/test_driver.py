@@ -464,7 +464,7 @@ def test_run_config_rejects_bad_policy_knobs(field, value, message):
 
 
 @pytest.mark.parametrize("constants,K_override,message", [
-    ({"sigma_g": -1.0}, None, "sigma_g is negative"),
+    ({"L_gyy": -1.0}, None, "L_gyy is negative"),
     ({"C_fy": float("nan")}, 3, "C_fy is not finite"),
     ({"C_fy": float("nan")}, None, "C_fy is not finite"),
     ({"mu_g": 3.0}, None, "mu_g > L_g"),

@@ -67,15 +67,15 @@ class TestValidateConstants:
     def test_every_violation_listed_in_field_order(self):
         with pytest.raises(InvalidConstants, match=re.escape(
                 "invalid problem constants: mu_g is negative; C_fy is not finite; "
-                "sigma_g is negative; mu_g must be strictly positive; "
+                "L_gyy is negative; mu_g must be strictly positive; "
                 "mu_f must be strictly positive when supplied")):
-            ProblemConstants(mu_g=-1.0, L_g=1.0, C_fy=np.nan, mu_f=0.0, sigma_g=-1.0)
+            ProblemConstants(mu_g=-1.0, L_g=1.0, C_fy=np.nan, mu_f=0.0, L_gyy=-1.0)
 
     @pytest.mark.parametrize("change,message", [
         ({"mu_g": 0.0}, "mu_g must be strictly positive"),
         ({"mu_g": 3.0}, "mu_g > L_g"),
         ({"L_gyy": np.nan}, "L_gyy is not finite"),
-        ({"sigma_f": -0.5}, "sigma_f is negative"),
+        ({"C_gxy": -0.5}, "C_gxy is negative"),
         ({"mu_f": -1.0}, "mu_f must be strictly positive when supplied"),
         ({"mu_f": np.nan}, "mu_f is not finite"),
         ({"mu_f": np.inf}, "mu_f is not finite"),

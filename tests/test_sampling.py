@@ -237,18 +237,24 @@ def test_block_keys_equal_path_hash(base, start, size, suffixes, rows, warning_a
     # keys of block tokens and of every child and draw below them, looked up
     # in the block's tables, equal the scalar definition of the full path;
     # under "error" the wrapping uint64 steps are shown not to warn.  A full
-    # block has no room for another table: its rows key new suffixes alone
+    # block has no room for another table: its rows key new suffixes alone.
+    # It is filled by one draw on a suffix longer than the budget, which
+    # tables its prefixes until there is no room and then draws alone
     with warnings.catch_warnings():
         warnings.simplefilter(warning_action)
         parent = SampleToken(tuple(base))
         block = parent.children(start, start + size)
         assert [tok.path for tok in block] == [tuple(base) + (t,)
                                                for t in range(start, start + size)]
-        if full and size:
-            tables = block[0]._block._halves
-            for i in range(_MAX_TABLES):
-                assert block[0].child(2**70 + i).key == _mix_path(block[0].path + (2**70 + i,))
+        tables = block[0]._block._halves if size else {}
+        if full and size > 1:
+            long = tuple(2**70 + i for i in range(_MAX_TABLES))
+            assert _same_bits(block[0].draw(long, "standard_normal", 2),
+                              block[0].child(*long).rng().standard_normal(2))
             assert len(tables) == _MAX_TABLES
+            for n in range(len(long) + 1):
+                tok = block[-1].child(*long[:n])
+                assert tok.key == _mix_path(tok.path)
         for row in rows if size else []:
             tok = block[row % size]
             assert tok.key == _mix_path(tok.path)
@@ -258,13 +264,15 @@ def test_block_keys_equal_path_hash(base, start, size, suffixes, rows, warning_a
             ids = (101, start)
             assert _same_bits(tok.draw(ids, "integers", 0, 2**62, 2),
                               SampleToken(tok.path).draw(ids, "integers", 0, 2**62, 2))
-        # every sibling reads the tables its first sibling filled
+        # every sibling reads the tables its first sibling's draws filled
         for tok in block:
             for ids in suffixes:
                 tok = tok.child(*ids)
             assert tok.key == _mix_path(tok.path)
-        if full and size:
+        if full and size > 1:
             assert len(tables) == _MAX_TABLES
+        if size == 1:  # a block of one row draws alone and tables nothing
+            assert len(tables) == 1
 
 
 _ROWS = 12
@@ -285,12 +293,13 @@ def test_block_draws_equal_fresh_child_generator(order, asks, sub, which, full):
     # through tokens made with child and past the table budget.  The first
     # ask opens the call's column for every row, unless the table budget is
     # full; the column's values, like the others, are read-only and kept in
-    # the token's memo
+    # the token's memo.  One draw on a suffix longer than the budget fills
+    # the tables and, drawn alone, opens no column
     method, args = _DRAWS[which]
     block = SampleToken.root(9).children(0, _ROWS)
     if full:
-        for i in range(_MAX_TABLES):
-            block[0].child(2**70 + i).key
+        block[0].draw(tuple(2**70 + i for i in range(_MAX_TABLES)), "standard_normal", 1)
+        assert len(block[0]._block._halves) == _MAX_TABLES
     columns = block[0]._block._columns
     ids = (101, 7)
     for row in order[:asks]:
@@ -305,16 +314,40 @@ def test_block_draws_equal_fresh_child_generator(order, asks, sub, which, full):
 
 def test_token_from_a_path_keeps_its_block_bounded():
     # a token made from its path is the one row of its own block; asked for
-    # 300 distinct child suffixes it keeps at most _MAX_TABLES tables and
-    # _MAX_COLUMNS columns, and draws each value of the fresh child generator
+    # 300 distinct child suffixes it draws each value of the fresh child
+    # generator alone, and keeps only its own key and no column
     tok = SampleToken((6, 2))
     assert tok._block._halves[()][0].shape == (1,)
     for i in range(300):
         for method, args in (("integers", (0, 1000, 3)), ("standard_normal", (2,))):
             assert _same_bits(tok.draw((i,), method, *args),
                               getattr(tok.child(i).rng(), method)(*args))
-    assert len(tok._block._halves) == _MAX_TABLES
-    assert len(tok._block._columns) == _MAX_COLUMNS
+    assert len(tok._block._halves) == 1
+    assert len(tok._block._columns) == 0
+
+
+def test_root_draws_alone_and_keeps_no_column():
+    # a run's root is a block of one row: each draw, of every form, has the
+    # fresh child generator's values and opens no column
+    root = SampleToken.root(7)
+    for i, (method, args) in enumerate(_DRAWS):
+        for ids in ((5,), (i, 3)):
+            assert _same_bits(root.draw(ids, method, *args),
+                              getattr(root.child(*ids).rng(), method)(*args))
+    assert len(root._block._halves) == 1
+    assert len(root._block._columns) == 0
+
+
+def test_key_writes_nothing():
+    # keys of 300 distinct suffixes of a block of many rows are read from
+    # its tables, and leave them as they were
+    block = SampleToken.root(3).children(0, _ROWS)
+    block[0].draw((101, 7), "standard_normal", 2)
+    halves = dict(block[0]._block._halves)
+    for i in range(300):
+        tok = block[i % _ROWS].child(101, i)
+        assert tok.key == _mix_path(tok.path)
+    assert list(block[0]._block._halves) == list(halves)
 
 
 def test_block_columns_are_bounded():
