@@ -1,7 +1,9 @@
 """Per-layer timings of the sample-token layer, the hypergradient estimator
 and its truncation draw, the momentum updates, the schedules, the
 hyper-cleaning and meta-learning oracles, the metric records (with and without an exact oracle)
-and the trajectory CSV, and of one whole block of the quad-rate run.
+and the trajectory CSV, and of one whole block of the quad-rate run; and
+the cost of a scalar operand to a NumPy ufunc, as a Python float and as a
+0-d array.
 
     PYTHONPATH=src python -m pytest benches -q --benchmark-only
 
@@ -17,6 +19,8 @@ draws.  A token made from a path alone, such as a run's root, is a block of
 one row and always draws alone.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -31,7 +35,7 @@ from sustain.driver import (
 from sustain.harness import write_trajectory_csv
 from sustain.hypergrad import draw_k, estimate_coupled
 from sustain.momentum import update_f, update_g
-from sustain.oracle import IteratePair
+from sustain.oracle import IteratePair, constant
 from sustain.sampling import (
     STREAM_K_DRAW,
     STREAM_LOWER,
@@ -149,6 +153,22 @@ def test_column_fill(benchmark, call, step):
 
     benchmark.pedantic(lambda tokens: [tok.draw(*call) for tok in tokens], setup=setup,
                        rounds=200, warmup_rounds=5)
+
+
+@pytest.mark.parametrize("operand", ["python_float", "array_0d"])
+@pytest.mark.parametrize("call,n", [(operator.mul, 6), (np.minimum, 64)],
+                         ids=["c_times_v_6", "minimum_64"])
+def test_scalar_operand(benchmark, call, n, operand):
+    # a constant fixed for the run times a quad-rate vector, and the
+    # sigmoid's clamp of a pair of hyper-cleaning batches: NumPy converts a
+    # Python float operand on every call (NEP 50), and reads a 0-d float64
+    # array as it is, which is why the run-wide constants are 0-d arrays; if
+    # a NumPy release closes the gap, the two operand ids show it
+    c = 0.4 if operand == "python_float" else constant(0.4)
+    v = np.random.default_rng(0).standard_normal(n)
+    args = (c, v) if call is operator.mul else (v, c)
+    assert call(*args).tobytes() == call(*args[::-1]).tobytes()
+    benchmark(call, *args)
 
 
 def test_sigmoid_32(benchmark):

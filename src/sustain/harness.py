@@ -315,14 +315,28 @@ def write_trajectory_csv(path: Union[str, Path], records: Sequence[TrajectoryRec
                       for r in records)
 
 
+def _cell(path, line: int, column: str, text: Optional[str]) -> Optional[float]:
+    if text == "":
+        return None
+    try:
+        return float(text)
+    except (TypeError, ValueError):  # None or a list: too few or too many cells
+        pass
+    raise ValueError(f"{path}, line {line}, column {column}: {text!r} is not a number")
+
+
 def read_trajectory_csv(path: Union[str, Path]) -> List[Dict[str, Optional[float]]]:
-    rows: List[Dict[str, Optional[float]]] = []
+    """The rows of a file that ``write_trajectory_csv`` wrote, an empty cell
+    read as None.  A file whose first line is not the schema line, or a cell
+    that is not a number, raises ``ValueError`` naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    for row in reader:
-        rows.append({k: (float(v) if v != "" else None) for k, v in row.items()})
-    return rows
+        if fh.readline().rstrip("\r\n") != f"# schema={TRAJECTORY_SCHEMA}":
+            raise ValueError(f"{path} is not a trajectory CSV: its first line is not "
+                             f"'# schema={TRAJECTORY_SCHEMA}'")
+        reader = csv.DictReader(fh)
+        # line_num counts from the header, the file's second line
+        return [{k: _cell(path, reader.line_num + 1, k, v) for k, v in row.items()}
+                for row in reader]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ Neumann series, its bias bound, and the truncation-budget selection rules."""
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from typing import List, Sequence, Tuple
@@ -15,7 +16,7 @@ from .errors import (
     NonfiniteValue,
     SingularDenominator,
 )
-from .oracle import BilevelOracle, IteratePair, ProblemConstants, Vector, matvec
+from .oracle import BilevelOracle, IteratePair, ProblemConstants, Vector, constant, matvec
 from .sampling import STREAM_K_DRAW, STREAM_XI, STREAM_ZETA, SampleToken
 
 logger = logging.getLogger(__name__)
@@ -30,6 +31,13 @@ def draw_k(K: int, token: SampleToken) -> int:
     """The uniform truncation index on 0..K-1; part of the composite sample,
     so a coupled re-evaluation at another iterate sees the same k."""
     return int(token.draw((STREAM_K_DRAW,), "integers", K))
+
+
+@functools.lru_cache(maxsize=64)
+def _scales(L_g: float, K: int) -> Tuple[np.ndarray, np.ndarray]:
+    """1/L_g and K/L_g, the estimator's operands, built once per (L_g, K)."""
+    inv_lg = 1.0 / L_g
+    return constant(inv_lg), constant(K * inv_lg)
 
 
 def estimate(
@@ -73,8 +81,7 @@ def estimate_coupled(
     k = draw_k(K, sample)
     xi = sample.child(STREAM_XI)
     zeta = [sample.child(STREAM_ZETA, i) for i in range(k + 1)]
-    inv_lg = 1.0 / oracle.constants.L_g
-    scale = K * inv_lg
+    inv_lg, scale = _scales(oracle.constants.L_g, K)
     hess_yy, hess_xy = oracle.hess_yy_g_sample, oracle.hess_xy_g_sample
     values = []
     for at in points:

@@ -27,11 +27,11 @@ def _check_eta(eta: float, which: str) -> None:
 def _recursion(eta: float, h_prev: Vector, s_cur: Vector,
                s_prev: Optional[Vector]) -> Vector:
     """h = eta s_cur + (1 - eta)(h_prev + s_cur - s_prev); ``s_prev`` is
-    only read (and only evaluated by the caller) when eta < 1."""
-    h = eta * s_cur
-    if eta < 1.0:
-        h = h + (1.0 - eta) * (h_prev + s_cur - s_prev)
-    return h
+    only read (and only evaluated by the caller) when eta < 1.  At eta = 1
+    the value is ``s_cur`` itself, since 1.0 * s is s bit for bit."""
+    if eta == 1.0:
+        return s_cur
+    return eta * s_cur + (1.0 - eta) * (h_prev + s_cur - s_prev)
 
 
 def update_g(

@@ -26,6 +26,14 @@ def matvec(M: np.ndarray, V: Vector) -> Vector:
     return M.dot(V) if V.ndim == 1 else np.matmul(M, V[..., None])[..., 0]
 
 
+def constant(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array: the same double as a Python
+    float, which NumPy converts on every ufunc call, without the conversion."""
+    c = np.array(value, dtype=float)
+    c.setflags(write=False)
+    return c
+
+
 def rowdot(U: Vector, V: Vector) -> Vector:
     """u . v for a pair of vectors, as ``u.dot(v)``, or row by row for stacks
     through ``np.matmul``; each row equals the one-pair value bit for bit,
@@ -119,7 +127,10 @@ class BilevelOracle(ABC):
 
     Cost: the estimator calls a Hessian action once per row per series term,
     on one vector.  ``ndarray.dot`` is the cheap one-vector product: ``A @ v``
-    gives the same bits and adds the ``matmul`` gufunc's per-call cost.
+    gives the same bits and adds the ``matmul`` gufunc's per-call cost.  Each
+    constant fixed for the run is a prebuilt ``constant`` operand, not a Python
+    float.  Capabilities return float64 arrays that they never write again: a
+    tracker at eta = 1 keeps its sample itself.
 
     An oracle may define ``upper_loss(pair)``, the upper objective f(x, y)
     that every record holds; it follows ``ExactOracle``'s stacked contract.

@@ -22,11 +22,13 @@ from .oracle import (
     LinearOperator,
     ProblemConstants,
     Vector,
+    constant,
     matvec,
 )
 from .sampling import SampleToken
 
 _NOISE_TAG = 101  # salt stream for testbed gradient noise
+_ZERO, _ONE = constant(0.0), constant(1.0)  # operands of the sigmoid and of 1 - s
 
 
 def _dims(d_up: int, d_lo: int) -> Tuple[int, int]:
@@ -98,12 +100,14 @@ class QuadraticOracle(BilevelOracle):
         # the Hessians do not depend on the point or the sample
         self._hess_yy, self._hess_xy = spec.A.dot, (-spec.B.T).dot
         self._noise_ids = (_NOISE_TAG, self.salt)
+        self._lam, self._sin_amp, self._sigma_f, self._sigma_g = (
+            constant(v) for v in (spec.lam, spec.sin_amp, spec.sigma_f, spec.sigma_g))
 
     # -- deterministic parts -------------------------------------------------
     def _grad_x_f(self, pair: IteratePair) -> Vector:
-        g = self.spec.lam * pair.x
+        g = self._lam * pair.x
         if self.spec.sin_amp:
-            g = g + self.spec.sin_amp * np.cos(pair.x)
+            g = g + self._sin_amp * np.cos(pair.x)
         return g
 
     def _grad_y_f(self, pair: IteratePair) -> Vector:
@@ -118,14 +122,14 @@ class QuadraticOracle(BilevelOracle):
     def grad_y_f_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         g = self._grad_y_f(pair)
         if self.spec.sigma_f:
-            g = g + self.spec.sigma_f * token.draw(self._noise_ids, "standard_normal", self.d_lo)
+            g = g + self._sigma_f * token.draw(self._noise_ids, "standard_normal", self.d_lo)
         return g
 
     def grad_y_g_sample(self, pair: IteratePair, token: SampleToken) -> Vector:
         s = self.spec
         g = s.A.dot(pair.y) - s.B.dot(pair.x) - s.b
         if s.sigma_g:
-            g = g + s.sigma_g * token.draw(self._noise_ids, "standard_normal", self.d_lo)
+            g = g + self._sigma_g * token.draw(self._noise_ids, "standard_normal", self.d_lo)
         return g
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
@@ -263,10 +267,10 @@ def _sigmoid(z):
     # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below; e^min(z,0) is e^-|z| for
     # z < 0 and exactly 1 otherwise, and neither exponent overflows.  The
     # float array z is not written: the ufuncs after the first two run in place
-    num, den = np.minimum(z, 0.0), np.abs(z)
+    num, den = np.minimum(z, _ZERO), np.abs(z)
     np.exp(num, out=num)
     np.exp(np.negative(den, out=den), out=den)
-    return np.divide(num, np.add(1.0, den, out=den), out=num)
+    return np.divide(num, np.add(_ONE, den, out=den), out=num)
 
 
 class HyperCleanOracle(BilevelOracle):
@@ -290,26 +294,31 @@ class HyperCleanOracle(BilevelOracle):
         self.salt = int(rng_seed)
         n_tr, n_val = len(spec.train), len(spec.val)
         # minibatch sums scaled up to the full-set sums
-        self._tr_scale, self._val_scale = n_tr / min(m, n_tr), n_val / min(m, n_val)
+        tr_scale, val_scale = n_tr / min(m, n_tr), n_val / min(m, n_val)
+        self._tr_scale, self._val_scale, self._two_reg = (
+            constant(v) for v in (tr_scale, val_scale, 2.0 * spec.reg))
         # the arguments of each tag's batch draw: validation for tag 0, else training
         self._draws = [((_NOISE_TAG, self.salt, tag), "integers", 0, n, min(m, n))
                        for tag, n in enumerate((n_val, n_tr, n_tr, n_tr))]
         self._tr_a, self._tr_b = spec.train.features, spec.train.labels
         self._val_a, self._val_b = spec.val.features, spec.val.labels
-        self._two_reg = 2.0 * spec.reg
         self._zero_x = np.zeros(self.d_up)
         self._zero_x.setflags(write=False)
         a_sq = float(np.max(np.sum(spec.train.features**2, axis=1)))
         a_nm = float(np.sqrt(a_sq))
         av_sq = float(np.max(np.sum(spec.val.features**2, axis=1)))
+        # a batch is drawn with replacement, so it may be m copies of the
+        # longest row: each row of a sampled H_xy adds up to m terms
+        # w'(x_i) (s_j - b_j) a_j, with |w'| <= 1/4, |w''| <= 1/(6 sqrt 3) and
+        # s' <= 1/4, so C_gxy and L_gxy scale with m, not sqrt(m)
         self.constants = ProblemConstants(
-            mu_g=self._two_reg,
-            L_g=self._two_reg + self._tr_scale * min(m, n_tr) * 0.25 * a_sq,
-            C_gxy=self._tr_scale * np.sqrt(min(m, n_tr)) * 0.25 * a_nm,
+            mu_g=2.0 * spec.reg,
+            L_g=2.0 * spec.reg + tr_scale * min(m, n_tr) * 0.25 * a_sq,
+            C_gxy=tr_scale * min(m, n_tr) * 0.25 * a_nm,
             C_fy=n_val * np.sqrt(av_sq),
             L_fx=0.0,
             L_fy=n_val * 0.25 * av_sq,
-            L_gxy=self._tr_scale * np.sqrt(min(m, n_tr)) * a_sq,
+            L_gxy=tr_scale * min(m, n_tr) * a_nm * np.sqrt(1.0 / 108.0 + a_sq / 256.0),
             L_gyy=n_tr * 0.25 * a_sq * a_nm,
         )
 
@@ -338,7 +347,7 @@ class HyperCleanOracle(BilevelOracle):
 
     def hess_yy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
         _, a, w, s = self._train_batch(pair, token, 2)
-        coef = w * s * (1.0 - s) * self._tr_scale
+        coef = w * s * (_ONE - s) * self._tr_scale
 
         def action(v: Vector) -> Vector:
             return self._two_reg * v + (coef * a.dot(v)).dot(a)
@@ -347,7 +356,7 @@ class HyperCleanOracle(BilevelOracle):
 
     def hess_xy_g_sample(self, pair: IteratePair, token: SampleToken) -> LinearOperator:
         idx, a, w, s = self._train_batch(pair, token, 3)
-        dw = w * (1.0 - w)  # derivative of the sigmoid weight
+        dw = w * (_ONE - w)  # derivative of the sigmoid weight
         resid = s - self._tr_b[idx]
 
         def action(v: Vector) -> Vector:

@@ -21,6 +21,22 @@ from sustain.testbed import (
 DIMS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 160))
 
 
+def random_oracle(kind, rng, a, b, scales, batch):
+    """A random quadratic (d_up ``a``, d_lo ``b``; lam, sigma_f, sigma_g and
+    sin_amp from ``scales``) or hyper-cleaning oracle (``a`` training and
+    ``b`` validation points, reg from ``scales[0]``, batch ``batch``)."""
+    if kind == "quadratic":
+        lam, sigma_f, sigma_g, sin_amp = scales
+        mu_g = 0.1 + sigma_g
+        spec = random_quadratic_spec(rng, d_up=a, d_lo=b, mu_g=mu_g, L_g=mu_g + 10.0 * lam,
+                                     lam=lam, sigma_f=sigma_f, sigma_g=sigma_g, sin_amp=sin_amp)
+        return make_quadratic(spec, rng_seed=int(rng.integers(2**31)))[0]
+    train, val = generate_corrupted_dataset(a, b, 1 + (a + b) % 20, p=0.3,
+                                            rng_seed=int(rng.integers(2**32)))
+    spec = HyperCleanSpec(train, val, reg=1e-3 + scales[0], batch_size=batch)
+    return make_hyperclean(spec, rng_seed=int(rng.integers(2**31)))
+
+
 @pytest.fixture
 def unit_constants():
     """mu_g=1, L_g=2, every other regularity constant 1."""

@@ -257,3 +257,26 @@ def test_fit_rejects_an_unknown_metric_by_name(tmp_path, capsys):
     err = _fit_failure(["--input", str(traj), "--metric", "nope",
                         "--tmin", "1", "--tmax", "19"], capsys)
     assert err == f"sustain fit: metric 'nope' is not a column of {traj}\n"
+
+
+def test_fit_refuses_a_summary_csv_by_name(tmp_path, capsys):
+    # a grid's summary is a CSV of numbers too, but not a trajectory
+    _small_trajectory(tmp_path)
+    capsys.readouterr()
+    summary = tmp_path / "fit_summary.csv"
+    err = _fit_failure(["--input", str(summary), "--tmin", "1", "--tmax", "5"], capsys)
+    assert err == (f"sustain fit: {summary} is not a trajectory CSV: its first line is not "
+                   "'# schema=trajectory-v1'\n")
+
+
+def test_fit_names_the_line_and_column_of_a_bad_cell(tmp_path, capsys):
+    traj = _small_trajectory(tmp_path)
+    capsys.readouterr()
+    lines = traj.read_text().splitlines(keepends=True)
+    header = lines[1].rstrip("\n").split(",")
+    cells = lines[5].split(",")
+    cells[header.index("grad_ell_sq")] = "abc"
+    lines[5] = ",".join(cells)
+    traj.write_text("".join(lines))
+    err = _fit_failure(["--input", str(traj), "--tmin", "1", "--tmax", "19"], capsys)
+    assert err == f"sustain fit: {traj}, line 6, column grad_ell_sq: 'abc' is not a number\n"

@@ -1,3 +1,4 @@
+import functools
 import logging
 from collections import Counter
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bit_reference
 import sustain.driver
 import sustain.hypergrad
 import sustain.sampling
@@ -25,7 +27,7 @@ from sustain.harness import ExperimentConfig, make_problem
 from sustain.hypergrad import lipschitz_L_K
 from sustain.momentum import tracker_errors
 from sustain.oracle import IteratePair
-from sustain.sampling import STREAM_LOWER, SampleToken
+from sustain.sampling import STREAM_LOWER, STREAM_RETURN, SampleToken
 from sustain.schedules import strongly_convex_params
 from sustain.testbed import (
     QuadBilevelSpec,
@@ -669,3 +671,74 @@ def test_upper_loss_of_the_wrong_shape_is_rejected(upper_loss, quad5, monkeypatc
     monkeypatch.setattr(oracle, "upper_loss", upper_loss)
     with pytest.raises(DimensionMismatch, match="upper_loss"):
         run_sustain(oracle, None, _eta_one_cfg(3))
+
+
+# --- invariants that hold by the algorithm's definition ----------------------
+
+# T up to a few past the 256-iteration token-block boundary
+_T = st.one_of(st.integers(1, 8), st.integers(250, 262))
+
+
+@functools.lru_cache(maxsize=None)
+def _watched(problem):
+    """A ``bit_reference`` problem whose lower gradient logs each call as (its
+    token's path, the bytes of x and y), into the returned list."""
+    kind, options, _ = bit_reference.PROBLEMS[problem]
+    oracle, exact = make_problem(ExperimentConfig(problem=kind, options=options))
+    log, grad = [], oracle.grad_y_g_sample
+
+    def logged(pair, token):
+        log.append((token.path, pair.x.tobytes(), pair.y.tobytes()))
+        return grad(pair, token)
+
+    oracle.grad_y_g_sample = logged
+    return oracle, exact, log
+
+
+def _watched_run(case, seed, T, stride=1, record_errors=True):
+    """Case ``case`` of ``bit_reference`` at K fixed: x_a, the records and the
+    lower-gradient calls, which hold every iterate x_t, y_t with t < T."""
+    problem, policy, algorithm = bit_reference.CASES[case]
+    oracle, exact, log = _watched(problem)
+    cfg = RunConfig(T=T, policy=policy, seed=seed, metric_stride=stride,
+                    K_override=bit_reference.PROBLEMS[problem][2] or 4,
+                    record_errors=record_errors)
+    kind = bit_reference.ALGORITHMS[algorithm]
+    log.clear()
+    x, records = (run_sustain(oracle, exact, cfg) if kind is None
+                  else run_baseline(oracle, exact, cfg, kind))
+    assert records[-1].t == T - 1  # every case completes
+    return x, records, list(log)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(bit_reference.CASES)), seed=st.integers(0, 2**32 - 1),
+       T=_T, extra=st.one_of(st.integers(1, 4), st.integers(250, 258)))
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(case, seed, T, extra):
+    # a T-run and a (T + extra)-run share every iterate up to x_T and every
+    # record at t < T - 1; the T-run returns x_a of the shared path with a
+    # uniform on 1..T, drawn here from the child token's own generator
+    x, records, calls = _watched_run(case, seed, T)
+    _, longer, longer_calls = _watched_run(case, seed, T + extra)
+    assert calls == longer_calls[:len(calls)]
+    at = {r.t: r for r in longer}
+    assert [r for r in records if r.t < T - 1] == [at[r.t] for r in records if r.t < T - 1]
+    a = int(SampleToken.root(seed).child(STREAM_RETURN).rng().integers(1, T + 1))
+    x_a = next(x for path, x, _ in longer_calls if path == (seed, a, STREAM_LOWER))
+    assert x.tobytes() == x_a
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(bit_reference.CASES)), seed=st.integers(0, 2**32 - 1),
+       T=_T, stride=st.integers(2, 60))
+def test_watching_a_run_does_not_steer_it(case, seed, T, stride):
+    # metric_stride and record_errors change no iterate and no returned x_a;
+    # a stride-s run records the stride-1 records at t % s == 0 and t = T - 1,
+    # and without record_errors its tracker errors are None
+    x, records, calls = _watched_run(case, seed, T)
+    x_s, strided, calls_s = _watched_run(case, seed, T, stride)
+    x_n, unerred, calls_n = _watched_run(case, seed, T, stride, record_errors=False)
+    assert x.tobytes() == x_s.tobytes() == x_n.tobytes()
+    assert calls == calls_s == calls_n
+    assert strided == [r for r in records if r.t % stride == 0 or r.t == T - 1]
+    assert unerred == [replace(r, e_f_norm=None, e_g_norm=None) for r in strided]

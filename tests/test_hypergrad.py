@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DIMS, random_oracle
 from sustain.errors import (
     InvalidConstants,
     NonfiniteValue,
@@ -18,10 +19,11 @@ from sustain.hypergrad import (
     estimate,
     estimate_coupled,
     exact_neumann_expectation,
+    _scales,
     lipschitz_L_K,
 )
 from sustain.oracle import BilevelOracle, IteratePair, ProblemConstants
-from sustain.sampling import SampleToken
+from sustain.sampling import STREAM_XI, STREAM_ZETA, SampleToken
 from sustain.testbed import QuadBilevelSpec, make_quadratic
 
 
@@ -151,6 +153,34 @@ def test_coupled_estimate_equals_separate_calls(sampled_testbeds, testbed, seed,
         want, want_k = estimate(oracle, at, K, SampleToken(full))
         assert got.tobytes() == want.tobytes()
         assert k == want_k
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "hyperclean"])
+@settings(max_examples=30, deadline=None)
+@given(a=DIMS, b=st.integers(1, 12), scale=st.floats(0.0, 4.0), batch=st.integers(1, 40),
+       K=st.integers(1, 25), n_points=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_estimate_coupled_equals_python_float_formula(kind, a, b, scale, batch, K, n_points,
+                                                      seed):
+    # 1/L_g and K/L_g enter as read-only 0-d float64 arrays, built once per
+    # (L_g, K); each value keeps the bits of the formula with Python floats
+    rng = np.random.default_rng(seed)
+    oracle = random_oracle(kind, rng, a, b, (scale, 0.3, 0.3, 0.5), batch)
+    points = [IteratePair(rng.standard_normal(oracle.d_up), rng.standard_normal(oracle.d_lo))
+              for _ in range(n_points)]
+    tok = SampleToken.root(seed).child(2)
+    values, k = estimate_coupled(oracle, points, K, tok)
+    inv_lg = 1.0 / oracle.constants.L_g
+    assert type(inv_lg) is float
+    for at, got in zip(points, values):
+        p = oracle.grad_y_f_sample(at, tok.child(STREAM_XI))
+        for i in range(1, k + 1):
+            p = p - inv_lg * oracle.hess_yy_g_sample(at, tok.child(STREAM_ZETA, i))(p)
+        cross = oracle.hess_xy_g_sample(at, tok.child(STREAM_ZETA, 0))
+        want = oracle.grad_x_f_sample(at, tok.child(STREAM_XI)) - (K * inv_lg) * cross(p)
+        assert got.tobytes() == want.tobytes()
+    for c in _scales(oracle.constants.L_g, K):
+        assert c.shape == () and c.dtype == np.float64 and not c.flags.writeable
+    assert _scales(oracle.constants.L_g, K) is _scales(oracle.constants.L_g, K)
 
 
 @pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIMS
+from conftest import DIMS, random_oracle
 from sustain.driver import RunConfig, run_sustain
 from sustain.errors import DimensionMismatch, EmptyDataset, InvalidBatch, NotSPD
 from sustain.momentum import tracker_errors
@@ -25,7 +25,7 @@ from sustain.testbed import (
     random_meta_linear_spec,
     random_quadratic_spec,
 )
-from sustain.testbed import _NOISE_TAG, _sigmoid
+from sustain.testbed import _NOISE_TAG, _ONE, _ZERO, _sigmoid
 
 TOK = SampleToken.root(0).child(0)
 
@@ -350,6 +350,49 @@ class TestHyperClean:
             assert np.linalg.eigvalsh(H)[-1] <= oracle.constants.L_g
 
 
+class _RepeatedRow(SampleToken):
+    """A token whose every minibatch is copies of one training row, a batch
+    that a draw with replacement can give."""
+
+    def __init__(self, row):
+        super().__init__((0,))
+        self.row = row
+
+    def draw(self, ids, method, *args):
+        return np.full(args[-1], self.row)
+
+
+@pytest.mark.parametrize("n_train,batch_size", [(40, 4), (500, 32), (300, 300)])
+def test_hyperclean_cross_constants_bound_a_batch_of_one_repeated_row(n_train, batch_size):
+    # the longest row m times, at x = 0: with a saturated margin, ||H_xy||
+    # reaches C_gxy up to rounding (sqrt(m) times the bound for m distinct
+    # rows); at a zero margin, H_xy changes along that row at nearly L_gxy
+    # (above the sqrt(m) bound once m > 256); along x_i at the largest |w''|
+    train, val = generate_corrupted_dataset(n_train, 20, 20, p=0.3, rng_seed=n_train)
+    oracle = make_hyperclean(HyperCleanSpec(train, val, reg=1.0, batch_size=batch_size),
+                             rng_seed=0)
+    c, a = oracle.constants, train.features
+    i = int(np.argmax(np.sum(a**2, axis=1)))
+    tok, unit = _RepeatedRow(i), a[i] / np.linalg.norm(a[i])
+
+    def cross(x, y):
+        action = oracle.hess_xy_g_sample(IteratePair(x, y), tok)
+        return np.array([action(e) for e in np.eye(oracle.d_lo)]).T
+
+    x0 = np.zeros(n_train)
+    saturated = (1.0 if train.labels[i] == 0 else -1.0) * 50.0 * unit / np.linalg.norm(a[i])
+    norm = np.linalg.norm(cross(x0, saturated), 2)
+    assert 0.999 * c.C_gxy <= norm <= c.C_gxy * (1 + 1e-12)
+    h, y0 = 1e-6, np.zeros(oracle.d_lo)
+    along_y = np.linalg.norm(cross(x0, y0 + h * unit) - cross(x0, y0), 2) / h
+    x1 = x0.copy()
+    x1[i] = np.log(2.0 + np.sqrt(3.0))  # where |w''| = 1/(6 sqrt 3)
+    x2 = x1.copy()
+    x2[i] += h
+    along_x = np.linalg.norm(cross(x2, saturated) - cross(x1, saturated), 2) / h
+    assert 0.9 * c.L_gxy <= along_y <= c.L_gxy and along_x <= c.L_gxy
+
+
 class TestMetaLinear:
     def test_single_task_closed_form(self):
         # Z = I, v = 0, rho = 1: y*(x) = -x/2
@@ -614,3 +657,75 @@ def test_quadratic_ell_is_upper_loss_at_y_star(sin_amp):
     X = 2.0 * rng.standard_normal((9, 4))
     for x in (X[0], X):
         assert repr(exact.ell(x)) == repr(oracle.upper_loss(IteratePair(x, exact.y_star(x))))
+
+
+_SCALES = st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0)] * 4)
+
+
+def _python_float_capabilities(oracle, pair, tok, v):
+    """The oracle's sampled capabilities and one action of each Hessian,
+    spelled out with every constant of the run a Python float."""
+    if hasattr(oracle, "_sigma_f"):  # the quadratic
+        s = oracle.spec
+        noise = tok.child(_NOISE_TAG, oracle.salt).rng().standard_normal(oracle.d_lo)
+        g_x = s.lam * pair.x
+        if s.sin_amp:
+            g_x = g_x + s.sin_amp * np.cos(pair.x)
+        g_yf, g_yg = pair.y - s.y_target, s.A.dot(pair.y) - s.B.dot(pair.x) - s.b
+        if s.sigma_f:
+            g_yf = g_yf + s.sigma_f * noise
+        if s.sigma_g:
+            g_yg = g_yg + s.sigma_g * noise
+        return g_x, g_yf, g_yg, s.A.dot(v), (-s.B.T).dot(v)
+    tr, val, m = oracle.spec.train, oracle.spec.val, oracle.spec.batch_size
+    tr_scale, val_scale = len(tr) / min(m, len(tr)), len(val) / min(m, len(val))
+    two_reg = 2.0 * oracle.spec.reg
+
+    def batch(data, tag):
+        idx = tok.draw((_NOISE_TAG, oracle.salt, tag), "integers", 0, len(data), min(m, len(data)))
+        a = data.features.take(idx, 0)
+        w = _out_of_place_sigmoid(pair.x[idx]) if data is tr else None
+        return idx, a, w, _out_of_place_sigmoid(a.dot(pair.y))
+
+    idx, a, _, s = batch(val, 0)
+    g_yf = val_scale * (s - val.labels[idx]).dot(a)
+    idx, a, w, s = batch(tr, 1)
+    g_yg = two_reg * pair.y + tr_scale * (w * (s - tr.labels[idx])).dot(a)
+    _, a, w, s = batch(tr, 2)
+    h_yy = two_reg * v + ((w * s * (1.0 - s) * tr_scale) * a.dot(v)).dot(a)
+    idx, a, w, s = batch(tr, 3)
+    rows = tr_scale * (w * (1.0 - w)) * (s - tr.labels[idx]) * a.dot(v)
+    h_xy = np.bincount(idx, weights=rows, minlength=oracle.d_up)
+    return np.zeros(oracle.d_up), g_yf, g_yg, h_yy, h_xy
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "hyperclean"])
+@settings(max_examples=40, deadline=None)
+@given(a=DIMS, b=DIMS, scales=_SCALES, batch=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_capabilities_equal_python_float_formulas(kind, a, b, scales, batch, seed):
+    # the run-wide constants enter the arithmetic as read-only 0-d float64
+    # arrays, which hold the same doubles as the Python floats they replace
+    rng = np.random.default_rng(seed)
+    oracle = random_oracle(kind, rng, a, b, scales, batch)
+    pair = IteratePair(3.0 * rng.standard_normal(oracle.d_up),
+                       3.0 * rng.standard_normal(oracle.d_lo))
+    v = rng.standard_normal(oracle.d_lo)
+    tok = SampleToken.root(seed).child(5)
+    got = (oracle.grad_x_f_sample(pair, tok), oracle.grad_y_f_sample(pair, tok),
+           oracle.grad_y_g_sample(pair, tok), oracle.hess_yy_g_sample(pair, tok)(v),
+           oracle.hess_xy_g_sample(pair, tok)(v))
+    for name, g, want in zip(("grad_x_f", "grad_y_f", "grad_y_g", "hess_yy", "hess_xy"),
+                             got, _python_float_capabilities(oracle, pair, tok, v)):
+        assert g.dtype == np.float64 and g.tobytes() == want.tobytes(), name
+
+
+def test_run_wide_constants_are_read_only():
+    # the 0-d operands are shared by every call of a run, so none may change
+    rng = np.random.default_rng(0)
+    quad = random_oracle("quadratic", rng, 3, 6, (0.2, 0.4, 0.4, 0.5), 1)
+    clean = random_oracle("hyperclean", rng, 40, 30, (1.0,) * 4, 8)
+    for c in (_ZERO, _ONE, quad._lam, quad._sin_amp, quad._sigma_f, quad._sigma_g,
+              clean._tr_scale, clean._val_scale, clean._two_reg):
+        assert c.shape == () and c.dtype == np.float64 and not c.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c[()] = 2.0
