@@ -14,39 +14,7 @@ class NonfiniteValue(SustainError):
 
 
 class InvalidConstants(SustainError):
-    pass
-
-
-class DegenerateArgument(SustainError):
-    pass
-
-
-class SingularDenominator(SustainError):
-    pass
-
-
-class DivisionByZero(SustainError):
-    """Degenerate problem constants make a schedule formula undefined."""
-
-
-class NotSPD(SustainError):
-    pass
-
-
-class EmptyDataset(SustainError):
-    pass
-
-
-class InvalidBatch(SustainError):
-    pass
-
-
-class NonPositiveValue(SustainError):
-    pass
-
-
-class InsufficientPoints(SustainError):
-    pass
+    """Problem constants that are invalid, or that a formula cannot use."""
 
 
 class MissingMetric(SustainError):

@@ -30,11 +30,7 @@ from .driver import (
     run_baseline,
     run_sustain,
 )
-from .errors import (
-    InsufficientPoints,
-    MissingMetric,
-    NonPositiveValue,
-)
+from .errors import MissingMetric
 from .oracle import BilevelOracle, ExactOracle
 from .testbed import (
     HyperCleanSpec,
@@ -360,9 +356,9 @@ def fit_rate_exponent(
     t_min = max(t_min, 1)
     pts = [(t, v) for t, v in series if t_min <= t <= t_max]
     if len(pts) < 8:
-        raise InsufficientPoints(f"need >= 8 points in window, have {len(pts)}")
+        raise ValueError(f"need >= 8 points in window, have {len(pts)}")
     if any(v <= 0 for _, v in pts):
-        raise NonPositiveValue("rate fit requires positive values")
+        raise ValueError("rate fit requires positive values")
     log_t = np.log([t for t, _ in pts])
     log_v = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(log_t, log_v, 1)

@@ -10,12 +10,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateArgument,
-    InvalidConstants,
-    NonfiniteValue,
-    SingularDenominator,
-)
+from .errors import InvalidConstants, NonfiniteValue
 from .oracle import BilevelOracle, IteratePair, ProblemConstants, Vector, constant, matvec
 from .sampling import STREAM_K_DRAW, STREAM_XI, STREAM_ZETA, SampleToken
 
@@ -137,14 +132,14 @@ def _choose_k(c: ProblemConstants, log_arg: float, multiplier: float) -> int:
 def choose_K_nonconvex(c: ProblemConstants, T: int) -> int:
     """Truncation budget making the bias at most 1/T (non-convex schedule)."""
     if T < 1:
-        raise DegenerateArgument("T must be >= 1")
+        raise ValueError("T must be >= 1")
     return _choose_k(c, c.C_gxy * c.C_fy * T / c.mu_g, c.L_g / c.mu_g)
 
 
 def choose_K_strongly_convex(c: ProblemConstants, T: int) -> int:
     """Truncation budget making the squared bias at most 1/T."""
     if T < 1:
-        raise DegenerateArgument("T must be >= 1")
+        raise ValueError("T must be >= 1")
     return _choose_k(
         c, (c.C_gxy**2) * (c.C_fy**2) * T / c.mu_g**2, c.L_g / (2.0 * c.mu_g)
     )
@@ -158,7 +153,7 @@ def lipschitz_L_K(c: ProblemConstants, K: int) -> float:
     cubic_num = 6.0 * c.C_gxy**2 * c.C_fy**2 * c.L_gyy**2 * K**3
     if c.L_g == c.mu_g:
         if cubic_num > 0:
-            raise SingularDenominator(
+            raise InvalidConstants(
                 "L_K is undefined at mu_g == L_g with a nonzero product term"
             )
         cubic = 0.0

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DivisionByZero
+from .errors import InvalidConstants
 from .oracle import ProblemConstants, derive_constants
 
 logger = logging.getLogger(__name__)
@@ -39,7 +39,7 @@ def nonconvex_constants(c: ProblemConstants, L_K: float) -> NonconvexScheduleCon
     """Compute (w, c_beta, c_eta_f, c_eta_g) from the problem constants."""
     d = derive_constants(c)
     if d.L == 0 or d.L_f == 0:
-        raise DivisionByZero(
+        raise InvalidConstants(
             "degenerate constants (L or L_f is zero); use the practical policy"
         )
     c_beta = 6.0 * math.sqrt(2.0) * d.L_y * d.L / d.L_mu_g
@@ -103,11 +103,11 @@ def strongly_convex_params(
     alpha), the derived quantities keep their ratios to alpha.
     """
     if c.mu_f is None:
-        raise DivisionByZero("mu_f is required for the strongly-convex policy")
+        raise InvalidConstants("mu_f is required for the strongly-convex policy")
     d = derive_constants(c)
     c_beta_hat = (8.0 * d.L_y**2 + 8.0 * d.L**2 + 2.0 * c.mu_f) / c.mu_g
     if c_beta_hat == 0 or (8.0 * L_K**2 + d.L_f) == 0:
-        raise DivisionByZero("degenerate constants")
+        raise InvalidConstants("degenerate constants")
     alpha = min(
         1.0 / (c.mu_f + 1.0),
         1.0 / (2.0 * c.mu_g * c_beta_hat),

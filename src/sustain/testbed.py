@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, InvalidBatch, NotSPD
+from .errors import DimensionMismatch
 from .hypergrad import exact_neumann_expectation
 from .oracle import (
     BilevelOracle,
@@ -73,7 +73,7 @@ class QuadraticOracle(BilevelOracle):
         self.d_up, self.d_lo = _dims(spec.B.shape[1], spec.B.shape[0])
         eigvals = np.linalg.eigvalsh(spec.A)
         if not np.allclose(spec.A, spec.A.T) or eigvals[0] <= 0:
-            raise NotSPD("lower-level Hessian A must be symmetric positive-definite")
+            raise ValueError("lower-level Hessian A must be symmetric positive-definite")
         self.spec = spec
         self.salt = int(rng_seed)
         bnorm = float(np.linalg.norm(spec.B, 2))
@@ -283,12 +283,17 @@ class HyperCleanOracle(BilevelOracle):
 
     def __init__(self, spec: HyperCleanSpec, rng_seed: int):
         if len(spec.train) == 0 or len(spec.val) == 0:
-            raise EmptyDataset("train and validation sets must be nonempty")
+            raise ValueError("train and validation sets must be nonempty")
+        for name, labels in (("training", spec.train.labels), ("validation", spec.val.labels)):
+            bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))  # NaN too
+            if bad.size:
+                raise ValueError(f"{name} labels must lie in {{0, 1}}: row {bad[0]} "
+                                 f"has {labels[bad[0]]:g}")
         if not 0 < spec.reg < np.inf:
             raise ValueError("reg must be positive and finite")
         m = spec.batch_size
         if m < 1:
-            raise InvalidBatch(f"batch_size = {m} must be at least 1")
+            raise ValueError(f"batch_size = {m} must be at least 1")
         self.spec = spec
         self.d_up, self.d_lo = _dims(len(spec.train), spec.train.features.shape[1])
         self.salt = int(rng_seed)
@@ -411,17 +416,30 @@ def generate_corrupted_dataset(
 
 
 def load_dataset_csv(path: str) -> Dataset:
-    """Read a dataset from CSV with header ``f1,...,fd,label``."""
+    """Read a dataset from CSV with header ``f1,...,fd,label``.  A row whose
+    cell count is not the header's, or a cell that is not a number, raises
+    ``ValueError`` naming the file, the line and the column."""
     import csv
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[-1].strip() != "label":
-            raise EmptyDataset(f"{path}: expected a header ending in 'label'")
-        rows = [[float(cell) for cell in row] for row in reader if row]
+            raise ValueError(f"{path}: expected a header ending in 'label'")
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
+            rows.append([])
+            for column, cell in zip(header, row):
+                try:
+                    rows[-1].append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{where}, column {column.strip()}: {cell!r} "
+                                     "is not a number") from None
     if not rows:
-        raise EmptyDataset(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
     return Dataset(arr[:, :-1], arr[:, -1])
 
@@ -462,9 +480,9 @@ class MetaLinearOracle(BilevelOracle):
 
     def __init__(self, spec: MetaLinearSpec, rng_seed: int):
         if spec.m > spec.M:
-            raise InvalidBatch(f"m = {spec.m} exceeds the task count M = {spec.M}")
+            raise ValueError(f"m = {spec.m} exceeds the task count M = {spec.M}")
         if spec.m < 1:
-            raise InvalidBatch(f"m = {spec.m} must be at least 1")
+            raise ValueError(f"m = {spec.m} must be at least 1")
         if not 0 < spec.rho < np.inf:
             raise ValueError("rho must be positive and finite")
         self.spec = spec

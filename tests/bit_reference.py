@@ -91,13 +91,36 @@ def problem(name: str):
     return make_problem(ExperimentConfig(problem=kind, options=options))
 
 
-def run_case(name: str):
-    """The returned iterate and the records of case ``name``."""
+@functools.lru_cache(maxsize=None)
+def watched(name: str):
+    """Problem ``name``, built apart from ``problem(name)``, whose lower
+    gradient logs each call as (its token's path, the bytes of x and y) into
+    the returned list; every iterate x_t, y_t of a run reaches that call."""
+    kind, options, _ = PROBLEMS[name]
+    oracle, exact = make_problem(ExperimentConfig(problem=kind, options=options))
+    log, grad = [], oracle.grad_y_g_sample
+
+    def logged(pair, token):
+        log.append((token.path, pair.x.tobytes(), pair.y.tobytes()))
+        return grad(pair, token)
+
+    oracle.grad_y_g_sample = logged
+    return oracle, exact, log
+
+
+def config(name: str):
+    """The problem name, run config and baseline kind (None: SUSTAIN) of case
+    ``name``."""
     problem_name, policy, algorithm = CASES[name]
-    oracle, exact = problem(problem_name)
     cfg = RunConfig(T=T, policy=policy, seed=3, metric_stride=STRIDE,
                     K_override=PROBLEMS[problem_name][2])
-    kind = ALGORITHMS[algorithm]
+    return problem_name, cfg, ALGORITHMS[algorithm]
+
+
+def run_case(name: str):
+    """The returned iterate and the records of case ``name``."""
+    problem_name, cfg, kind = config(name)
+    oracle, exact = problem(problem_name)
     if kind is None:
         return run_sustain(oracle, exact, cfg)
     return run_baseline(oracle, exact, cfg, kind)

@@ -1,3 +1,7 @@
+import csv
+import shlex
+from pathlib import Path
+
 import pytest
 
 from sustain.cli import main
@@ -280,3 +284,54 @@ def test_fit_names_the_line_and_column_of_a_bad_cell(tmp_path, capsys):
     traj.write_text("".join(lines))
     err = _fit_failure(["--input", str(traj), "--tmin", "1", "--tmax", "19"], capsys)
     assert err == f"sustain fit: {traj}, line 6, column grad_ell_sq: 'abc' is not a number\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.1,x,0", "{path}, line 3, column f2: 'x' is not a number"),
+    ("0.1,0", "{path}, line 3: 2 cells, the header has 3"),
+    ("0.1,0.3,2", "training labels must lie in {{0, 1}}: row 1 has 2"),
+    ("0.1,0.3,nan", "training labels must lie in {{0, 1}}: row 1 has nan"),
+], ids=["cell", "short-row", "label-2", "label-nan"])
+def test_run_refuses_bad_hyperclean_data_in_one_line(tmp_path, capsys, row, message):
+    # a cell that is not a number or a row of the wrong length is named by
+    # file, line and column; a label outside {0, 1} by set and row
+    data = tmp_path / "data.csv"
+    data.write_text(f"f1,f2,label\n0.5,1,1\n{row}\n")
+    out = tmp_path / "out"
+    argv = ["run", "--problem.kind=hyperclean", f"--problem.train_csv={data}",
+            f"--problem.val_csv={data}", "--schedule.K=2", "--run.T=3", f"--output.dir={out}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"sustain run: {message.format(path=data)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _readme_run_commands():
+    """README's `sustain run --problem.kind=...` lines, as argument lists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("sustain run --problem.kind=")]
+
+
+def _kind(argv):
+    return next(a for a in argv if a.startswith("--problem.kind=")).partition("=")[2]
+
+
+README_RUNS = _readme_run_commands()
+
+
+def test_readme_shows_one_run_command_per_problem_kind():
+    assert sorted(map(_kind, README_RUNS)) == ["hyperclean", "meta_linear", "quadratic"]
+
+
+@pytest.mark.parametrize("argv", README_RUNS, ids=_kind)
+def test_readme_run_command_runs(tmp_path, capsys, argv):
+    # each documented command, at a small T and into a temporary directory,
+    # exits 0 with no failed seed in its summary
+    out = tmp_path / "out"
+    assert main([*argv, "--run.T=20", f"--output.dir={out}"]) == 0
+    [summary] = out.glob("*_summary.csv")
+    with open(summary, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and [row["error"] for row in rows] == [""] * len(rows)

@@ -1,4 +1,3 @@
-import functools
 import logging
 from collections import Counter
 from dataclasses import replace
@@ -679,27 +678,11 @@ def test_upper_loss_of_the_wrong_shape_is_rejected(upper_loss, quad5, monkeypatc
 _T = st.one_of(st.integers(1, 8), st.integers(250, 262))
 
 
-@functools.lru_cache(maxsize=None)
-def _watched(problem):
-    """A ``bit_reference`` problem whose lower gradient logs each call as (its
-    token's path, the bytes of x and y), into the returned list."""
-    kind, options, _ = bit_reference.PROBLEMS[problem]
-    oracle, exact = make_problem(ExperimentConfig(problem=kind, options=options))
-    log, grad = [], oracle.grad_y_g_sample
-
-    def logged(pair, token):
-        log.append((token.path, pair.x.tobytes(), pair.y.tobytes()))
-        return grad(pair, token)
-
-    oracle.grad_y_g_sample = logged
-    return oracle, exact, log
-
-
 def _watched_run(case, seed, T, stride=1, record_errors=True):
     """Case ``case`` of ``bit_reference`` at K fixed: x_a, the records and the
     lower-gradient calls, which hold every iterate x_t, y_t with t < T."""
     problem, policy, algorithm = bit_reference.CASES[case]
-    oracle, exact, log = _watched(problem)
+    oracle, exact, log = bit_reference.watched(problem)
     cfg = RunConfig(T=T, policy=policy, seed=seed, metric_stride=stride,
                     K_override=bit_reference.PROBLEMS[problem][2] or 4,
                     record_errors=record_errors)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sustain.driver import TrajectoryRecord
-from sustain.errors import InsufficientPoints, MissingMetric, NonPositiveValue
+from sustain.errors import MissingMetric
 from sustain.harness import (
     NOT_REACHED,
     TRAJECTORY_COLUMNS,
@@ -242,12 +242,12 @@ class TestRateFit:
         assert abs(fit.exponent - (-2.0 / 3.0)) <= 0.02
 
     def test_too_few_points(self):
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(ValueError, match="need >= 8 points in window, have 5"):
             fit_rate_exponent([(t, 1.0) for t in range(1, 6)], (1, 5))
 
     def test_nonpositive_values(self):
         series = [(t, 1.0 if t != 4 else 0.0) for t in range(1, 20)]
-        with pytest.raises(NonPositiveValue):
+        with pytest.raises(ValueError, match="rate fit requires positive values"):
             fit_rate_exponent(series, (1, 19))
 
     def test_window_filters(self):

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DIMS, random_oracle
-from sustain.errors import (
-    InvalidConstants,
-    NonfiniteValue,
-    SingularDenominator,
-)
+from sustain.errors import InvalidConstants, NonfiniteValue
 from sustain.hypergrad import (
     bias_bound,
     choose_K_nonconvex,
@@ -364,6 +360,13 @@ class TestChooseK:
             K = choose_K_strongly_convex(unit_constants, T)
             assert bias_bound(unit_constants, K) ** 2 <= 1.0 / T
 
+    @pytest.mark.parametrize("choose", [choose_K_nonconvex, choose_K_strongly_convex])
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_T_below_one_refused(self, unit_constants, choose, T):
+        # the refusal RunConfig gives for the same T, with the same type
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            choose(unit_constants, T)
+
 
 class TestLipschitzLK:
     def test_only_first_term(self):
@@ -385,7 +388,7 @@ class TestLipschitzLK:
     def test_singular_denominator(self):
         c = ProblemConstants(mu_g=1.0, L_g=1.0, C_gxy=1.0, C_fy=1.0,
                              L_fx=0.0, L_fy=0.0, L_gxy=0.0, L_gyy=1.0)
-        with pytest.raises(SingularDenominator):
+        with pytest.raises(InvalidConstants, match="L_K is undefined at mu_g == L_g"):
             lipschitz_L_K(c, 2)
 
     def test_mu_equals_L_with_zero_cubic_term(self):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sustain.errors import DivisionByZero
+from sustain.errors import InvalidConstants
 from sustain.hypergrad import lipschitz_L_K
 from sustain.oracle import ProblemConstants, derive_constants
 from sustain.schedules import (
@@ -43,7 +43,7 @@ class TestNonconvexConstants:
     def test_zero_L_raises(self):
         c = _constants(L_fx=0.0, L_fy=0.0, L_gxy=0.0, L_gyy=0.0, C_fy=0.0,
                        C_gxy=0.0)
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(InvalidConstants, match=r"degenerate constants \(L or L_f is zero\)"):
             nonconvex_constants(c, L_K=1.0)
 
     def test_c_eta_f_structure_with_zero_LK(self):
@@ -135,7 +135,8 @@ class TestStronglyConvexParams:
         assert p.eta_f <= 1.0
 
     def test_missing_mu_f_raises(self, unit_constants):
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(InvalidConstants,
+                           match="mu_f is required for the strongly-convex policy"):
             strongly_convex_params(unit_constants, L_K=1.0)
 
     def test_alpha_override(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import DIMS, random_oracle
 from sustain.driver import RunConfig, run_sustain
-from sustain.errors import DimensionMismatch, EmptyDataset, InvalidBatch, NotSPD
+from sustain.errors import DimensionMismatch
 from sustain.momentum import tracker_errors
 from sustain.oracle import IteratePair
 from sustain.sampling import SampleToken
@@ -109,7 +109,7 @@ class TestQuadratic:
     def test_not_spd_rejected(self):
         spec = QuadBilevelSpec(A=-np.eye(2), B=np.zeros((2, 1)), b=np.zeros(2),
                                y_target=np.zeros(2))
-        with pytest.raises(NotSPD):
+        with pytest.raises(ValueError, match="must be symmetric positive-definite"):
             make_quadratic(spec, rng_seed=0)
 
     def test_constants_from_spectrum(self, quad5):
@@ -264,7 +264,7 @@ class TestHyperClean:
         assert oracle.grad_x_f_sample(IteratePair(np.zeros(30), np.zeros(6)), TOK.child(1)) is g
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="train and validation sets must be nonempty"):
             make_hyperclean(
                 HyperCleanSpec(train=Dataset(np.zeros((0, 2)), np.zeros(0)),
                                val=Dataset(np.zeros((1, 2)), np.zeros(1))),
@@ -274,7 +274,7 @@ class TestHyperClean:
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_below_one_rejected(self, batch_size):
         # 0 divided by zero in the constants, -1 gave NaN constants
-        with pytest.raises(InvalidBatch):
+        with pytest.raises(ValueError, match=f"batch_size = {batch_size} must be at least 1"):
             self._oracle(batch_size=batch_size)
 
     @pytest.mark.parametrize("reg", [0.0, -1.0, np.nan, np.inf])
@@ -438,14 +438,14 @@ class TestMetaLinear:
     def test_batch_exceeding_tasks_rejected(self):
         spec = MetaLinearSpec(Z=[np.eye(2)], v=[np.zeros(2)],
                               D=[np.eye(2)], u=[np.zeros(2)], rho=1.0, m=2)
-        with pytest.raises(InvalidBatch):
+        with pytest.raises(ValueError, match="m = 2 exceeds the task count M = 1"):
             make_meta_linear(spec, rng_seed=0)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_batch_below_one_rejected(self, m):
         spec = MetaLinearSpec(Z=[np.eye(2)], v=[np.zeros(2)],
                               D=[np.eye(2)], u=[np.zeros(2)], rho=1.0, m=m)
-        with pytest.raises(InvalidBatch):
+        with pytest.raises(ValueError, match=f"m = {m} must be at least 1"):
             make_meta_linear(spec, rng_seed=0)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
@@ -514,8 +514,38 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValueError, match="expected a header ending in 'label'"):
         load_dataset_csv(str(path))
+
+
+@pytest.mark.parametrize("body, where", [
+    ("1,2,0\n\n3,x,1\n", "line 4, column f2: 'x' is not a number"),
+    ("1,2,0\n3,4,yes\n", "line 3, column label: 'yes' is not a number"),
+    ("1,,0\n", "line 2, column f2: '' is not a number"),
+    ("1,2,0\n3,1\n", "line 3: 2 cells, the header has 3"),
+    ("1,2,0,4\n", "line 2: 4 cells, the header has 3"),
+], ids=["cell", "label", "empty-cell", "short-row", "long-row"])
+def test_csv_names_the_line_and_column_of_a_bad_cell(tmp_path, body, where):
+    path = tmp_path / "bad.csv"
+    path.write_text("f1, f2,label\n" + body)
+    with pytest.raises(ValueError) as info:
+        load_dataset_csv(str(path))
+    assert str(info.value) == f"{path}, {where}"
+
+
+@pytest.mark.parametrize("label, shown", [(2.0, "2"), (-1.0, "-1"), (0.5, "0.5"),
+                                          (np.nan, "nan"), (np.inf, "inf")])
+@pytest.mark.parametrize("which", ["training", "validation"])
+def test_hyperclean_labels_outside_zero_one_rejected(label, shown, which):
+    # Dataset's labels, the corruption flip 1 - b and the bound |s - b| <= 1
+    # behind C_fy and L_fy all take b in {0, 1}
+    train, val = generate_corrupted_dataset(6, 5, 2, p=0.3, rng_seed=0)
+    data = train if which == "training" else val
+    data.labels[3] = label
+    data.labels[4] = 7.0  # only the first bad row is named
+    with pytest.raises(ValueError) as info:
+        make_hyperclean(HyperCleanSpec(train=train, val=val), rng_seed=0)
+    assert str(info.value) == f"{which} labels must lie in {{0, 1}}: row 3 has {shown}"
 
 
 def _masked_sigmoid(z):
