@@ -49,12 +49,12 @@ from sustain.sampling import (
 )
 from sustain.testbed import (
     _NOISE_TAG,
+    HyperCleanOracle,
     HyperCleanSpec,
+    MetaLinearOracle,
     QuadraticExact,
     _sigmoid,
     generate_corrupted_dataset,
-    make_hyperclean,
-    make_meta_linear,
     make_quadratic,
     random_meta_linear_spec,
     random_quadratic_spec,
@@ -261,8 +261,8 @@ def _hyperclean_compare():
     """The hyperclean-compare oracle: 500 training and 500 validation points,
     d = 20, batch 32."""
     train, val = generate_corrupted_dataset(500, 500, 20, p=0.3, rng_seed=0)
-    return make_hyperclean(HyperCleanSpec(train, val, reg=1.0, batch_size=32),
-                           rng_seed=0)
+    return HyperCleanOracle(HyperCleanSpec(train, val, reg=1.0, batch_size=32),
+                            rng_seed=0)
 
 
 @pytest.mark.parametrize("capability", ["grad_y_f_sample", "grad_y_g_sample",
@@ -290,7 +290,7 @@ def test_meta_linear_capability(benchmark, capability, M, m):
     # the make_problem shape (p 3, q 8); with m < M the task draw is a memo
     # hit after the first round, so a round times the per-task loop, and one
     # action for the Hessian operator
-    oracle = make_meta_linear(random_meta_linear_spec(np.random.default_rng(0), M=M, p=3,
+    oracle = MetaLinearOracle(random_meta_linear_spec(np.random.default_rng(0), M=M, p=3,
                                                       q=8, rho=1.0, m=m), rng_seed=0)
     rng = np.random.default_rng(3)
     pair = IteratePair(rng.standard_normal(3), rng.standard_normal(3 * M))

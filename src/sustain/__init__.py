@@ -7,7 +7,6 @@ single timescale.
 """
 
 from .driver import (
-    AlternatingSGD,
     DoubleLoop,
     Policy,
     RunConfig,
@@ -50,12 +49,12 @@ from .schedules import (
     strongly_convex_params,
 )
 from .testbed import (
+    HyperCleanOracle,
     HyperCleanSpec,
+    MetaLinearOracle,
     MetaLinearSpec,
     QuadBilevelSpec,
     generate_corrupted_dataset,
-    make_hyperclean,
-    make_meta_linear,
     make_quadratic,
     random_quadratic_spec,
 )

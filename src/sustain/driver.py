@@ -96,11 +96,6 @@ class TrajectoryRecord:
 
 
 @dataclass(frozen=True)
-class AlternatingSGD:
-    pass
-
-
-@dataclass(frozen=True)
 class TwoTimescale:
     ratio: float = 2.0  # beta_t = ratio * alpha_t^(2/3)
 
@@ -215,7 +210,7 @@ def _run(
     oracle: BilevelOracle,
     exact: Optional[ExactOracle],
     cfg: RunConfig,
-    kind: Union[AlternatingSGD, TwoTimescale, DoubleLoop, None],
+    kind: Union[TwoTimescale, DoubleLoop, None],
 ) -> Tuple[Vector, List[TrajectoryRecord]]:
     """The loop of ``run_sustain`` (kind None) and ``run_baseline``.
 
@@ -302,14 +297,14 @@ def run_baseline(
     oracle: BilevelOracle,
     exact: Optional[ExactOracle],
     cfg: RunConfig,
-    kind: Union[AlternatingSGD, TwoTimescale, DoubleLoop],
+    kind: Union[TwoTimescale, DoubleLoop],
 ) -> Tuple[Vector, List[TrajectoryRecord]]:
     """Momentum-free baselines: the run_sustain loop with both momentum
     weights pinned to 1 and no tracker errors recorded.
 
-    AlternatingSGD is therefore run_sustain at eta = 1 by construction.
     TwoTimescale sets beta; DoubleLoop adds lower steps j >= 1 on tokens
     (t, STREAM_LOWER, j), refining the inner iterate seen by every later
-    outer step, so DoubleLoop(1) is AlternatingSGD.
+    outer step.  DoubleLoop(), one lower step per upper step, is alternating
+    SGD, and so is run_sustain at eta = 1 by construction.
     """
     return _run(oracle, exact, cfg, kind)

@@ -19,7 +19,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .driver import (
-    AlternatingSGD,
     DoubleLoop,
     Policy,
     RunConfig,
@@ -33,11 +32,11 @@ from .driver import (
 from .errors import MissingMetric
 from .oracle import BilevelOracle, ExactOracle
 from .testbed import (
+    HyperCleanOracle,
     HyperCleanSpec,
+    MetaLinearOracle,
     generate_corrupted_dataset,
     load_dataset_csv,
-    make_hyperclean,
-    make_meta_linear,
     make_quadratic,
     random_meta_linear_spec,
     random_quadratic_spec,
@@ -241,7 +240,7 @@ def _problem_builder(
             )
         reg, batch_size = opt("problem.reg", 1e-3), opt("problem.batch_size", 1, int)
         noise_seed = opt("problem.noise_seed", 0, int)
-        return lambda: (make_hyperclean(HyperCleanSpec(
+        return lambda: (HyperCleanOracle(HyperCleanSpec(
             *data(), reg=reg, batch_size=batch_size), rng_seed=noise_seed), None)
     if kind == "meta_linear":
         data_seed = opt("problem.data_seed", 0, int)
@@ -249,7 +248,7 @@ def _problem_builder(
         shape = dict(M=M, p=opt("problem.p_dim", 3, int), q=opt("problem.q", 8, int),
                      rho=opt("problem.rho", 1.0), m=opt("problem.m", M, int))
         noise_seed = opt("problem.noise_seed", 0, int)
-        return lambda: (make_meta_linear(random_meta_linear_spec(
+        return lambda: (MetaLinearOracle(random_meta_linear_spec(
             np.random.default_rng(data_seed), **shape), rng_seed=noise_seed), None)
     raise ValueError(f"unknown problem kind {kind!r}")
 
@@ -280,8 +279,8 @@ def _baseline_kind(algorithm: str, opt: Callable):
     """The baseline kind of ``algorithm``; None for SUSTAIN itself."""
     if algorithm == "sustain":
         return None
-    if algorithm == "alternating":
-        return AlternatingSGD()
+    if algorithm == "alternating":  # one lower step per upper step
+        return DoubleLoop()
     if algorithm == "two_timescale":
         return TwoTimescale(ratio=opt("algorithm.ratio", 2.0))
     if algorithm == "double_loop":
@@ -357,8 +356,10 @@ def fit_rate_exponent(
     pts = [(t, v) for t, v in series if t_min <= t <= t_max]
     if len(pts) < 8:
         raise ValueError(f"need >= 8 points in window, have {len(pts)}")
-    if any(v <= 0 for _, v in pts):
-        raise ValueError("rate fit requires positive values")
+    bad = next(((t, v) for t, v in pts if not 0 < v < math.inf), None)  # NaN too
+    if bad is not None:
+        raise ValueError("rate fit requires positive values that are finite: "
+                         f"t = {bad[0]:g} has {bad[1]:g}")
     log_t = np.log([t for t, _ in pts])
     log_v = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(log_t, log_v, 1)

@@ -98,14 +98,6 @@ class IteratePair:
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
 
-    @property
-    def d_up(self) -> int:
-        return self.x.shape[-1]
-
-    @property
-    def d_lo(self) -> int:
-        return self.y.shape[-1]
-
 
 class BilevelOracle(ABC):
     """Sampled first/second-order access to one bilevel problem instance.
@@ -161,7 +153,7 @@ class BilevelOracle(ABC):
         if pair.x.shape[-1] != self.d_up or pair.y.shape[-1] != self.d_lo:
             raise DimensionMismatch(
                 f"oracle is ({self.d_up}, {self.d_lo}), "
-                f"iterate is ({pair.d_up}, {pair.d_lo})"
+                f"iterate is ({pair.x.shape[-1]}, {pair.y.shape[-1]})"
             )
 
 
@@ -193,9 +185,7 @@ class ExactOracle(ABC):
         grad ell(x) is the surrogate at y*(x)."""
         return self.surrogate_grad(x, self.y_star(x))
 
-    @property
-    def ell_star(self) -> Optional[float]:
-        return None
+    ell_star: Optional[float] = None  # the minimum of ell, where a testbed knows it
 
     # Optional extras implemented by testbeds with deterministic Hessians.
     # They make the estimator bias exactly computable.

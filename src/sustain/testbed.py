@@ -9,7 +9,7 @@ meta-learning instances mirror the benchmark problems at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -154,13 +154,12 @@ class QuadraticExact(ExactOracle):
         self._o = oracle
         s = oracle.spec
         self._A_inv = np.linalg.inv(s.A)
-        self._ell_star: Optional[float] = None
         if oracle.constants.mu_f is not None:  # a strongly convex quadratic
             # its Hessian is lam I + B' A^-2 B
             H_ell = s.lam * np.eye(oracle.d_up) + s.B.T @ self._A_inv @ self._A_inv @ s.B
             c0 = s.B.T @ self._A_inv @ (self._A_inv @ s.b - s.y_target)
             x_min = np.linalg.solve(H_ell, -c0)
-            self._ell_star = self.ell(x_min)
+            self.ell_star = self.ell(x_min)
 
     def y_star(self, x: Vector) -> Vector:
         s = self._o.spec
@@ -175,10 +174,6 @@ class QuadraticExact(ExactOracle):
         if s.sin_amp:
             g = g + s.sin_amp * np.cos(x)
         return g
-
-    @property
-    def ell_star(self) -> Optional[float]:
-        return self._ell_star
 
     def grad_y_g_mean(self, pair: IteratePair) -> Vector:
         s = self._o.spec
@@ -387,10 +382,6 @@ class HyperCleanOracle(BilevelOracle):
         return loss if loss.ndim else float(loss)
 
 
-def make_hyperclean(spec: HyperCleanSpec, rng_seed: int) -> HyperCleanOracle:
-    return HyperCleanOracle(spec, rng_seed)
-
-
 def generate_corrupted_dataset(
     n_train: int, n_val: int, d_lo: int, p: float, rng_seed: int
 ) -> Tuple[Dataset, Dataset]:
@@ -417,9 +408,12 @@ def generate_corrupted_dataset(
 
 def load_dataset_csv(path: str) -> Dataset:
     """Read a dataset from CSV with header ``f1,...,fd,label``.  A row whose
-    cell count is not the header's, or a cell that is not a number, raises
-    ``ValueError`` naming the file, the line and the column."""
+    cell count is not the header's, a cell that is not a number or a feature
+    cell that is not finite raises ``ValueError`` naming the file, the line
+    and the column.  A label outside {0, 1}, NaN and inf included, is left to
+    ``HyperCleanOracle``, which names its set and row."""
     import csv
+    import math
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -432,12 +426,15 @@ def load_dataset_csv(path: str) -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
             rows.append([])
-            for column, cell in zip(header, row):
+            for j, (column, cell) in enumerate(zip(header, row)):
                 try:
-                    rows[-1].append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise ValueError(f"{where}, column {column.strip()}: {cell!r} "
-                                     "is not a number") from None
+                    value = None
+                if value is None or (j < len(row) - 1 and not math.isfinite(value)):
+                    what = "a number" if value is None else "a finite number"
+                    raise ValueError(f"{where}, column {column.strip()}: {cell!r} is not {what}")
+                rows[-1].append(value)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
@@ -582,10 +579,6 @@ class MetaLinearOracle(BilevelOracle):
             resid = matvec(s.D[i], pair.x + blocks[..., i, :]) - s.u[i]
             total += 0.5 * np.sum(resid**2, axis=-1)
         return total / s.M if total.ndim else float(total / s.M)
-
-
-def make_meta_linear(spec: MetaLinearSpec, rng_seed: int) -> MetaLinearOracle:
-    return MetaLinearOracle(spec, rng_seed)
 
 
 def random_meta_linear_spec(

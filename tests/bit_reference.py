@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from sustain.driver import (
-    AlternatingSGD,
     DoubleLoop,
     Policy,
     RunConfig,
@@ -61,7 +60,7 @@ PROBLEMS = {
 }
 ALGORITHMS = {
     "sustain": None,
-    "alternating": AlternatingSGD(),
+    "alternating": DoubleLoop(),
     "two_timescale": TwoTimescale(ratio=2.0),
     "double_loop": DoubleLoop(n_inner=3),
 }

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from sustain.oracle import ProblemConstants
 from sustain.testbed import (
+    HyperCleanOracle,
     HyperCleanSpec,
+    MetaLinearOracle,
     MetaLinearSpec,
     QuadBilevelSpec,
     generate_corrupted_dataset,
-    make_hyperclean,
-    make_meta_linear,
     make_quadratic,
     random_quadratic_spec,
 )
@@ -34,7 +34,7 @@ def random_oracle(kind, rng, a, b, scales, batch):
     train, val = generate_corrupted_dataset(a, b, 1 + (a + b) % 20, p=0.3,
                                             rng_seed=int(rng.integers(2**32)))
     spec = HyperCleanSpec(train, val, reg=1e-3 + scales[0], batch_size=batch)
-    return make_hyperclean(spec, rng_seed=int(rng.integers(2**31)))
+    return HyperCleanOracle(spec, rng_seed=int(rng.integers(2**31)))
 
 
 @pytest.fixture
@@ -86,13 +86,13 @@ def sampled_testbeds():
         rng_seed=2,
     )
     train, val = generate_corrupted_dataset(40, 30, 4, p=0.3, rng_seed=3)
-    hyperclean = make_hyperclean(
+    hyperclean = HyperCleanOracle(
         HyperCleanSpec(train=train, val=val, reg=0.5, batch_size=5),
         rng_seed=4,
     )
     M, p_dim, q = 4, 3, 6
     designs = [rng.standard_normal((q, p_dim)) for _ in range(2 * M)]
-    meta = make_meta_linear(
+    meta = MetaLinearOracle(
         MetaLinearSpec(Z=designs[:M], v=[rng.standard_normal(q) for _ in range(M)],
                        D=designs[M:], u=[rng.standard_normal(q) for _ in range(M)],
                        rho=1.0, m=2),

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from sustain.driver import (
-    AlternatingSGD,
     DoubleLoop,
     Policy,
     RunConfig,
@@ -35,10 +34,10 @@ from sustain.oracle import IteratePair, ProblemConstants
 from sustain.sampling import SampleToken
 from sustain.schedules import nonconvex_constants, strongly_convex_params
 from sustain.testbed import (
+    HyperCleanOracle,
     HyperCleanSpec,
     QuadBilevelSpec,
     generate_corrupted_dataset,
-    make_hyperclean,
     make_quadratic,
     random_quadratic_spec,
 )
@@ -252,7 +251,7 @@ def test_criterion_05_reduction_invariant():
     cfg = RunConfig(T=1000, policy=Policy.PRACTICAL, seed=12, metric_stride=10,
                     K_override=4, c_eta=1e18, c_eta_g=1e18, record_errors=False)
     xs_a, recs_a = run_sustain(oracle, exact, cfg)
-    xs_b, recs_b = run_baseline(oracle, exact, cfg, AlternatingSGD())
+    xs_b, recs_b = run_baseline(oracle, exact, cfg, DoubleLoop())
     ok = bool(np.array_equal(xs_a, xs_b)) and len(recs_a) == len(recs_b)
     if ok:
         for ra, rb in zip(recs_a, recs_b):
@@ -412,7 +411,7 @@ def test_criterion_09_hypercleaning():
     t0 = time.perf_counter()
     train, val = generate_corrupted_dataset(500, 500, 20, 0.3, rng_seed=123)
     spec = HyperCleanSpec(train=train, val=val, reg=1.0, batch_size=32)
-    oracle = make_hyperclean(spec, rng_seed=7)
+    oracle = HyperCleanOracle(spec, rng_seed=7)
     T = 3000
     base_alpha = 6e-4
     c_eta = 2.0 / base_alpha**2

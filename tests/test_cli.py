@@ -17,6 +17,14 @@ def test_check_is_not_a_command(capsys):
     assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
+def test_fit_refuses_an_unknown_option(capsys):
+    # only `run` takes --key=value overrides
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "--input", "t.csv", "--tmin", "1", "--tmax", "9", "--bogus"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_run_and_fit(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -273,25 +281,42 @@ def test_fit_refuses_a_summary_csv_by_name(tmp_path, capsys):
                    "'# schema=trajectory-v1'\n")
 
 
+def _set_grad_ell_sq(traj, t, text):
+    """Write ``text`` into the grad_ell_sq cell of record ``t`` of ``traj``."""
+    lines = traj.read_text().splitlines(keepends=True)
+    header = lines[1].rstrip("\n").split(",")
+    cells = lines[t + 2].split(",")
+    cells[header.index("grad_ell_sq")] = text
+    lines[t + 2] = ",".join(cells)
+    traj.write_text("".join(lines))
+
+
 def test_fit_names_the_line_and_column_of_a_bad_cell(tmp_path, capsys):
     traj = _small_trajectory(tmp_path)
     capsys.readouterr()
-    lines = traj.read_text().splitlines(keepends=True)
-    header = lines[1].rstrip("\n").split(",")
-    cells = lines[5].split(",")
-    cells[header.index("grad_ell_sq")] = "abc"
-    lines[5] = ",".join(cells)
-    traj.write_text("".join(lines))
+    _set_grad_ell_sq(traj, 3, "abc")
     err = _fit_failure(["--input", str(traj), "--tmin", "1", "--tmax", "19"], capsys)
     assert err == f"sustain fit: {traj}, line 6, column grad_ell_sq: 'abc' is not a number\n"
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_refuses_a_nonfinite_value_in_one_line(tmp_path, capsys, bad):
+    # NaN and inf are numbers to the reader; the fit refuses them by t
+    traj = _small_trajectory(tmp_path)
+    capsys.readouterr()
+    _set_grad_ell_sq(traj, 3, bad)
+    err = _fit_failure(["--input", str(traj), "--tmin", "1", "--tmax", "19"], capsys)
+    assert err == ("sustain fit: rate fit requires positive values that are finite: "
+                   f"t = 3 has {bad}\n")
+
+
 @pytest.mark.parametrize("row, message", [
     ("0.1,x,0", "{path}, line 3, column f2: 'x' is not a number"),
+    ("0.1,inf,0", "{path}, line 3, column f2: 'inf' is not a finite number"),
     ("0.1,0", "{path}, line 3: 2 cells, the header has 3"),
     ("0.1,0.3,2", "training labels must lie in {{0, 1}}: row 1 has 2"),
     ("0.1,0.3,nan", "training labels must lie in {{0, 1}}: row 1 has nan"),
-], ids=["cell", "short-row", "label-2", "label-nan"])
+], ids=["cell", "inf-cell", "short-row", "label-2", "label-nan"])
 def test_run_refuses_bad_hyperclean_data_in_one_line(tmp_path, capsys, row, message):
     # a cell that is not a number or a row of the wrong length is named by
     # file, line and column; a label outside {0, 1} by set and row

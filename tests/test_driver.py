@@ -12,7 +12,6 @@ import sustain.driver
 import sustain.hypergrad
 import sustain.sampling
 from sustain.driver import (
-    AlternatingSGD,
     DoubleLoop,
     Policy,
     RunConfig,
@@ -116,7 +115,7 @@ class TestBaselines:
         oracle, exact = quad5_noisy
         cfg = _eta_one_cfg(100, seed=7)
         x_s, r_s = run_sustain(oracle, exact, cfg)
-        x_b, r_b = run_baseline(oracle, exact, cfg, AlternatingSGD())
+        x_b, r_b = run_baseline(oracle, exact, cfg, DoubleLoop())
         assert np.array_equal(x_s, x_b)
         for a, b in zip(r_s, r_b):
             assert a.grad_ell_sq == b.grad_ell_sq
@@ -150,17 +149,9 @@ class TestBaselines:
                         K_override=K, base_alpha=base_alpha, c_eta=1e18, c_eta_g=1e18,
                         record_errors=False)
         x_s, r_s = run_sustain(oracle, exact, cfg)
-        x_b, r_b = run_baseline(oracle, exact, cfg, AlternatingSGD())
+        x_b, r_b = run_baseline(oracle, exact, cfg, DoubleLoop())
         assert x_s.tobytes() == x_b.tobytes()
         assert r_s == r_b
-
-    def test_double_loop_one_equals_alternating(self, quad5_noisy):
-        oracle, exact = quad5_noisy
-        cfg = _eta_one_cfg(80, seed=3)
-        x_a, r_a = run_baseline(oracle, exact, cfg, AlternatingSGD())
-        x_d, r_d = run_baseline(oracle, exact, cfg, DoubleLoop(n_inner=1))
-        assert np.array_equal(x_a, x_d)
-        assert [r.tracking_sq for r in r_a] == [r.tracking_sq for r in r_d]
 
     def test_double_loop_sample_accounting(self, quad5_noisy):
         oracle, exact = quad5_noisy
@@ -180,7 +171,7 @@ class TestBaselines:
         oracle, exact = quad5
         cfg = RunConfig(T=200, policy=Policy.PRACTICAL, seed=0, metric_stride=1,
                         K_override=8, c_eta=1e12, record_errors=False)
-        _, records = run_baseline(oracle, exact, cfg, AlternatingSGD())
+        _, records = run_baseline(oracle, exact, cfg, DoubleLoop())
         gaps = [r.ell_gap for r in records]
         # converges to a small plateau set by the truncation bias; the tail
         # may jitter there, so check overall decrease rather than per step
@@ -235,7 +226,7 @@ def test_each_token_path_drawn_once_per_run(sampled_testbeds, testbed, monkeypat
 
 
 @pytest.mark.parametrize("testbed", ["quadratic", "hyperclean", "meta_linear"])
-@pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
+@pytest.mark.parametrize("kind", [None, DoubleLoop(), TwoTimescale(), DoubleLoop(n_inner=3)])
 def test_cumulative_hvps_count_every_action_call(sampled_testbeds, testbed, kind,
                                                  count_oracle_calls):
     # the records count each Hessian action the run calls, as the
@@ -254,15 +245,16 @@ def test_cumulative_hvps_count_every_action_call(sampled_testbeds, testbed, kind
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, 1e308, -np.inf])
-@pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
+@pytest.mark.parametrize("kind", [None, DoubleLoop(), TwoTimescale(), DoubleLoop(n_inner=3)])
 def test_nonfinite_stops_before_record(quad5_noisy, kind, bad, monkeypatch):
-    # a bad sample at iteration t_bad: from the upper gradient, or for
-    # DoubleLoop from the inner lower step j = 2.  NaN makes the tracker
-    # non-finite, 1e308 only the step it scales, -inf an iterate entry +inf
-    # with no NaN (eta = 1 at base_alpha 10); every kind stops the same way
+    # a bad sample at iteration t_bad: from the upper gradient, or for a
+    # DoubleLoop with n_inner > 1 from the inner lower step j = 2.  NaN makes
+    # the tracker non-finite, 1e308 only the step it scales, -inf an iterate
+    # entry +inf with no NaN (eta = 1 at base_alpha 10); every kind stops the
+    # same way
     seed, T, t_bad = 5, 20, 7
     oracle, exact = quad5_noisy
-    if isinstance(kind, DoubleLoop):
+    if getattr(kind, "n_inner", 1) > 1:
         name, bad_path = "grad_y_g_sample", (seed, t_bad, STREAM_LOWER, 2)
     else:
         name, bad_path = "grad_x_f_sample", None
@@ -291,7 +283,7 @@ def test_nonfinite_stops_before_record(quad5_noisy, kind, bad, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("kind", [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)])
+@pytest.mark.parametrize("kind", [None, DoubleLoop(), TwoTimescale(), DoubleLoop(n_inner=3)])
 def test_finite_iterate_with_overflowing_norm_runs_to_T(quad5_noisy, kind):
     # an upper gradient of 1e200 drives the iterates to the order of 1e200:
     # every entry is finite while ||x||^2 overflows, so the run must not stop
@@ -368,7 +360,7 @@ def test_block_tokens_match_scalar_tokens(sampled_testbeds, testbed, monkeypatch
     T = 2 * sustain.driver._BLOCK + 3
     cfg = RunConfig(T=T, policy=Policy.PRACTICAL, seed=6, K_override=4, c_eta=5.0,
                     record_errors=False)
-    kinds = [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)]
+    kinds = [None, DoubleLoop(), TwoTimescale(), DoubleLoop(n_inner=3)]
 
     def run(kind):
         return (run_sustain(oracle, None, cfg) if kind is None
@@ -470,7 +462,7 @@ def test_run_config_rejects_bad_policy_knobs(field, value, message):
     ({"C_fy": float("nan")}, None, "C_fy is not finite"),
     ({"mu_g": 3.0}, None, "mu_g > L_g"),
 ])
-@pytest.mark.parametrize("kind", [None, AlternatingSGD(), DoubleLoop(n_inner=2)])
+@pytest.mark.parametrize("kind", [None, DoubleLoop(), DoubleLoop(n_inner=2)])
 def test_invalid_constants_fail_before_any_oracle_call(quad5, constants, K_override,
                                                        message, kind):
     # the constants check themselves when they are made, so the oracle that
@@ -611,7 +603,7 @@ def _check_block_records(oracle, exact, cfg, kind, monkeypatch, poison_t=None):
     return records
 
 
-_KINDS = [None, AlternatingSGD(), TwoTimescale(), DoubleLoop(n_inner=3)]
+_KINDS = [None, DoubleLoop(), TwoTimescale(), DoubleLoop(n_inner=3)]
 
 
 @pytest.mark.parametrize("kind", _KINDS)

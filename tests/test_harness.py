@@ -250,6 +250,15 @@ class TestRateFit:
         with pytest.raises(ValueError, match="rate fit requires positive values"):
             fit_rate_exponent(series, (1, 19))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_values(self, bad):
+        # NaN and inf pass a v <= 0 check, and the fit would return NaN
+        series = [(t, 1.0 if t not in (4, 9) else bad) for t in range(1, 20)]
+        with pytest.raises(ValueError) as info:
+            fit_rate_exponent(series, (1, 19))
+        assert str(info.value) == ("rate fit requires positive values that are finite: "
+                                   f"t = 4 has {bad}")
+
     def test_window_filters(self):
         series = [(t, t ** -1.0) for t in range(1, 100)]
         fit = fit_rate_exponent(series, (10, 50))
@@ -273,6 +282,10 @@ class TestSamplesToEpsilon:
         records = [_record(t, grad=None, samples=t) for t in range(5)]
         with pytest.raises(MissingMetric):
             samples_to_epsilon(records, 0.5, "grad_ell_sq")
+
+    def test_empty_trajectory(self):
+        with pytest.raises(MissingMetric, match="^empty trajectory$"):
+            samples_to_epsilon([], 0.5, "grad_ell_sq")
 
     def test_sentinel_is_singleton(self):
         assert NotReached() is NOT_REACHED

@@ -95,13 +95,9 @@ def test_derive_harmonic_smoothing_constant(unit_constants):
 
 
 class TestIteratePair:
-    def test_dims(self):
-        pair = IteratePair([1.0, 2.0], [0.0, 1.0, 2.0])
-        assert pair.d_up == 2 and pair.d_lo == 3
-
     def test_check_dims_mismatch(self, quad5):
         oracle, _ = quad5
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^oracle is \(2, 5\), iterate is \(3, 5\)$"):
             oracle.check_dims(IteratePair(np.zeros(3), np.zeros(5)))
 
 

@@ -139,6 +139,12 @@ class TestStronglyConvexParams:
                            match="mu_f is required for the strongly-convex policy"):
             strongly_convex_params(unit_constants, L_K=1.0)
 
+    def test_degenerate_constants_raise(self):
+        # L = L_f = 0 and L_K = 0 leave the ceiling 1/(8 L_K^2 + L_f) undefined
+        c = ProblemConstants(mu_g=1.0, L_g=2.0, mu_f=1.0)
+        with pytest.raises(InvalidConstants, match="^degenerate constants$"):
+            strongly_convex_params(c, 0.0)
+
     def test_alpha_override(self):
         c = _constants(mu_f=0.5)
         p = strongly_convex_params(c, L_K=1.0, alpha_override=0.01)

@@ -14,13 +14,13 @@ from sustain.oracle import IteratePair
 from sustain.sampling import SampleToken
 from sustain.testbed import (
     Dataset,
+    HyperCleanOracle,
     HyperCleanSpec,
+    MetaLinearOracle,
     MetaLinearSpec,
     QuadBilevelSpec,
     generate_corrupted_dataset,
     load_dataset_csv,
-    make_hyperclean,
-    make_meta_linear,
     make_quadratic,
     random_meta_linear_spec,
     random_quadratic_spec,
@@ -204,7 +204,7 @@ class TestHyperClean:
     def _oracle(self, batch_size=4):
         train, val = generate_corrupted_dataset(30, 20, 6, p=0.3, rng_seed=5)
         spec = HyperCleanSpec(train=train, val=val, reg=1e-3, batch_size=batch_size)
-        return make_hyperclean(spec, rng_seed=0)
+        return HyperCleanOracle(spec, rng_seed=0)
 
     def test_dimensions(self):
         oracle = self._oracle()
@@ -265,7 +265,7 @@ class TestHyperClean:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="train and validation sets must be nonempty"):
-            make_hyperclean(
+            HyperCleanOracle(
                 HyperCleanSpec(train=Dataset(np.zeros((0, 2)), np.zeros(0)),
                                val=Dataset(np.zeros((1, 2)), np.zeros(1))),
                 rng_seed=0,
@@ -281,7 +281,7 @@ class TestHyperClean:
     def test_reg_not_positive_and_finite_rejected(self, reg):
         train, val = generate_corrupted_dataset(30, 20, 6, p=0.3, rng_seed=5)
         with pytest.raises(ValueError, match="^reg must be positive and finite$"):
-            make_hyperclean(HyperCleanSpec(train=train, val=val, reg=reg), rng_seed=0)
+            HyperCleanOracle(HyperCleanSpec(train=train, val=val, reg=reg), rng_seed=0)
 
     @pytest.mark.parametrize("batch_size", [1, 4, 30, 50])
     def test_sampled_capabilities_match_per_capability_formulas(self, batch_size):
@@ -369,8 +369,8 @@ def test_hyperclean_cross_constants_bound_a_batch_of_one_repeated_row(n_train, b
     # rows); at a zero margin, H_xy changes along that row at nearly L_gxy
     # (above the sqrt(m) bound once m > 256); along x_i at the largest |w''|
     train, val = generate_corrupted_dataset(n_train, 20, 20, p=0.3, rng_seed=n_train)
-    oracle = make_hyperclean(HyperCleanSpec(train, val, reg=1.0, batch_size=batch_size),
-                             rng_seed=0)
+    oracle = HyperCleanOracle(HyperCleanSpec(train, val, reg=1.0, batch_size=batch_size),
+                              rng_seed=0)
     c, a = oracle.constants, train.features
     i = int(np.argmax(np.sum(a**2, axis=1)))
     tok, unit = _RepeatedRow(i), a[i] / np.linalg.norm(a[i])
@@ -398,7 +398,7 @@ class TestMetaLinear:
         # Z = I, v = 0, rho = 1: y*(x) = -x/2
         spec = MetaLinearSpec(Z=[np.eye(3)], v=[np.zeros(3)],
                               D=[np.eye(3)], u=[np.zeros(3)], rho=1.0, m=1)
-        oracle = make_meta_linear(spec, rng_seed=0)
+        oracle = MetaLinearOracle(spec, rng_seed=0)
         x = np.array([1.0, -2.0, 0.5])
         y = np.zeros(3)
         for _ in range(400):  # inner gradient descent to the minimizer
@@ -412,7 +412,7 @@ class TestMetaLinear:
         spec = MetaLinearSpec(Z=Z, v=[rng.standard_normal(5) for _ in range(3)],
                               D=Z, u=[rng.standard_normal(5) for _ in range(3)],
                               rho=1.0, m=3)
-        oracle = make_meta_linear(spec, rng_seed=0)
+        oracle = MetaLinearOracle(spec, rng_seed=0)
         pair = IteratePair(rng.standard_normal(2), rng.standard_normal(6))
         a = oracle.grad_y_g_sample(pair, SampleToken.root(0).child(0))
         b = oracle.grad_y_g_sample(pair, SampleToken.root(0).child(99))
@@ -423,13 +423,13 @@ class TestMetaLinear:
         Z = [rng.standard_normal((4, 2)) for _ in range(3)]
         v = [rng.standard_normal(4) for _ in range(3)]
         spec = MetaLinearSpec(Z=Z, v=v, D=Z, u=v, rho=1.0, m=3)
-        oracle = make_meta_linear(spec, rng_seed=0)
+        oracle = MetaLinearOracle(spec, rng_seed=0)
         pair = IteratePair(rng.standard_normal(2), rng.standard_normal(6))
         g1 = oracle.grad_y_g_sample(pair, TOK)
         # perturb task 2's data: blocks 0 and 1 of the gradient are unchanged
         v2 = list(v)
         v2[2] = v2[2] + 1.0
-        oracle2 = make_meta_linear(
+        oracle2 = MetaLinearOracle(
             MetaLinearSpec(Z=Z, v=v2, D=Z, u=v, rho=1.0, m=3), rng_seed=0)
         g2 = oracle2.grad_y_g_sample(pair, TOK)
         assert np.array_equal(g1[:4], g2[:4])
@@ -439,20 +439,20 @@ class TestMetaLinear:
         spec = MetaLinearSpec(Z=[np.eye(2)], v=[np.zeros(2)],
                               D=[np.eye(2)], u=[np.zeros(2)], rho=1.0, m=2)
         with pytest.raises(ValueError, match="m = 2 exceeds the task count M = 1"):
-            make_meta_linear(spec, rng_seed=0)
+            MetaLinearOracle(spec, rng_seed=0)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_batch_below_one_rejected(self, m):
         spec = MetaLinearSpec(Z=[np.eye(2)], v=[np.zeros(2)],
                               D=[np.eye(2)], u=[np.zeros(2)], rho=1.0, m=m)
         with pytest.raises(ValueError, match=f"m = {m} must be at least 1"):
-            make_meta_linear(spec, rng_seed=0)
+            MetaLinearOracle(spec, rng_seed=0)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
     def test_rho_not_positive_and_finite_rejected(self, rho):
         spec = random_meta_linear_spec(np.random.default_rng(0), M=2, p=2, q=3, rho=rho, m=2)
         with pytest.raises(ValueError, match="^rho must be positive and finite$"):
-            make_meta_linear(spec, rng_seed=0)
+            MetaLinearOracle(spec, rng_seed=0)
 
     @pytest.mark.parametrize("M,m", [(3, 1), (4, 2), (4, 4), (5, 3)])
     def test_constants_bound_every_drawn_task_set(self, monkeypatch, M, m):
@@ -464,7 +464,7 @@ class TestMetaLinear:
         spec = random_meta_linear_spec(np.random.default_rng(M + m), M=M, p=3, q=8,
                                        rho=1.0, m=m)
         spec = replace(spec, v=[0.0 * v for v in spec.v], u=[0.0 * u for u in spec.u])
-        oracle = make_meta_linear(spec, rng_seed=0)
+        oracle = MetaLinearOracle(spec, rng_seed=0)
         c = oracle.constants
         d_up, d_lo = oracle.d_up, oracle.d_lo
         units = [IteratePair(e[:d_up], e[d_up:]) for e in np.eye(d_up + d_lo)]
@@ -491,7 +491,7 @@ def test_quadratic_without_a_coordinate_rejected(d_up, d_lo):
 def test_hyperclean_without_features_rejected():
     train, val = Dataset(np.zeros((3, 0)), np.zeros(3)), Dataset(np.zeros((2, 0)), np.zeros(2))
     with pytest.raises(DimensionMismatch, match="d_up = 3 and d_lo = 0 must be at least 1"):
-        make_hyperclean(HyperCleanSpec(train=train, val=val), rng_seed=0)
+        HyperCleanOracle(HyperCleanSpec(train=train, val=val), rng_seed=0)
     # the generated data is refused before its 1/sqrt(d_lo) scale divides by zero
     with pytest.raises(DimensionMismatch, match="d_lo = 0 must be at least 1"):
         generate_corrupted_dataset(5, 5, 0, p=0.0, rng_seed=0)
@@ -500,7 +500,7 @@ def test_hyperclean_without_features_rejected():
 def test_meta_linear_without_a_coordinate_rejected():
     spec = random_meta_linear_spec(np.random.default_rng(0), M=2, p=0, q=3, rho=1.0, m=2)
     with pytest.raises(DimensionMismatch, match="d_up = 0 and d_lo = 0 must be at least 1"):
-        make_meta_linear(spec, rng_seed=0)
+        MetaLinearOracle(spec, rng_seed=0)
 
 
 def test_csv_roundtrip(tmp_path):
@@ -524,13 +524,24 @@ def test_csv_missing_header(tmp_path):
     ("1,,0\n", "line 2, column f2: '' is not a number"),
     ("1,2,0\n3,1\n", "line 3: 2 cells, the header has 3"),
     ("1,2,0,4\n", "line 2: 4 cells, the header has 3"),
-], ids=["cell", "label", "empty-cell", "short-row", "long-row"])
+    ("1,2,0\n3,inf,1\n", "line 3, column f2: 'inf' is not a finite number"),
+    ("-inf,2,0\n", "line 2, column f1: '-inf' is not a finite number"),
+    ("1,2,0\n\nnan,4,1\n", "line 4, column f1: 'nan' is not a finite number"),
+], ids=["cell", "label", "empty-cell", "short-row", "long-row", "inf", "-inf", "nan"])
 def test_csv_names_the_line_and_column_of_a_bad_cell(tmp_path, body, where):
     path = tmp_path / "bad.csv"
     path.write_text("f1, f2,label\n" + body)
     with pytest.raises(ValueError) as info:
         load_dataset_csv(str(path))
     assert str(info.value) == f"{path}, {where}"
+
+
+def test_csv_without_data_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("f1,f2,label\n\n")
+    with pytest.raises(ValueError) as info:
+        load_dataset_csv(str(path))
+    assert str(info.value) == f"{path}: no data rows"
 
 
 @pytest.mark.parametrize("label, shown", [(2.0, "2"), (-1.0, "-1"), (0.5, "0.5"),
@@ -544,7 +555,7 @@ def test_hyperclean_labels_outside_zero_one_rejected(label, shown, which):
     data.labels[3] = label
     data.labels[4] = 7.0  # only the first bad row is named
     with pytest.raises(ValueError) as info:
-        make_hyperclean(HyperCleanSpec(train=train, val=val), rng_seed=0)
+        HyperCleanOracle(HyperCleanSpec(train=train, val=val), rng_seed=0)
     assert str(info.value) == f"{which} labels must lie in {{0, 1}}: row 3 has {shown}"
 
 
@@ -650,13 +661,13 @@ def _upper_loss_oracle(kind, rng, a, b):
     if kind == "hyperclean":
         train, val = generate_corrupted_dataset(a, b, 1 + (a + b) % 40, p=0.3,
                                                 rng_seed=int(rng.integers(2**32)))
-        return make_hyperclean(HyperCleanSpec(train, val), rng_seed=0)
+        return HyperCleanOracle(HyperCleanSpec(train, val), rng_seed=0)
     M = 1 + a % 9
     p, q = 1 + a % 20, b
     designs = [rng.standard_normal((q, p)) for _ in range(2 * M)]
     targets = [rng.standard_normal(q) for _ in range(2 * M)]
     m = M if kind == "meta_all_tasks" else 1 + b % M
-    return make_meta_linear(MetaLinearSpec(Z=designs[:M], v=targets[:M], D=designs[M:],
+    return MetaLinearOracle(MetaLinearSpec(Z=designs[:M], v=targets[:M], D=designs[M:],
                                            u=targets[M:], rho=1.0, m=m), rng_seed=0)
 
 
